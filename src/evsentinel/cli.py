@@ -73,6 +73,20 @@ DEFAULTS = {
 }
 
 
+def _check_type(key: str, value, source: str) -> None:
+    """A config-file value must have its default's type; an int may stand for a float."""
+    default = DEFAULTS[key]
+    if isinstance(default, str):
+        ok = isinstance(value, str)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"config key {key!r} in {source} must be a "
+                          f"{type(default).__name__}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, in increasing precedence."""
     merged = dict(DEFAULTS)
@@ -85,6 +99,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys in {config_path}: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_type(key, value, config_path)
         merged.update(loaded)
     for key in DEFAULTS:
         flag = getattr(args, key, None)
@@ -228,8 +244,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                           config_digest=config_digest(config),
                           baseline_quantile=float(config["baseline_quantile"]))
     out_dir = Path(args.out)
-    epoch_metrics = None
-    payload = export_report(report, out_dir, epoch_metrics=epoch_metrics)
+    payload = export_report(report, out_dir)
     if args.epochs_log:
         import shutil
 

@@ -1,11 +1,12 @@
 """Synthetic activity generation, CERT-style ingestion, and windowed features.
 
 Events are bucketed into contiguous fixed-duration windows (default one
-hour) on a grid anchored at a global start time.  Each (user, window)
+day) on a grid anchored at a global start time.  Each (user, window)
 pair reduces to a 12-dimensional feature vector; per-user sequences of T
 windows feed the encoder.  Users with fewer than T windows are padded at
-the front with explicit all-zero windows and carry the pad count so the
-encoder can skip those steps.
+the front with explicit all-zero windows and carry the pad count.  The
+encoder encodes those pads like any other window; the pad count keeps
+them out of the scaler fit, the warm-up targets and the detector stream.
 
 Timestamps are seconds since the epoch and are interpreted as local
 time; off-hours means 00:00-06:00.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +99,13 @@ class ScenarioSpec:
 @dataclass
 class BehaviorSequence:
     user: str
-    features: np.ndarray  # (T, d), raw or standardized
+    features: np.ndarray  # (T, d), raw
     window_duration: float
     window_end: float
     n_pad: int = 0
     label: str = "benign"
     onset: int | None = None
     duration: int | None = None
-    standardized: bool = False
 
     @property
     def t_len(self) -> int:
@@ -132,11 +132,6 @@ class FeatureScaler:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
-
-    def apply(self, seq: BehaviorSequence) -> BehaviorSequence:
-        if seq.standardized:
-            raise ContractError("sequence is already standardized")
-        return replace(seq, features=self.transform(seq.features), standardized=True)
 
 
 # -- feature extraction -------------------------------------------------------

@@ -1,22 +1,24 @@
 """Real-time per-user detection over window streams.
 
-Each user's standardized windows step one at a time through a continuous
-per-user GRU state, warm-started on the user's first window (see
-_StreamEncoder; the trailing sequence is never re-encoded per window).
-The final-layer state after each step is that window's embedding: the
-engine assesses it through the evidential head and updates the user's
-EWMA baseline.  Drift is the Euclidean distance between the new
-embedding and the baseline (the previous raw embedding is available
-behind a config switch), the anomaly score is uncertainty times drift,
-and an alert fires when either strict threshold is crossed:
+Each user's standardized windows run through the GRU as one continuous
+per-user sequence, warm-started on the user's first window: the encoder
+sees the first window repeated for a training length, then every window
+in order, all in one call, and the final-layer state at each real window
+is that window's embedding (the trailing sequence is never re-encoded
+per window).  The engine assesses each embedding through the evidential
+head and updates the user's EWMA baseline.  Drift is the Euclidean
+distance between the new embedding and the baseline (the previous raw
+embedding is available behind a config switch), the anomaly score is
+uncertainty times drift, and an alert fires when either strict threshold
+is crossed:
 
     d = ||z - baseline_prev||        (drift)
     baseline = beta * z + (1 - beta) * baseline_prev
     s = u * d
     alert  iff  u > tau_u  or  d > tau_d
 
-Users are fully isolated: interleaving streams cannot change any
-per-user output.
+Users are fully isolated: each user is a separate encoder call, so
+interleaving streams cannot change any per-user output.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import ActivityRecord, Corpus, window_series
 from .errors import ConfigError, DataError
-from .model import LatentEmbedding, head
+from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment
 from .training import Checkpoint
 
@@ -173,39 +175,6 @@ class DetectionResult:
         return float(np.mean([w.u for w in self.window_scores]))
 
 
-class _StreamEncoder:
-    """Continuous per-user recurrent state, one step per window.
-
-    The state is warm-started by looping the user's first window through
-    the encoder for a full training length, i.e. the stream behaves as if
-    the user had always produced their first observed window.  The first
-    emitted embedding is therefore already near that behavior's fixed
-    point, and drift measures behavioral change rather than the encoder's
-    cold-start ramp.  A per-window re-encode of the sliding padded
-    sequence is deliberately not used: consecutive re-encodes start from
-    minutely different states, and a trained recurrence amplifies those
-    differences chaotically into spurious drift.
-    """
-
-    def __init__(self, encoder, first_window: np.ndarray, warm_steps: int):
-        self._encoder = encoder
-        self._h = [np.zeros(layer.hidden) for layer in encoder.layers]
-        for _ in range(warm_steps):
-            self._step_layers(first_window)
-
-    def _step_layers(self, x: np.ndarray) -> None:
-        from .model import _gru_step
-
-        inp = x
-        for i, layer in enumerate(self._encoder.layers):
-            self._h[i] = _gru_step(layer, inp, self._h[i])
-            inp = self._h[i]
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        self._step_layers(x)
-        return self._h[-1].copy()
-
-
 def _normalize_records(records: list[ActivityRecord], config: DetectorConfig,
                        ) -> list[ActivityRecord]:
     """Apply the out-of-order policy per user; output is per-user ordered."""
@@ -269,11 +238,30 @@ def _user_window_series(checkpoint: Checkpoint, source) -> dict[str, tuple[np.nd
     return dict(series)
 
 
+def stream_embeddings(encoder, windows: np.ndarray, warm_steps: int) -> np.ndarray:
+    """Per-window embeddings of one user's (W, d) standardized windows.
+
+    The stream is warm-started by prefixing the user's first window
+    warm_steps times, as if the user had always produced it, so the first
+    embedding is already near that behavior's fixed point and drift
+    measures behavioral change rather than the encoder's cold-start ramp.
+    The prefix and the windows are encoded as one (1, warm_steps + W, d)
+    sequence, and the last-layer states from index warm_steps on are the
+    embeddings.  Re-encoding a sliding padded sequence per window is
+    deliberately avoided: consecutive re-encodes start from minutely
+    different states, and a trained recurrence amplifies those
+    differences chaotically into spurious drift.
+    """
+    prefix = np.repeat(windows[:1], warm_steps, axis=0)
+    sequence = np.concatenate([prefix, windows])[None]
+    return encode_states(encoder, sequence)[0, warm_steps:]
+
+
 def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
                   ) -> DetectionResult:
     """Run the full detection loop over a corpus or raw record stream.
 
-    Each user's standardized windows stream through a recurrent state
+    Each user's standardized windows are encoded by stream_embeddings,
     warm-started on that user's first window; every window yields an
     embedding, an assessment, and an EWMA update.  Emits one WindowScore
     per (user, window) and an Alert whenever the rule fires.  Users are
@@ -290,10 +278,9 @@ def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
     for user in sorted(series):
         feats, ends = series[user]
         windows = checkpoint.scaler.transform(feats)
-        stream = _StreamEncoder(checkpoint.encoder, windows[0], warm_steps)
+        embeddings = stream_embeddings(checkpoint.encoder, windows, warm_steps)
         state = None
-        for w in range(windows.shape[0]):
-            values = stream.step(windows[w])
+        for w, values in enumerate(embeddings):
             z = LatentEmbedding(values=values, user=user, window_end=float(ends[w]))
             assessment = head(checkpoint.head, values)
             state, score, alert = observe(state, z, assessment, config)

@@ -108,17 +108,6 @@ def roc_auc(scores: dict[str, float], truth: dict[str, bool]) -> RocCurve:
     return RocCurve(points=tuple(points), thresholds=tuple(thresholds), auc=auc)
 
 
-def pairwise_auc(scores: dict[str, float], truth: dict[str, bool]) -> float:
-    """Probability a random positive outscores a random negative (ties 0.5)."""
-    pos = np.array([v for u, v in scores.items() if truth[u]])
-    neg = np.array([v for u, v in scores.items() if not truth[u]])
-    if len(pos) == 0 or len(neg) == 0:
-        raise DegenerateInputError("pairwise AUC needs both classes")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
-
-
 def baseline_kmeans_detector(embeddings: dict[str, np.ndarray], n_clusters: int,
                              rng: SeededRng, quantile: float = 0.95,
                              ) -> tuple[dict[str, bool], float]:
@@ -275,9 +264,8 @@ def evaluate_run(window_scores, sequences, embeddings: dict[str, np.ndarray],
                             seed=seed, config_digest=config_digest)
 
 
-def export_report(report: EvaluationReport, directory: Path | str,
-                  epoch_metrics=None) -> dict:
-    """Write metrics.json, roc.csv, scores.csv, projection.csv, epochs.csv."""
+def export_report(report: EvaluationReport, directory: Path | str) -> dict:
+    """Write metrics.json, roc.csv, scores.csv, projection.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -315,12 +303,4 @@ def export_report(report: EvaluationReport, directory: Path | str,
         writer.writerow(["user", "x", "y"])
         for user, (px, py) in zip(report.projection_users, report.projection.coords):
             writer.writerow([user, repr(float(px)), repr(float(py))])
-
-    with open(directory / "epochs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "total_loss", "ce_loss", "kl_loss", "lambda",
-                         "pseudo_accuracy"])
-        for m in (epoch_metrics or []):
-            writer.writerow([m.epoch, repr(m.total_loss), repr(m.ce_loss),
-                             repr(m.kl_loss), repr(m.lam), repr(m.pseudo_accuracy)])
     return payload

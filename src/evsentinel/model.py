@@ -1,24 +1,30 @@
-"""Two-layer GRU encoder and the affine evidential head.
+"""GRU encoder of n layers and the affine evidential head.
 
-The encoder consumes a (T, d) window-feature matrix and returns the final
-hidden state of the second GRU layer.  Gate equations follow the standard
-formulation with the reset gate applied to the hidden state before the
-candidate transform:
+The encoder consumes an (n, T, d) stack of window-feature matrices and
+returns the final hidden state of its last GRU layer.  Gate equations
+follow the standard formulation with the reset gate applied to the
+hidden state before the candidate transform:
 
     r = sigmoid(x W_r + h U_r + b_r)
     z = sigmoid(x W_z + h U_z + b_z)
     c = tanh(x W_c + (r * h) U_c + b_c)
     h' = (1 - z) * h + z * c
 
+One kernel, gru_layer, runs this recurrence for one layer over every
+sequence and step at once, and gru_layer_backward is its hand-derived
+backward.  Inference (encode_states, encode_batch), training
+(taped_encode, one tape op for the whole stack) and the streaming
+detector all go through it, for any number of layers.
+
 Initial hidden states are zero.  All rows of the input are processed,
 including any leading zero-pad windows a short history was filled with
-(after standardization those are ordinary "silent hours" inputs, so every
+(after standardization those are ordinary "silent" inputs, so every
 encode of a padded sequence starts from the same quiet-state trajectory).
-Trailing padding is different: passing n_steps processes only the first
-n_steps rows, so output is invariant to whatever sits beyond them.
+The state at step t depends only on rows up to t.
 
-Dropout is inverted-scaled and applied to layer-1 outputs fed into
-layer 2 and to the embedding fed into the head, only while active.
+Dropout is inverted-scaled and applied to each lower layer's outputs fed
+into the layer above and to the embedding fed into the head, only while
+active.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .evidential import DirichletAssessment, alpha_from_raw, assess
 from .numerics import Node, SeededRng, Tape
-from .numerics.autodiff import sigmoid, softplus
+from .numerics.autodiff import sigmoid
 
 GATES = ("r", "z", "c")
 
@@ -50,6 +56,12 @@ class GruLayerParams:
     @property
     def hidden(self) -> int:
         return self.w["r"].shape[1]
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[W_r | W_z | W_c], [U_r | U_z] and [b_r | b_z | b_c], gates side by side."""
+        return (np.concatenate([self.w[g] for g in GATES], axis=1),
+                np.concatenate([self.u["r"], self.u["z"]], axis=1),
+                np.concatenate([self.b[g] for g in GATES]))
 
 
 @dataclass
@@ -112,9 +124,6 @@ class DropoutSpec:
             raise ContractError(f"dropout probability must be in [0, 1), got {self.p}")
 
 
-INFERENCE_DROPOUT = DropoutSpec(p=0.0, active=False)
-
-
 @dataclass(frozen=True)
 class LatentEmbedding:
     values: np.ndarray
@@ -174,57 +183,88 @@ def _dropout_mask(rng: SeededRng, shape, p: float) -> np.ndarray:
     return keep / (1.0 - p)
 
 
-def _gru_step(layer: GruLayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    r = sigmoid(x @ layer.w["r"] + h @ layer.u["r"] + layer.b["r"])
-    z = sigmoid(x @ layer.w["z"] + h @ layer.u["z"] + layer.b["z"])
-    c = np.tanh(x @ layer.w["c"] + (r * h) @ layer.u["c"] + layer.b["c"])
-    return (1.0 - z) * h + z * c
+def gru_layer(layer: GruLayerParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run one GRU layer from a zero state over an (n, T, d) stack.
 
-
-def encode_features(params: EncoderParams, features: np.ndarray,
-                    n_steps: int | None = None,
-                    dropout: DropoutSpec = INFERENCE_DROPOUT,
-                    rng: SeededRng | None = None) -> np.ndarray:
-    """Encode one (T, d) feature matrix to a (k,) embedding.
-
-    n_steps limits processing to the first n_steps rows (trailing rows,
-    for example batching pad, are never touched).
+    The input projections of all steps and gates are one GEMM, hoisted out
+    of the time loop (Appleyard et al. 2016); only the hidden-path
+    products stay inside it.  Returns the (n, T, k) states and the
+    (n, T, 3k) gate activations [r | z | c] that gru_layer_backward needs.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be (T, d), got shape {features.shape}")
-    if features.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"feature width {features.shape[1]} != encoder input width {params.input_dim}")
-    steps = features if n_steps is None else features[:n_steps]
-    if steps.shape[0] < 1:
+    n, t_len, d = x.shape
+    k = layer.hidden
+    w, u_rz, b = layer.stacked()
+    xw = (x.reshape(n * t_len, d) @ w).reshape(n, t_len, 3 * k)
+    states = np.empty((n, t_len, k))
+    gates = np.empty((n, t_len, 3 * k))
+    h = np.zeros((n, k))
+    for t in range(t_len):
+        rz = sigmoid(xw[:, t, :2 * k] + h @ u_rz + b[:2 * k])
+        r, z = rz[:, :k], rz[:, k:]
+        c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ layer.u["c"] + b[2 * k:])
+        h = h - z * h + z * c
+        states[:, t] = h
+        gates[:, t, :2 * k] = rz
+        gates[:, t, 2 * k:] = c
+    return states, gates
+
+
+def gru_layer_backward(layer: GruLayerParams, x: np.ndarray, states: np.ndarray,
+                       gates: np.ndarray, d_states: np.ndarray,
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Backpropagation through time for one gru_layer call.
+
+    d_states is the (n, T, k) adjoint of the layer's states.  The time
+    loop carries only the state adjoint; the weight gradients are then
+    one GEMM each over all steps.  Returns the adjoint of x and the
+    gradients keyed "w_r", "u_r", "b_r", ... as in the flat parameters.
+    """
+    n, t_len, d = x.shape
+    k = layer.hidden
+    w, u_rz, _ = layer.stacked()
+    h_prev = np.concatenate([np.zeros((n, 1, k)), states[:, :-1]], axis=1)
+    r, z, c = gates[..., :k], gates[..., k:2 * k], gates[..., 2 * k:]
+    da = np.empty((n, t_len, 3 * k))  # pre-activation adjoints [r | z | c]
+    dh = np.zeros((n, k))
+    for t in range(t_len - 1, -1, -1):
+        dh = dh + d_states[:, t]
+        hp, rt, zt, ct = h_prev[:, t], r[:, t], z[:, t], c[:, t]
+        da_c = dh * zt * (1.0 - ct * ct)
+        d_rh = da_c @ layer.u["c"].T
+        da[:, t, :k] = d_rh * hp * rt * (1.0 - rt)
+        da[:, t, k:2 * k] = dh * (ct - hp) * zt * (1.0 - zt)
+        da[:, t, 2 * k:] = da_c
+        dh = dh * (1.0 - zt) + d_rh * rt + da[:, t, :2 * k] @ u_rz.T
+
+    flat_da = da.reshape(n * t_len, 3 * k)
+    dw = x.reshape(n * t_len, d).T @ flat_da
+    du_rz = h_prev.reshape(n * t_len, k).T @ flat_da[:, :2 * k]
+    db = flat_da.sum(axis=0)
+    grads = {"u_r": du_rz[:, :k], "u_z": du_rz[:, k:],
+             "u_c": (r * h_prev).reshape(n * t_len, k).T @ flat_da[:, 2 * k:]}
+    for i, g in enumerate(GATES):
+        grads[f"w_{g}"] = dw[:, i * k:(i + 1) * k]
+        grads[f"b_{g}"] = db[i * k:(i + 1) * k]
+    return (flat_da @ w.T).reshape(n, t_len, d), grads
+
+
+def encode_states(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """Inference encode of an (n, T, d) stack to the last layer's (n, T, k) states."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"features must be (n, T, d), got shape {x.shape}")
+    if x.shape[2] != params.input_dim:
+        raise ShapeError(f"feature width {x.shape[2]} != encoder input width {params.input_dim}")
+    if x.shape[1] < 1:
         raise ContractError("sequence has no steps to encode")
-    if dropout.active and rng is None:
-        raise ContractError("active dropout requires an rng")
-
-    k = params.hidden
-    layer_input = steps
-    for depth, layer in enumerate(params.layers):
-        h = np.zeros(k)
-        outs = np.empty((layer_input.shape[0], k))
-        for t in range(layer_input.shape[0]):
-            x_t = layer_input[t]
-            if depth > 0 and dropout.active:
-                x_t = x_t * _dropout_mask(rng, (k,), dropout.p)
-            h = _gru_step(layer, x_t, h)
-            outs[t] = h
-        layer_input = outs
-    out = layer_input[-1]
-    if dropout.active:
-        out = out * _dropout_mask(rng, (k,), dropout.p)
-    return out
+    for layer in params.layers:
+        x, _ = gru_layer(layer, x)
+    return x
 
 
-def encode(params: EncoderParams, seq, dropout: DropoutSpec = INFERENCE_DROPOUT,
-           rng: SeededRng | None = None) -> LatentEmbedding:
-    """Encode a BehaviorSequence (all T windows, leading pads included)."""
-    values = encode_features(params, seq.features, dropout=dropout, rng=rng)
-    return LatentEmbedding(values=values, user=seq.user, window_end=seq.window_end)
+def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """Inference-mode batched encode of an (n, T, d) stack to (n, k)."""
+    return encode_states(params, features)[:, -1]
 
 
 def head(params: EvidentialHeadParams, z) -> DirichletAssessment:
@@ -235,32 +275,6 @@ def head(params: EvidentialHeadParams, z) -> DirichletAssessment:
             f"embedding length {values.shape} != head input width {params.w.shape[0]}")
     raw = values @ params.w + params.b
     return assess(alpha_from_raw(raw))
-
-
-def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    """Inference-mode batched encode of an (n, T, d) stack to (n, k)."""
-    n, t_len, d = features.shape
-    if d != params.input_dim:
-        raise ShapeError(f"feature width {d} != encoder input width {params.input_dim}")
-    k = params.hidden
-
-    def run_layer(layer: GruLayerParams, x: np.ndarray) -> np.ndarray:
-        # precompute input projections for all steps in one GEMM per gate
-        flat = x.reshape(n * t_len, -1)
-        proj = {g: (flat @ layer.w[g] + layer.b[g]).reshape(n, t_len, k) for g in GATES}
-        h = np.zeros((n, k))
-        outs = np.empty((n, t_len, k))
-        for t in range(t_len):
-            r = sigmoid(proj["r"][:, t] + h @ layer.u["r"])
-            z = sigmoid(proj["z"][:, t] + h @ layer.u["z"])
-            c = np.tanh(proj["c"][:, t] + (r * h) @ layer.u["c"])
-            h = (1.0 - z) * h + z * c
-            outs[:, t] = h
-        return outs
-
-    h1 = run_layer(params.layers[0], features)
-    h2 = run_layer(params.layers[1], h1)
-    return h2[:, -1, :]
 
 
 # -- taped (training) forward -------------------------------------------------
@@ -281,38 +295,48 @@ def leaf_params(tape: Tape, encoder: EncoderParams,
 def taped_encode(tape: Tape, pnodes: dict[str, Node], features: np.ndarray,
                  n_layers: int, dropout: DropoutSpec,
                  rng: SeededRng | None) -> Node:
-    """Differentiable batched encode; mirrors encode_batch step for step."""
-    n, t_len, d = features.shape
+    """Differentiable batched encode, recorded on the tape as one op.
+
+    The forward is the gru_layer stack of encode_states; the backward runs
+    gru_layer_backward from the top layer down.  With active dropout each
+    upper layer's input is masked by one (T, n, k) draw, layer by layer,
+    and the final state by one (n, k) draw.
+    """
+    n, t_len, _ = features.shape
     if dropout.active and rng is None:
         raise ContractError("active dropout requires an rng")
-    k = pnodes["enc.l0.u_r"].shape[0]
+    names = [f"enc.l{i}.{p}_{g}" for i in range(n_layers) for p in "wub" for g in GATES]
+    params = EncoderParams.from_flat({name: pnodes[name].value for name in names}, n_layers)
+    k = params.hidden
 
-    def step(i: int, x: Node, h: Node) -> Node:
-        w = {g: pnodes[f"enc.l{i}.w_{g}"] for g in GATES}
-        u = {g: pnodes[f"enc.l{i}.u_{g}"] for g in GATES}
-        b = {g: pnodes[f"enc.l{i}.b_{g}"] for g in GATES}
-        r = tape.sigmoid(tape.add(tape.add(tape.matmul(x, w["r"]), tape.matmul(h, u["r"])), b["r"]))
-        z = tape.sigmoid(tape.add(tape.add(tape.matmul(x, w["z"]), tape.matmul(h, u["z"])), b["z"]))
-        c = tape.tanh(tape.add(tape.add(tape.matmul(x, w["c"]),
-                                        tape.matmul(tape.mul(r, h), u["c"])), b["c"]))
-        # h' = (1 - z) * h + z * c
-        return tape.add(tape.sub(h, tape.mul(z, h)), tape.mul(z, c))
+    x = features
+    caches = []  # per layer: input, states, gates, input dropout mask
+    for depth, layer in enumerate(params.layers):
+        mask = None
+        if depth > 0 and dropout.active:
+            mask = _dropout_mask(rng, (t_len, n, k), dropout.p).transpose(1, 0, 2)
+            x = x * mask
+        states, gates = gru_layer(layer, x)
+        caches.append((x, states, gates, mask))
+        x = states
+    out = x[:, -1]
+    out_mask = _dropout_mask(rng, (n, k), dropout.p) if dropout.active else None
+    if out_mask is not None:
+        out = out * out_mask
 
-    layer_inputs: list[Node] = [tape.const(features[:, t, :]) for t in range(t_len)]
-    for depth in range(n_layers):
-        h = tape.const(np.zeros((n, k)))
-        outs: list[Node] = []
-        for t, x_t in enumerate(layer_inputs):
-            if depth > 0 and dropout.active:
-                x_t = tape.mul(x_t, tape.const(_dropout_mask(rng, (n, k), dropout.p)))
-            h = step(depth, x_t, h)
-            outs.append(h)
-        layer_inputs = outs
+    def backward(g):
+        d_states = np.zeros((n, t_len, k))
+        d_states[:, -1] = g if out_mask is None else g * out_mask
+        grads = {}
+        for depth in reversed(range(n_layers)):
+            x_in, states, gates, mask = caches[depth]
+            d_x, layer_grads = gru_layer_backward(params.layers[depth], x_in, states,
+                                                  gates, d_states)
+            grads.update({f"enc.l{depth}.{name}": v for name, v in layer_grads.items()})
+            d_states = d_x if mask is None else d_x * mask
+        return tuple(grads[name] for name in names)
 
-    z_final = layer_inputs[-1]
-    if dropout.active:
-        z_final = tape.mul(z_final, tape.const(_dropout_mask(rng, (n, k), dropout.p)))
-    return z_final
+    return tape.record(out, tuple(pnodes[name] for name in names), backward)
 
 
 def taped_head(tape: Tape, pnodes: dict[str, Node], z: Node) -> Node:

@@ -1,4 +1,4 @@
-from .autodiff import Node, Tape, backward, matmul, sigmoid, softplus, tanh
+from .autodiff import Node, Tape, backward, sigmoid, softplus
 from .optim import AdamState, adam_step
 from .rng import SeededRng, mix64
 from .special import digamma, lgamma, trigamma
@@ -12,10 +12,8 @@ __all__ = [
     "backward",
     "digamma",
     "lgamma",
-    "matmul",
     "mix64",
     "sigmoid",
     "softplus",
-    "tanh",
     "trigamma",
 ]

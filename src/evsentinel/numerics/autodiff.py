@@ -8,7 +8,8 @@ one slot per node, so each parameter ends the backward pass with exactly
 one gradient array no matter how many times it was used.
 
 Only the primitives the model needs are provided; this is not a general
-autodiff library.
+autodiff library.  A composite with a hand-derived backward, such as the
+whole GRU stack, is recorded as one op through Tape.record.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ class Tape:
         """A non-differentiable input (data, masks, targets)."""
         return Node(value, requires_grad=False)
 
-    def _emit(self, value, inputs: tuple[Node, ...], backward: Callable) -> Node:
+    def record(self, value, inputs: tuple[Node, ...], backward: Callable) -> Node:
+        """Append an op: its output value, its input nodes, and a backward
+        mapping the output's adjoint to one adjoint per input, in order."""
         out = Node(value, requires_grad=any(n.requires_grad for n in inputs))
         if out.requires_grad:
             self._records.append((out, inputs, backward))
@@ -71,31 +74,31 @@ class Tape:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
-        return self._emit(a.value + b.value, (a, b),
-                          lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        return self.record(a.value + b.value, (a, b),
+                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
     def sub(self, a: Node, b: Node) -> Node:
-        return self._emit(a.value - b.value, (a, b),
-                          lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+        return self.record(a.value - b.value, (a, b),
+                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
     def mul(self, a: Node, b: Node) -> Node:
-        return self._emit(a.value * b.value, (a, b),
-                          lambda g: (_unbroadcast(g * b.value, a.shape),
-                                     _unbroadcast(g * a.value, b.shape)))
+        return self.record(a.value * b.value, (a, b),
+                           lambda g: (_unbroadcast(g * b.value, a.shape),
+                                      _unbroadcast(g * a.value, b.shape)))
 
     def scale(self, x: Node, c: float) -> Node:
-        return self._emit(x.value * c, (x,), lambda g: (g * c,))
+        return self.record(x.value * c, (x,), lambda g: (g * c,))
 
     def shift(self, x: Node, c: float) -> Node:
-        return self._emit(x.value + c, (x,), lambda g: (g,))
+        return self.record(x.value + c, (x,), lambda g: (g,))
 
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim != 2 or b.value.ndim != 2:
             raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
         if a.value.shape[1] != b.value.shape[0]:
             raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return self._emit(a.value @ b.value, (a, b),
-                          lambda g: (g @ b.value.T, a.value.T @ g))
+        return self.record(a.value @ b.value, (a, b),
+                           lambda g: (g @ b.value.T, a.value.T @ g))
 
     def sum(self, x: Node, axis: int | None = None, keepdims: bool = False) -> Node:
         val = x.value.sum(axis=axis, keepdims=keepdims)
@@ -106,29 +109,21 @@ class Tape:
             gg = g if keepdims else np.expand_dims(g, axis)
             return (np.broadcast_to(gg, x.shape).copy(),)
 
-        return self._emit(val, (x,), bwd)
+        return self.record(val, (x,), bwd)
 
     # -- nonlinearities -------------------------------------------------
 
-    def sigmoid(self, x: Node) -> Node:
-        s = sigmoid(x.value)
-        return self._emit(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-    def tanh(self, x: Node) -> Node:
-        t = np.tanh(x.value)
-        return self._emit(t, (x,), lambda g: (g * (1.0 - t * t),))
-
     def softplus(self, x: Node) -> Node:
-        return self._emit(softplus(x.value), (x,),
-                          lambda g: (g * sigmoid(x.value),))
+        return self.record(softplus(x.value), (x,),
+                           lambda g: (g * sigmoid(x.value),))
 
     def digamma(self, x: Node) -> Node:
-        return self._emit(special.digamma(x.value), (x,),
-                          lambda g: (g * special.trigamma(x.value),))
+        return self.record(special.digamma(x.value), (x,),
+                           lambda g: (g * special.trigamma(x.value),))
 
     def lgamma(self, x: Node) -> Node:
-        return self._emit(special.lgamma(x.value), (x,),
-                          lambda g: (g * special.digamma(x.value),))
+        return self.record(special.lgamma(x.value), (x,),
+                           lambda g: (g * special.digamma(x.value),))
 
 
 def backward(tape: Tape, output: Node) -> dict[Node, np.ndarray]:
@@ -159,7 +154,7 @@ def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out = np.where(x >= 0.0, 1.0, t) / (1.0 + t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,18 +170,3 @@ def softplus(x):
     out = np.where(x > 30.0, x, np.where(x < -30.0, low, mid))
     return float(out) if out.ndim == 0 else out
 
-
-def tanh(x):
-    out = np.tanh(np.asarray(x, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape validation; wraps the BLAS-backed kernel."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b

@@ -208,7 +208,7 @@ def _as_sequences(dataset) -> list[BehaviorSequence]:
 
 
 def _stack(seqs: list[BehaviorSequence], scaler: FeatureScaler) -> tuple[np.ndarray, np.ndarray]:
-    # pad rows are standardized like everything else; the encoder skips them
+    # pad rows are standardized and encoded like everything else
     feats = np.stack([scaler.transform(s.features) for s in seqs])
     n_pads = np.array([s.n_pad for s in seqs], dtype=np.int64)
     return feats, n_pads

@@ -185,3 +185,45 @@ def test_run_directory_contains_reproduction_config(small_run):
         cfg = json.loads((small_run[stage] / "config.json").read_text())
         assert "config_digest" in cfg
         assert cfg["seed"] == 7
+
+
+@pytest.mark.parametrize("bad", [{"epochs": "3"}, {"learning_rate": "0.01"},
+                                 {"n_layers": 1.5}, {"seed": True},
+                                 {"drift_reference": 1}])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, bad):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(bad))
+    rc = main(["train", "--corpus", str(tmp_path / "unused"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    key = next(iter(bad))
+    assert key in capsys.readouterr().err
+
+
+def test_int_config_value_accepted_for_float_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window_duration": 3600, "population": 5, "t_len": 6}))
+    assert main(["gen", "--config", str(cfg), "--seed", "2",
+                 "--out", str(tmp_path / "c")]) == 0
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_any_depth_trains_detects_and_evaluates(tmp_path, n_layers):
+    corpus, train, common = tmp_path / "corpus", tmp_path / "train", ["--seed", "5"]
+    cfg = tmp_path / "depth.json"
+    cfg.write_text(json.dumps({"n_layers": n_layers}))
+    assert main(["gen", "--population", "12", "--insider-fraction", "0.25",
+                 "--t-len", "8", "--window-duration", "3600",
+                 "--out", str(corpus)] + common) == 0
+    assert main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                 "--epochs", "2", "--batch-size", "4", "--hidden", "4",
+                 "--n-clusters", "2", "--warmup-epochs", "1",
+                 "--out", str(train)] + common) == 0
+    ckpt = str(train / "checkpoint.ckpt")
+    assert main(["detect", "--checkpoint", ckpt, "--input", str(corpus),
+                 "--out", str(tmp_path / "detect")] + common) == 0
+    assert main(["eval", "--scores", str(tmp_path / "detect" / "scores.csv"),
+                 "--corpus", str(corpus), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "report")] + common) == 0
+    echoed = json.loads((train / "config.json").read_text())
+    assert echoed["n_layers"] == n_layers

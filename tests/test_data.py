@@ -119,15 +119,6 @@ def test_scaler_standardizes_to_unit_moments_excluding_pads():
     assert np.all(np.abs(rows.var(axis=0) - 1.0) < 1e-6)
 
 
-def test_scaler_apply_flags_sequence():
-    corpus = generate(5, 0.0, SeededRng(43), t_len=10, window_duration=3600.0)
-    scaler = FeatureScaler.fit(corpus.sequences)
-    out = scaler.apply(corpus.sequences[0])
-    assert out.standardized
-    with pytest.raises(ContractError):
-        scaler.apply(out)
-
-
 # -- generator -------------------------------------------------------------------
 
 

@@ -9,12 +9,13 @@ from evsentinel.detector import (
     detect_stream,
     observe,
     rank_alerts,
+    stream_embeddings,
     write_alerts_jsonl,
     write_scores_csv,
 )
 from evsentinel.errors import ConfigError, DataError
 from evsentinel.evidential import assess
-from evsentinel.model import LatentEmbedding, init_encoder, init_head
+from evsentinel.model import LatentEmbedding, head, init_encoder, init_head
 from evsentinel.numerics import AdamState, SeededRng
 from evsentinel.training import Checkpoint, TrainConfig
 
@@ -31,12 +32,14 @@ def fresh_state(baseline, user="u1"):
                      window_count=1)
 
 
-def make_checkpoint(t_len=12, d=12, hidden=6, K=3, seed=5, window_duration=3600.0):
+def make_checkpoint(t_len=12, d=12, hidden=6, K=3, seed=5, window_duration=3600.0,
+                    n_layers=2):
     config = TrainConfig(epochs=1, batch_size=1, hidden=hidden, t_len=t_len,
-                         input_dim=d, n_clusters=K, warmup_epochs=0, seed=seed)
+                         input_dim=d, n_clusters=K, warmup_epochs=0, seed=seed,
+                         n_layers=n_layers)
     rng = SeededRng(seed)
     return Checkpoint(
-        encoder=init_encoder(d, hidden, 2, rng),
+        encoder=init_encoder(d, hidden, n_layers, rng),
         head=init_head(hidden, K, rng),
         config=config,
         scaler=FeatureScaler(mean=np.zeros(d), std=np.ones(d)),
@@ -243,6 +246,40 @@ def test_detect_stream_from_raw_records_matches_corpus_path():
         assert a.user == b.user
         assert a.u == pytest.approx(b.u, abs=1e-12)
         assert a.s == pytest.approx(b.s, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_stream_embeddings_match_warm_started_step_oracle(n_layers):
+    from tests.test_model import oracle_step
+
+    corpus = generate(4, 0.25, SeededRng(51), t_len=12, window_duration=3600.0)
+    ckpt = make_checkpoint(n_layers=n_layers)
+    ckpt.scaler = FeatureScaler.fit(corpus.sequences)
+    result = detect_stream(ckpt, corpus, DetectorConfig())
+    rows = {}
+    for w in result.window_scores:
+        rows.setdefault(w.user, []).append(w)
+
+    for seq in corpus.sequences:
+        windows = ckpt.scaler.transform(seq.features[seq.n_pad:])
+        # one state per layer, stepped t_len times on the first window, then
+        # once per window
+        hs = [np.zeros(layer.hidden) for layer in ckpt.encoder.layers]
+        expected = []
+        for x in [windows[0]] * ckpt.config.t_len + list(windows):
+            for i, layer in enumerate(ckpt.encoder.layers):
+                hs[i] = oracle_step(layer, x, hs[i])
+                x = hs[i]
+            expected.append(hs[-1])
+        expected = np.array(expected[ckpt.config.t_len:])
+
+        got = stream_embeddings(ckpt.encoder, windows, ckpt.config.t_len)
+        assert np.allclose(got, expected, atol=1e-12, rtol=0)
+        assert len(rows[seq.user]) == len(expected)
+        for row, emb in zip(rows[seq.user], expected):
+            assert row.u == pytest.approx(head(ckpt.head, emb).uncertainty, abs=1e-12)
+        assert np.allclose(result.states[seq.user].prev_embedding, expected[-1],
+                           atol=1e-12, rtol=0)
 
 
 def test_detect_stream_mismatched_width_fails_before_processing():

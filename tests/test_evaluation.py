@@ -11,12 +11,10 @@ from evsentinel.evaluation import (
     confusion,
     evaluate_run,
     export_report,
-    pairwise_auc,
     project_2d,
     roc_auc,
 )
 from evsentinel.numerics import SeededRng
-from evsentinel.training import EpochMetrics
 
 
 # -- confusion ---------------------------------------------------------------------
@@ -102,6 +100,15 @@ def brute_pairwise(scores, truth):
         for q in neg:
             total += 1.0 if p > q else (0.5 if p == q else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def pairwise_auc(scores, truth):
+    """Probability a random positive outscores a random negative (ties 0.5)."""
+    pos = np.array([v for u, v in scores.items() if truth[u]])
+    neg = np.array([v for u, v in scores.items() if not truth[u]])
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
 
 
 def test_trapezoid_matches_pairwise_with_ties():
@@ -238,10 +245,11 @@ def test_evaluate_run_end_to_end(tmp_path):
     assert report.metrics["auc"] == 1.0
     assert report.baseline_fpr is not None
 
-    payload = export_report(report, tmp_path / "report",
-                            epoch_metrics=[EpochMetrics(0, 1.0, 0.8, 0.2, 1.0, 0.5)])
-    for name in ("metrics.json", "roc.csv", "scores.csv", "projection.csv", "epochs.csv"):
+    payload = export_report(report, tmp_path / "report")
+    for name in ("metrics.json", "roc.csv", "scores.csv", "projection.csv"):
         assert (tmp_path / "report" / name).exists()
+    # epochs.csv has one writer, training; eval only copies it on request
+    assert not (tmp_path / "report" / "epochs.csv").exists()
 
     loaded = json.loads((tmp_path / "report" / "metrics.json").read_text())
     assert loaded == payload
@@ -268,7 +276,7 @@ def test_re_export_is_byte_identical(tmp_path):
                           seed=97, config_digest="x")
     export_report(report, tmp_path / "a")
     export_report(report, tmp_path / "b")
-    for name in ("metrics.json", "roc.csv", "scores.csv", "projection.csv", "epochs.csv"):
+    for name in ("metrics.json", "roc.csv", "scores.csv", "projection.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from evsentinel.data import BehaviorSequence
 from evsentinel.detector import DetectorConfig
 from evsentinel.errors import ContractError, ShapeError
 from evsentinel.evidential import taped_evidential_loss
@@ -12,9 +11,8 @@ from evsentinel.model import (
     EncoderParams,
     EvidentialHeadParams,
     GruLayerParams,
-    encode,
     encode_batch,
-    encode_features,
+    encode_states,
     head,
     init_encoder,
     init_head,
@@ -22,7 +20,7 @@ from evsentinel.model import (
     taped_encode,
     taped_head,
 )
-from evsentinel.numerics import SeededRng, Tape, backward
+from evsentinel.numerics import SeededRng, Tape, backward, sigmoid as array_sigmoid
 
 
 def zero_encoder(d, k, layers=2):
@@ -48,10 +46,53 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+# -- reference oracle: the recurrence one step at a time ----------------------
+
+
+def oracle_step(layer, x, h):
+    r = array_sigmoid(x @ layer.w["r"] + h @ layer.u["r"] + layer.b["r"])
+    z = array_sigmoid(x @ layer.w["z"] + h @ layer.u["z"] + layer.b["z"])
+    c = np.tanh(x @ layer.w["c"] + (r * h) @ layer.u["c"] + layer.b["c"])
+    return (1.0 - z) * h + z * c
+
+
+def oracle_encode(params, features, dropout=None, rng=None):
+    """Encode an (n, T, d) stack to (n, k) embeddings, one step at a time.
+
+    With active dropout, every upper-layer step input and the final state
+    draw their own (n, k) mask, in time order, layer by layer.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n, k = features.shape[0], params.hidden
+    active = dropout is not None and dropout.active
+    layer_input = [features[:, t] for t in range(features.shape[1])]
+    for depth, layer in enumerate(params.layers):
+        h = np.zeros((n, k))
+        outs = []
+        for x_t in layer_input:
+            if depth > 0 and active:
+                x_t = x_t * dropout_mask(rng, (n, k), dropout.p)
+            h = oracle_step(layer, x_t, h)
+            outs.append(h)
+        layer_input = outs
+    out = layer_input[-1]
+    if active:
+        out = out * dropout_mask(rng, (n, k), dropout.p)
+    return out
+
+
+def dropout_mask(rng, shape, p):
+    return (rng.uniform(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
+def encode_one(params, features):
+    return encode_batch(params, np.asarray(features, dtype=np.float64)[None])[0]
+
+
 def test_zero_params_give_zero_embedding():
     params = zero_encoder(3, 4)
     x = SeededRng(1).normal((7, 3))
-    z = encode_features(params, x)
+    z = encode_one(params, x)
     assert np.array_equal(z, np.zeros(4))
 
 
@@ -67,8 +108,9 @@ def test_single_unit_single_step_matches_hand_computation():
     c = math.tanh(x * wc + bc)  # r * h term vanishes at h = 0
     expected = z_gate * c
 
-    got = encode_features(params, np.array([[x]]))
-    assert got[0] == pytest.approx(expected, abs=1e-15)
+    got = encode_batch(params, np.array([[[x]]]))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_single_unit_two_steps_matches_hand_computation():
@@ -85,38 +127,56 @@ def test_single_unit_two_steps_matches_hand_computation():
         c = math.tanh(x * wc + r * h * uc + bc)
         h = (1.0 - z) * h + z * c
 
-    got = encode_features(params, np.array(xs).reshape(2, 1))
-    assert got[0] == pytest.approx(h, abs=1e-15)
+    got = encode_batch(params, np.array(xs).reshape(1, 2, 1))
+    assert got[0, 0] == pytest.approx(h, abs=1e-15)
 
 
 def test_encode_deterministic_without_dropout():
     rng = SeededRng(3)
     params = init_encoder(3, 5, 2, rng)
     x = SeededRng(4).normal((9, 3))
-    a = encode_features(params, x)
-    b = encode_features(params, x)
+    a = encode_one(params, x)
+    b = encode_one(params, x)
     assert a.tobytes() == b.tobytes()
+
+
+def taped_values(params, x, dropout, rng):
+    tape = Tape()
+    pnodes = leaf_params(tape, params)
+    return taped_encode(tape, pnodes, x, len(params.layers), dropout, rng).value
 
 
 def test_dropout_deterministic_given_rng_and_ignored_when_off():
     params = init_encoder(3, 5, 2, SeededRng(5))
-    x = SeededRng(6).normal((9, 3))
+    x = SeededRng(6).normal((4, 9, 3))
     spec = DropoutSpec(p=0.3, active=True)
-    a = encode_features(params, x, dropout=spec, rng=SeededRng(77))
-    b = encode_features(params, x, dropout=spec, rng=SeededRng(77))
-    c = encode_features(params, x, dropout=spec, rng=SeededRng(78))
+    a = taped_values(params, x, spec, SeededRng(77))
+    b = taped_values(params, x, spec, SeededRng(77))
+    c = taped_values(params, x, spec, SeededRng(78))
     assert a.tobytes() == b.tobytes()
     assert not np.array_equal(a, c)
     # inactive dropout must not consume or depend on the rng
-    off1 = encode_features(params, x, dropout=DropoutSpec(p=0.3, active=False), rng=SeededRng(1))
-    off2 = encode_features(params, x, dropout=DropoutSpec(p=0.3, active=False), rng=None)
+    off_rng = SeededRng(1)
+    off1 = taped_values(params, x, DropoutSpec(p=0.3, active=False), off_rng)
+    off2 = taped_values(params, x, DropoutSpec(p=0.3, active=False), None)
     assert off1.tobytes() == off2.tobytes()
+    assert off_rng.counter == 0
+
+
+def test_taped_dropout_draws_masks_in_per_step_order():
+    # one (T, n, k) draw per upper layer equals T per-step (n, k) draws
+    params = init_encoder(3, 5, 3, SeededRng(7))
+    x = SeededRng(8).normal((4, 6, 3))
+    spec = DropoutSpec(p=0.3, active=True)
+    taped = taped_values(params, x, spec, SeededRng(79))
+    oracle = oracle_encode(params, x, spec, SeededRng(79))
+    assert np.allclose(taped, oracle, atol=1e-12, rtol=0)
 
 
 def test_active_dropout_requires_rng():
     params = init_encoder(2, 3, 2, SeededRng(1))
     with pytest.raises(ContractError):
-        encode_features(params, np.zeros((4, 2)), dropout=DropoutSpec(p=0.3, active=True))
+        taped_values(params, np.zeros((1, 4, 2)), DropoutSpec(p=0.3, active=True), None)
 
 
 def test_dropout_spec_validation():
@@ -129,46 +189,36 @@ def test_dropout_spec_validation():
 def test_width_mismatch_raises_shape_error():
     params = init_encoder(3, 4, 2, SeededRng(1))
     with pytest.raises(ShapeError):
-        encode_features(params, np.zeros((5, 2)))
+        encode_batch(params, np.zeros((1, 5, 2)))
 
 
 def test_empty_sequence_rejected():
     params = init_encoder(3, 4, 2, SeededRng(1))
     with pytest.raises(ContractError):
-        encode_features(params, np.zeros((0, 3)))
-    with pytest.raises(ContractError):
-        encode_features(params, np.zeros((4, 3)), n_steps=0)
+        encode_batch(params, np.zeros((1, 0, 3)))
 
 
 def test_trailing_padding_never_processed_with_length_metadata():
+    # the state at a sequence's real length ignores whatever follows it
     params = init_encoder(3, 4, 2, SeededRng(9))
     real = SeededRng(10).normal((6, 3))
     padded = np.vstack([real, np.zeros((5, 3))])
-    a = encode_features(params, padded, n_steps=6)
-    b = encode_features(params, real)
-    assert a.tobytes() == b.tobytes()
-    # garbage beyond the declared length must be invisible
     noisy = np.vstack([real, SeededRng(11).normal((5, 3))])
-    c = encode_features(params, noisy, n_steps=6)
-    assert c.tobytes() == b.tobytes()
+    b = encode_one(params, real)
+    for longer in (padded, noisy):
+        states = encode_states(params, longer[None])
+        assert states.shape == (1, 11, 4)
+        assert states[0, 5].tobytes() == b.tobytes()
 
 
-def test_encode_behavior_sequence_wrapper():
-    params = init_encoder(12, 4, 2, SeededRng(11))
-    seq = BehaviorSequence(user="u0001", features=SeededRng(12).normal((10, 12)),
-                           window_duration=3600.0, window_end=36_000.0)
-    emb = encode(params, seq)
-    assert emb.user == "u0001"
-    assert emb.values.shape == (4,)
-
-
-def test_encode_batch_matches_single_encodes():
-    params = init_encoder(4, 6, 2, SeededRng(13))
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_encode_batch_matches_single_encodes(n_layers):
+    params = init_encoder(4, 6, n_layers, SeededRng(13))
     stack = SeededRng(14).normal((5, 8, 4))
     batch = encode_batch(params, stack)
     for i in range(5):
-        single = encode_features(params, stack[i])
-        assert np.allclose(batch[i], single, atol=1e-12)
+        single = oracle_encode(params, stack[i:i + 1])[0]
+        assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
 
 
 # -- evidential head -----------------------------------------------------------
@@ -227,10 +277,14 @@ def tiny_setup():
     return enc, hd, x, y
 
 
-def loss_given_flat(flat, x, y, n_layers=2, lam=0.4):
+def loss_given_flat(flat, x, y, n_layers=2, lam=0.4, dropout_seed=None):
     tape = Tape()
     pnodes = {name: tape.leaf(arr) for name, arr in flat.items()}
-    z = taped_encode(tape, pnodes, x, n_layers, DropoutSpec(active=False), None)
+    if dropout_seed is None:
+        z = taped_encode(tape, pnodes, x, n_layers, DropoutSpec(active=False), None)
+    else:
+        z = taped_encode(tape, pnodes, x, n_layers, DropoutSpec(p=0.3, active=True),
+                         SeededRng(dropout_seed))
     alpha = taped_head(tape, pnodes, z)
     total, _, _ = taped_evidential_loss(tape, alpha, y, lam)
     return tape, pnodes, total
@@ -272,3 +326,43 @@ def test_taped_encode_matches_inference_encode():
     z = taped_encode(tape, pnodes, x, 2, DropoutSpec(active=False), None)
     plain = encode_batch(enc, x)
     assert np.allclose(z.value, plain, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_gradient_with_dropout_matches_finite_differences(n_layers):
+    rng = SeededRng(19)
+    enc = init_encoder(3, 4, n_layers, rng)
+    hd = init_head(4, 3, rng)
+    x = SeededRng(20).normal((2, 5, 3))
+    y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    flat = {**enc.to_flat(), **hd.to_flat()}
+    tape, pnodes, total = loss_given_flat(flat, x, y, n_layers, dropout_seed=21)
+    grads = backward(tape, total)
+
+    h = 1e-5
+    top = n_layers - 1
+    for name in ("enc.l0.w_z", "enc.l0.u_c", f"enc.l{top}.u_r", f"enc.l{top}.b_c"):
+        analytic = grads[pnodes[name]]
+        for idx in [(0, 0), (1, 2), (2, 3)] if flat[name].ndim == 2 else [(0,), (2,)]:
+            up = {k: (v.copy() if k == name else v) for k, v in flat.items()}
+            dn = {k: (v.copy() if k == name else v) for k, v in flat.items()}
+            up[name][idx] += h
+            dn[name][idx] -= h
+            _, _, t_up = loss_given_flat(up, x, y, n_layers, dropout_seed=21)
+            _, _, t_dn = loss_given_flat(dn, x, y, n_layers, dropout_seed=21)
+            numeric = (float(t_up.value) - float(t_dn.value)) / (2 * h)
+            rel = abs(analytic[idx] - numeric) / max(abs(numeric), 1e-6)
+            assert rel < 1e-4, f"{name}[{idx}]: {analytic[idx]} vs {numeric}"
+
+
+def test_taped_encode_tape_length_does_not_grow_with_steps():
+    # the whole GRU stack is one tape op, however long the sequences are
+    enc = init_encoder(3, 4, 2, SeededRng(22))
+    lengths = []
+    for t_len in (5, 50):
+        tape = Tape()
+        pnodes = leaf_params(tape, enc)
+        taped_encode(tape, pnodes, SeededRng(23).normal((2, t_len, 3)), 2,
+                     DropoutSpec(p=0.3, active=True), SeededRng(24))
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1] == 1

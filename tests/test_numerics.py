@@ -15,17 +15,20 @@ from evsentinel.numerics import (
     backward,
     digamma,
     lgamma,
-    matmul,
     sigmoid,
     softplus,
-    tanh,
     trigamma,
 )
 
 mp.mp.dps = 40
 
 
-# -- matmul ---------------------------------------------------------------
+# -- matmul (the tape's forward value) --------------------------------------
+
+
+def matmul(a, b):
+    tape = Tape()
+    return tape.matmul(tape.const(np.asarray(a)), tape.const(np.asarray(b))).value
 
 
 def triple_loop_matmul(a, b):
@@ -101,8 +104,8 @@ def test_softplus_positive_and_above_x(x):
 
 
 def test_sigmoid_tanh_at_zero():
+    # the GRU takes tanh from numpy; only the in-repo sigmoid is checked here
     assert sigmoid(0.0) == 0.5
-    assert tanh(0.0) == 0.0
 
 
 def test_sigmoid_symmetry():
@@ -213,8 +216,6 @@ def central_difference(f, x, h=1e-5):
 
 
 PRIMITIVES = {
-    "sigmoid": (lambda t, n: t.sigmoid(n), lambda v: 1.0 / (1.0 + np.exp(-v))),
-    "tanh": (lambda t, n: t.tanh(n), np.tanh),
     "softplus": (lambda t, n: t.softplus(n), lambda v: np.log1p(np.exp(v))),
     "digamma": (lambda t, n: t.digamma(n), None),
     "lgamma": (lambda t, n: t.lgamma(n), None),
@@ -250,13 +251,13 @@ def test_composed_graph_gradient_with_broadcasting():
         tape = Tape()
         wn = tape.leaf(w)
         bn = tape.leaf(b0)
-        h = tape.sigmoid(tape.add(tape.matmul(tape.const(x0), wn), bn))
+        h = tape.softplus(tape.add(tape.matmul(tape.const(x0), wn), bn))
         return float(tape.sum(tape.mul(h, h)).value)
 
     tape = Tape()
     wn = tape.leaf(w0)
     bn = tape.leaf(b0)
-    h = tape.sigmoid(tape.add(tape.matmul(tape.const(x0), wn), bn))
+    h = tape.softplus(tape.add(tape.matmul(tape.const(x0), wn), bn))
     out = tape.sum(tape.mul(h, h))
     grads = backward(tape, out)
     numeric_w = central_difference(lambda w: scalar_fn(w), w0)
