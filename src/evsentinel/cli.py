@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .evaluation import evaluate_run, export_report, project_2d
+from .evaluation import evaluate_run, export_report, project_2d, write_projection_csv
 from .model import encode_batch
 from .numerics import SeededRng
 from .training import Checkpoint, TrainConfig, train, write_epoch_log
@@ -184,7 +184,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_detect_source(path: Path, checkpoint: Checkpoint):
+def _load_detect_source(path: Path):
     if path.is_dir():
         if (path / "sequences.bin").exists():
             return data_mod.load_corpus(path)
@@ -200,7 +200,7 @@ def _load_detect_source(path: Path, checkpoint: Checkpoint):
 def cmd_detect(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     checkpoint = Checkpoint.load(Path(args.checkpoint))
-    source = _load_detect_source(Path(args.input), checkpoint)
+    source = _load_detect_source(Path(args.input))
     dconf = _detector_config(config)
     result = detect_stream(checkpoint, source, dconf)
     out_dir = Path(args.out)
@@ -276,11 +276,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     proj = project_2d(np.stack([embeddings[u] for u in users]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "projection.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "x", "y"])
-        for user, (px, py) in zip(users, proj.coords):
-            writer.writerow([user, repr(float(px)), repr(float(py))])
+    write_projection_csv(users, proj, out_dir / "projection.csv")
     echo_config(config, out_dir)
     print(f"project: {len(users)} users, explained variance "
           f"{proj.variances[0]:.4f} / {proj.variances[1]:.4f}")

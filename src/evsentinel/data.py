@@ -406,11 +406,17 @@ def _scenario_rates(profile: UserProfile, spec: ScenarioSpec, hour: int) -> dict
 
 @dataclass
 class Corpus:
+    """Labeled per-user sequences plus `records`, the log `generate` produced.
+
+    `save_corpus` writes `records` to events.csv; `load_corpus` leaves
+    them empty, as no stage that loads a corpus reads its events.
+    """
+
     sequences: list[BehaviorSequence]
-    records: list[ActivityRecord]
     t_len: int
     window_duration: float
     seed: int
+    records: list[ActivityRecord] = field(default_factory=list)
 
     @property
     def users(self) -> list[str]:
@@ -559,6 +565,9 @@ def _make_events(profile: UserProfile, kind: str, count: int, w_start: float,
 # -- corpus persistence -------------------------------------------------------
 
 
+RAW_LOG_COLUMNS = ("user", "timestamp", "kind", "attributes")
+
+
 def save_corpus(corpus: Corpus, directory: Path | str) -> str:
     """Write sequences.bin, labels.csv, and events.csv; returns the digest."""
     directory = Path(directory)
@@ -588,7 +597,7 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
                              "" if s.duration is None else s.duration])
     with open(directory / "events.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["user", "timestamp", "kind", "attributes"])
+        writer.writerow(RAW_LOG_COLUMNS)
         for rec in corpus.records:
             attrs = ";".join(f"{k}={v}" for k, v in sorted(rec.attributes.items()))
             writer.writerow([rec.user, repr(rec.timestamp), rec.kind, attrs])
@@ -596,6 +605,7 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
 
 
 def load_corpus(directory: Path | str) -> Corpus:
+    """Read sequences.bin and labels.csv; events.csv is not opened."""
     directory = Path(directory)
     header, arrays, _ = read_blob(directory / "sequences.bin")
     if header.get("schema") != "corpus":
@@ -618,28 +628,35 @@ def load_corpus(directory: Path | str) -> Corpus:
             window_end=float(arrays["window_end"][i]),
             n_pad=int(arrays["n_pad"][i]),
             label=label, onset=onset, duration=duration))
-    records = []
-    events_path = directory / "events.csv"
-    if events_path.exists():
-        records = load_raw_log(events_path)
-    return Corpus(sequences=sequences, records=records,
+    return Corpus(sequences=sequences,
                   t_len=header["t_len"], window_duration=header["window_duration"],
                   seed=header.get("seed", 0))
 
 
 def load_raw_log(path: Path | str) -> list[ActivityRecord]:
-    """Parse the raw event CSV (user,timestamp,kind,attributes)."""
+    """Parse the raw event CSV (user,timestamp,kind,attributes).
+
+    A missing column or a row that does not parse is a DataError naming
+    the file and line.
+    """
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in RAW_LOG_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
             attrs = {}
             if row["attributes"]:
                 for pair in row["attributes"].split(";"):
                     key, _, value = pair.partition("=")
                     attrs[key] = value
-            records.append(ActivityRecord(
-                user=row["user"], timestamp=float(row["timestamp"]),
-                kind=row["kind"], attributes=attrs))
+            try:
+                records.append(ActivityRecord(
+                    user=row["user"], timestamp=float(row["timestamp"]),
+                    kind=row["kind"], attributes=attrs))
+            except (ValueError, TypeError, DataError) as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return records
 
 

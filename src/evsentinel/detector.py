@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .training import Checkpoint
 
 DRIFT_REFERENCES = ("baseline", "previous")
 ORDER_POLICIES = ("reject", "reorder")
+REORDER_BUFFER = 1024  # records held per user under order_policy="reorder"
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class DetectorConfig:
     beta: float = 0.7
     drift_reference: str = "baseline"
     order_policy: str = "reject"
-    reorder_buffer: int = 1024
 
     def __post_init__(self):
         # tau_u = 0 is allowed as a boundary probe: u > 0 always, so every
@@ -72,9 +72,6 @@ class UserState:
     last_update: float
     window_count: int
     last_drift: float = 0.0
-    last_uncertainty: float = 0.0
-    last_score: float = 0.0
-    alert_times: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -135,12 +132,9 @@ def observe(state: UserState | None, z: LatentEmbedding,
             prev_embedding=values.copy(),
             last_update=z.window_end,
             window_count=state.window_count + 1,
-            alert_times=list(state.alert_times),
         )
     score = u * drift
     new_state.last_drift = drift
-    new_state.last_uncertainty = u
-    new_state.last_score = score
 
     over_u = u > config.tau_u
     over_d = drift > config.tau_d
@@ -149,7 +143,6 @@ def observe(state: UserState | None, z: LatentEmbedding,
         trigger = "both" if (over_u and over_d) else ("uncertainty" if over_u else "drift")
         alert = Alert(user=z.user, window_end=z.window_end, s=score, u=u,
                       d=drift, triggered_by=trigger, p=tuple(assessment.p))
-        new_state.alert_times.append(z.window_end)
     return new_state, score, alert
 
 
@@ -197,14 +190,14 @@ def _normalize_records(records: list[ActivityRecord], config: DetectorConfig,
         if prev is not None and rec.timestamp < prev:
             raise DataError(
                 f"user {rec.user!r}: disorder at {rec.timestamp} exceeds the "
-                f"{config.reorder_buffer}-record reorder buffer")
+                f"{REORDER_BUFFER}-record reorder buffer")
         last_seen[user] = rec.timestamp
         out.append(rec)
 
     for i, rec in enumerate(records):
         heap = heaps.setdefault(rec.user, [])
         heapq.heappush(heap, (rec.timestamp, i, rec))
-        if len(heap) > config.reorder_buffer:
+        if len(heap) > REORDER_BUFFER:
             _, _, oldest = heapq.heappop(heap)
             emit(oldest.user, oldest)
     for user in sorted(heaps):

@@ -298,9 +298,16 @@ def export_report(report: EvaluationReport, directory: Path | str) -> dict:
             writer.writerow([o.user, repr(o.max_u), repr(o.max_d), repr(o.max_s),
                              int(o.truth)])
 
-    with open(directory / "projection.csv", "w", newline="") as fh:
+    write_projection_csv(report.projection_users, report.projection,
+                         directory / "projection.csv")
+    return payload
+
+
+def write_projection_csv(users: list[str], projection: Projection2D,
+                         path: Path | str) -> None:
+    """One user,x,y row per user, coordinates as repr(float)."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "x", "y"])
-        for user, (px, py) in zip(report.projection_users, report.projection.coords):
+        for user, (px, py) in zip(users, projection.coords):
             writer.writerow([user, repr(float(px)), repr(float(py))])
-    return payload

@@ -139,8 +139,7 @@ def _uniform_init(rng: SeededRng, shape: tuple[int, int]) -> np.ndarray:
 FIRST_LAYER_UPDATE_BIAS = -1.0
 
 
-def init_encoder(input_dim: int, hidden: int, n_layers: int, rng: SeededRng,
-                 first_layer_update_bias: float = FIRST_LAYER_UPDATE_BIAS) -> EncoderParams:
+def init_encoder(input_dim: int, hidden: int, n_layers: int, rng: SeededRng) -> EncoderParams:
     """Uniform(+-1/sqrt(fan-in)) weights; biases zero except layer 1's
     update gate.
 
@@ -155,7 +154,7 @@ def init_encoder(input_dim: int, hidden: int, n_layers: int, rng: SeededRng,
         d_in = input_dim if i == 0 else hidden
         biases = {g: np.zeros(hidden) for g in GATES}
         if i == 0:
-            biases["z"] = np.full(hidden, first_layer_update_bias)
+            biases["z"] = np.full(hidden, FIRST_LAYER_UPDATE_BIAS)
         layers.append(GruLayerParams(
             w={g: _uniform_init(rng, (d_in, hidden)) for g in GATES},
             u={g: _uniform_init(rng, (hidden, hidden)) for g in GATES},

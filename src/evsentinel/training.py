@@ -8,7 +8,9 @@ against the pseudo-labels plus an annealed KL regularizer, refreshing
 the labels every refresh_period epochs.
 
 Checkpoints serialize every parameter array bit-for-bit together with
-the config, feature scaler, Adam state, and RNG positions.
+the config, feature scaler, and window duration: what detection and
+evaluation read.  Nothing resumes training from a checkpoint, so the
+optimizer and RNG state are not kept.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class Checkpoint:
     head: EvidentialHeadParams
     config: TrainConfig
     scaler: FeatureScaler
-    epoch: int
-    adam_state: AdamState
-    rng_states: dict[str, tuple[int, int, int]]
     window_duration: float = 86400.0
     digest: str = ""
 
@@ -115,19 +114,12 @@ class Checkpoint:
         arrays: dict[str, np.ndarray] = {}
         arrays.update(self.encoder.to_flat())
         arrays.update(self.head.to_flat())
-        for name, arr in self.adam_state.m.items():
-            arrays[f"adam.m.{name}"] = arr
-        for name, arr in self.adam_state.v.items():
-            arrays[f"adam.v.{name}"] = arr
         arrays["scaler.mean"] = self.scaler.mean
         arrays["scaler.std"] = self.scaler.std
         header = {
             "schema": "checkpoint",
             "schema_version": 1,
             "config": asdict(self.config),
-            "epoch": self.epoch,
-            "adam_step": self.adam_state.step,
-            "rng_states": {k: list(v) for k, v in self.rng_states.items()},
             "window_duration": self.window_duration,
         }
         self.digest = write_blob(path, header, arrays)
@@ -141,18 +133,9 @@ class Checkpoint:
         config = TrainConfig(**header["config"])
         encoder = EncoderParams.from_flat(arrays, config.n_layers)
         head = EvidentialHeadParams.from_flat(arrays)
-        param_names = list(encoder.to_flat()) + list(head.to_flat())
-        adam = AdamState(
-            step=header["adam_step"],
-            m={n: arrays[f"adam.m.{n}"] for n in param_names},
-            v={n: arrays[f"adam.v.{n}"] for n in param_names},
-        )
         scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])
         return cls(encoder=encoder, head=head, config=config, scaler=scaler,
-                   epoch=header["epoch"], adam_state=adam,
-                   rng_states={k: tuple(v) for k, v in header["rng_states"].items()},
-                   window_duration=header.get("window_duration", 3600.0),
-                   digest=digest)
+                   window_duration=header["window_duration"], digest=digest)
 
 
 # -- cluster bootstrap ---------------------------------------------------------
@@ -305,18 +288,13 @@ def warmup(config: TrainConfig, dataset, rng: SeededRng) -> EncoderParams:
 # -- main loop -----------------------------------------------------------------
 
 
-def train(config: TrainConfig, dataset,
-          window_duration: float | None = None,
-          ) -> tuple[Checkpoint, list[EpochMetrics]]:
+def train(config: TrainConfig, dataset) -> tuple[Checkpoint, list[EpochMetrics]]:
     """Full training run; returns the final checkpoint and per-epoch metrics."""
     seqs = _as_sequences(dataset)
     n = len(seqs)
     if n < config.batch_size:
         raise ContractError(
             f"dataset has {n} sequences, fewer than batch size {config.batch_size}")
-    if window_duration is None:
-        window_duration = (dataset.window_duration if isinstance(dataset, Corpus)
-                           else seqs[0].window_duration)
 
     d = seqs[0].features.shape[1]
     if d != config.input_dim:
@@ -382,11 +360,8 @@ def train(config: TrainConfig, dataset,
         if refresh_due and epoch + 1 < config.epochs:
             labels = refresh_pseudo_labels(encoder, head, features)
 
-    checkpoint = Checkpoint(
-        encoder=encoder, head=head, config=config, scaler=scaler,
-        epoch=config.epochs, adam_state=adam,
-        rng_states={"shuffle": shuffle_rng.state, "dropout": dropout_rng.state},
-        window_duration=window_duration)
+    checkpoint = Checkpoint(encoder=encoder, head=head, config=config, scaler=scaler,
+                            window_duration=seqs[0].window_duration)
     return checkpoint, metrics
 
 

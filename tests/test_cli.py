@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,41 @@ def test_project_subcommand(small_run, tmp_path):
     lines = (out / "projection.csv").read_text().strip().splitlines()
     assert lines[0] == "user,x,y"
     assert len(lines) == 41
+
+
+@pytest.mark.parametrize("events", ["malformed-row", "absent"])
+def test_corpus_stages_do_not_read_events_csv(small_run, tmp_path, events):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    if events == "absent":
+        (corpus / "events.csv").unlink()
+    else:
+        with open(corpus / "events.csv", "a") as fh:
+            fh.write("u0000,notanumber,logon,\n")
+    ckpt, common = str(small_run["train"] / "checkpoint.ckpt"), ["--seed", "7"]
+    assert main(["train", "--corpus", str(corpus), "--epochs", "1", "--batch-size", "20",
+                 "--hidden", "8", "--n-clusters", "3", "--warmup-epochs", "0",
+                 "--out", str(tmp_path / "train")] + common) == 0
+    assert main(["eval", "--scores", str(small_run["detect"] / "scores.csv"),
+                 "--corpus", str(corpus), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "report")] + common) == 0
+    assert main(["project", "--checkpoint", ckpt, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "proj")] + common) == 0
+
+
+@pytest.mark.parametrize("text,line", [
+    ("user,timestamp,kind,attributes\nu0000,3600.0,logon,\nu0000,notanumber,logon,\n", 3),
+    ("user,kind,attributes\nu0000,logon,\n", 1),
+], ids=["non-numeric-timestamp", "no-timestamp-column"])
+def test_malformed_raw_log_is_data_error(small_run, tmp_path, capsys, text, line):
+    log = tmp_path / "events.csv"
+    log.write_text(text)
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(log), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{log}, line {line}:" in err
+    assert "Traceback" not in err
 
 
 def test_every_subcommand_documents_every_flag(capsys):

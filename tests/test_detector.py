@@ -16,7 +16,7 @@ from evsentinel.detector import (
 from evsentinel.errors import ConfigError, DataError
 from evsentinel.evidential import assess
 from evsentinel.model import LatentEmbedding, head, init_encoder, init_head
-from evsentinel.numerics import AdamState, SeededRng
+from evsentinel.numerics import SeededRng
 from evsentinel.training import Checkpoint, TrainConfig
 
 
@@ -43,9 +43,6 @@ def make_checkpoint(t_len=12, d=12, hidden=6, K=3, seed=5, window_duration=3600.
         head=init_head(hidden, K, rng),
         config=config,
         scaler=FeatureScaler(mean=np.zeros(d), std=np.ones(d)),
-        epoch=0,
-        adam_state=AdamState(),
-        rng_states={},
         window_duration=window_duration,
     )
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from evsentinel.arrayio import read_blob
 from evsentinel.data import FeatureScaler, generate
 from evsentinel.errors import ConfigError, ContractError, DataError, DegenerateInputError
 from evsentinel.model import EvidentialHeadParams, init_encoder
@@ -194,7 +195,7 @@ def test_train_smoke_two_epochs_on_64_sequences():
     ckpt, metrics = train(config, corpus)
     assert len(metrics) == 2
     assert all(np.isfinite(m.total_loss) for m in metrics)
-    assert ckpt.epoch == 2
+    assert ckpt.window_duration == 3600.0
 
 
 def test_train_deterministic_checkpoint_digest(tmp_path):
@@ -266,13 +267,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded.encoder.to_flat()[name].tobytes() == arr.tobytes()
     for name, arr in ckpt.head.to_flat().items():
         assert loaded.head.to_flat()[name].tobytes() == arr.tobytes()
-    for name in ckpt.adam_state.m:
-        assert loaded.adam_state.m[name].tobytes() == ckpt.adam_state.m[name].tobytes()
-        assert loaded.adam_state.v[name].tobytes() == ckpt.adam_state.v[name].tobytes()
-    assert loaded.adam_state.step == ckpt.adam_state.step
     assert loaded.config == ckpt.config
-    assert loaded.rng_states == ckpt.rng_states
+    assert loaded.window_duration == ckpt.window_duration
     assert np.array_equal(loaded.scaler.mean, ckpt.scaler.mean)
+
+
+def test_checkpoint_stores_only_what_detection_reads(tmp_path):
+    ckpt, _ = train(tiny_config(), tiny_corpus())
+    path = tmp_path / "model.ckpt"
+    ckpt.save(path)
+    header, arrays, _ = read_blob(path)
+    expected = [*ckpt.encoder.to_flat(), *ckpt.head.to_flat(), "scaler.mean", "scaler.std"]
+    assert sorted(arrays) == sorted(expected)
+    assert set(header) == {"schema", "schema_version", "config", "window_duration"}
 
 
 def test_checkpoint_detects_corruption(tmp_path):
