@@ -54,7 +54,6 @@ DEFAULTS = {
     "n_clusters": 5,
     "hidden": 64,
     "t_len": 100,
-    "input_dim": 12,
     "n_layers": 2,
     "lambda_max": 0.1,
     "anneal_epochs": 10,
@@ -64,10 +63,6 @@ DEFAULTS = {
     "tau_u": 0.4,
     "tau_d": 1.5,
     "beta": 0.7,
-    "drift_reference": "baseline",
-    "order_policy": "reject",
-    # evaluation
-    "baseline_quantile": 0.95,
     # shared
     "seed": 0,
 }
@@ -76,9 +71,7 @@ DEFAULTS = {
 def _check_type(key: str, value, source: str) -> None:
     """A config-file value must have its default's type; an int may stand for a float."""
     default = DEFAULTS[key]
-    if isinstance(default, str):
-        ok = isinstance(value, str)
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -123,18 +116,9 @@ def echo_config(config: dict, out_dir: Path) -> str:
     return digest
 
 
-def _train_config(config: dict) -> TrainConfig:
-    fields = ("epochs", "learning_rate", "batch_size", "dropout_p", "n_clusters",
-              "hidden", "t_len", "input_dim", "n_layers", "lambda_max",
-              "anneal_epochs", "warmup_epochs", "refresh_period", "seed")
-    return TrainConfig(**{k: config[k] for k in fields})
-
-
 def _detector_config(config: dict) -> DetectorConfig:
     return DetectorConfig(tau_u=config["tau_u"], tau_d=config["tau_d"],
-                          beta=config["beta"],
-                          drift_reference=config["drift_reference"],
-                          order_policy=config["order_policy"])
+                          beta=config["beta"])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -165,13 +149,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     corpus = data_mod.load_corpus(Path(args.corpus))
-    # corpus geometry wins unless the caller explicitly pinned it
-    if getattr(args, "t_len", None) is None:
-        config["t_len"] = corpus.t_len
-    if corpus.sequences and getattr(args, "input_dim", None) is None:
-        config["input_dim"] = corpus.sequences[0].features.shape[1]
+    if not corpus.sequences:
+        raise DataError(f"{args.corpus}: corpus has no users")
+    config["t_len"] = corpus.t_len
+    fields = ("epochs", "learning_rate", "batch_size", "dropout_p", "n_clusters",
+              "hidden", "t_len", "n_layers", "lambda_max", "anneal_epochs",
+              "warmup_epochs", "refresh_period", "seed")
+    tconf = TrainConfig(input_dim=corpus.sequences[0].features.shape[1],
+                        **{k: config[k] for k in fields})
     out_dir = Path(args.out)
-    tconf = _train_config(config)
     checkpoint, metrics = train(tconf, corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = checkpoint.save(out_dir / "checkpoint.ckpt")
@@ -241,8 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate_run(window_scores, corpus.sequences, embeddings,
                           n_clusters=checkpoint.config.n_clusters,
                           seed=int(config["seed"]),
-                          config_digest=config_digest(config),
-                          baseline_quantile=float(config["baseline_quantile"]))
+                          config_digest=config_digest(config))
     out_dir = Path(args.out)
     payload = export_report(report, out_dir)
     if args.epochs_log:
@@ -325,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-clusters", dest="n_clusters", type=int, default=None,
                    help="number of clusters K")
     p.add_argument("--hidden", type=int, default=None, help="GRU hidden size")
-    p.add_argument("--t-len", dest="t_len", type=int, default=None,
-                   help="sequence length (defaults to the corpus value)")
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None,
                    help="final KL weight")
     p.add_argument("--anneal-epochs", dest="anneal_epochs", type=int, default=None,
@@ -347,12 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-d", dest="tau_d", type=float, default=None,
                    help="drift threshold")
     p.add_argument("--beta", type=float, default=None, help="EWMA smoothing")
-    p.add_argument("--drift-reference", dest="drift_reference", type=str, default=None,
-                   choices=["baseline", "previous"],
-                   help="drift reference vector")
-    p.add_argument("--order-policy", dest="order_policy", type=str, default=None,
-                   choices=["reject", "reorder"],
-                   help="out-of-order record handling")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score a detection run against ground truth")
@@ -363,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=str, required=True, help="trained checkpoint")
     p.add_argument("--epochs-log", dest="epochs_log", type=str, default=None,
                    help="epochs.csv from training to copy into the report")
-    p.add_argument("--baseline-quantile", dest="baseline_quantile", type=float,
-                   default=None, help="distance quantile for the k-means baseline")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("project", help="2-D latent projection of corpus embeddings")

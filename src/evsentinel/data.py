@@ -78,6 +78,11 @@ class ActivityRecord:
             raise DataError(f"unknown event kind {self.kind!r}")
         if not math.isfinite(self.timestamp):
             raise DataError("timestamp must be finite")
+        if "bytes" in self.attributes:
+            try:
+                float(self.attributes["bytes"])  # window_features sums it
+            except ValueError:
+                raise DataError(f"bytes {self.attributes['bytes']!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -614,9 +619,13 @@ def load_corpus(directory: Path | str) -> Corpus:
     labels_path = directory / "labels.csv"
     if labels_path.exists():
         with open(labels_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                onset = int(row["onset"]) if row["onset"] else None
-                duration = int(row["duration"]) if row["duration"] else None
+            reader = csv.DictReader(fh)
+            for row in reader:
+                try:
+                    onset = int(row["onset"]) if row["onset"] else None
+                    duration = int(row["duration"]) if row["duration"] else None
+                except ValueError as exc:
+                    raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
                 labels[row["user"]] = (row["label"], onset, duration)
     sequences = []
     for i, user in enumerate(header["users"]):
@@ -685,8 +694,9 @@ def _parse_cert_date(text: str) -> float:
 def ingest_cert(directory: Path | str) -> tuple[list[ActivityRecord], int]:
     """Read CERT r6.2 CSVs into ActivityRecords.
 
-    Malformed rows are skipped and counted, never fatal.  Returns
-    (records, malformed_count).
+    Malformed rows (a date that does not parse, an empty user, an email
+    size that is not a number) are skipped and counted, never fatal.
+    Returns (records, malformed_count).
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -733,8 +743,11 @@ def ingest_cert(directory: Path | str) -> tuple[list[ActivityRecord], int]:
                         attrs["bytes"] = row["size"]
                 if filename == "http.csv" and row.get("url"):
                     attrs["url"] = row["url"]
-                records.append(ActivityRecord(user=user, timestamp=ts, kind=kind,
-                                              attributes=attrs))
+                try:
+                    records.append(ActivityRecord(user=user, timestamp=ts, kind=kind,
+                                                  attributes=attrs))
+                except DataError:  # an email size that is not a number
+                    malformed += 1
     if not found_any:
         raise DataError(f"no CERT source files in {directory} "
                         f"(expected any of {', '.join(CERT_SOURCES)})")

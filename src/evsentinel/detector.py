@@ -7,10 +7,9 @@ in order, all in one call, and the final-layer state at each real window
 is that window's embedding (the trailing sequence is never re-encoded
 per window).  The engine assesses each embedding through the evidential
 head and updates the user's EWMA baseline.  Drift is the Euclidean
-distance between the new embedding and the baseline (the previous raw
-embedding is available behind a config switch), the anomaly score is
-uncertainty times drift, and an alert fires when either strict threshold
-is crossed:
+distance between the new embedding and the baseline, the anomaly score
+is uncertainty times drift, and an alert fires when either strict
+threshold is crossed:
 
     d = ||z - baseline_prev||        (drift)
     baseline = beta * z + (1 - beta) * baseline_prev
@@ -23,9 +22,8 @@ interleaving streams cannot change any per-user output.
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,41 +34,28 @@ from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment
 from .training import Checkpoint
 
-DRIFT_REFERENCES = ("baseline", "previous")
-ORDER_POLICIES = ("reject", "reorder")
-REORDER_BUFFER = 1024  # records held per user under order_policy="reorder"
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
     tau_u: float = 0.4
     tau_d: float = 1.5
     beta: float = 0.7
-    drift_reference: str = "baseline"
-    order_policy: str = "reject"
 
     def __post_init__(self):
         # tau_u = 0 is allowed as a boundary probe: u > 0 always, so every
         # window alerts
         if not (0.0 <= self.tau_u <= 1.0):
             raise ConfigError(f"tau_u must be in [0, 1], got {self.tau_u}")
-        if self.tau_d <= 0.0:
+        if not self.tau_d > 0.0:  # also rejects NaN, which would disable the drift branch
             raise ConfigError(f"tau_d must be positive, got {self.tau_d}")
         if not (0.0 < self.beta <= 1.0):
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-        if self.drift_reference not in DRIFT_REFERENCES:
-            raise ConfigError(f"drift_reference must be one of {DRIFT_REFERENCES}")
-        if self.order_policy not in ORDER_POLICIES:
-            raise ConfigError(f"order_policy must be one of {ORDER_POLICIES}")
 
 
 @dataclass
 class UserState:
     user: str
     baseline: np.ndarray
-    prev_embedding: np.ndarray
-    last_update: float
-    window_count: int
     last_drift: float = 0.0
 
 
@@ -120,21 +105,12 @@ def observe(state: UserState | None, z: LatentEmbedding,
 
     if state is None:
         drift = 0.0
-        new_state = UserState(user=z.user, baseline=values.copy(),
-                              prev_embedding=values.copy(),
-                              last_update=z.window_end, window_count=1)
+        baseline = values.copy()
     else:
-        ref = state.baseline if config.drift_reference == "baseline" else state.prev_embedding
-        drift = float(np.sqrt(np.sum((values - ref) ** 2)))
-        new_state = replace(
-            state,
-            baseline=config.beta * values + (1.0 - config.beta) * state.baseline,
-            prev_embedding=values.copy(),
-            last_update=z.window_end,
-            window_count=state.window_count + 1,
-        )
+        drift = float(np.sqrt(np.sum((values - state.baseline) ** 2)))
+        baseline = config.beta * values + (1.0 - config.beta) * state.baseline
+    new_state = UserState(user=z.user, baseline=baseline, last_drift=drift)
     score = u * drift
-    new_state.last_drift = drift
 
     over_u = u > config.tau_u
     over_d = drift > config.tau_d
@@ -155,7 +131,6 @@ def rank_alerts(alerts) -> list[Alert]:
 class DetectionResult:
     window_scores: list[WindowScore]
     alerts: list[Alert]
-    states: dict[str, UserState]
 
     @property
     def windows_processed(self) -> int:
@@ -168,43 +143,15 @@ class DetectionResult:
         return float(np.mean([w.u for w in self.window_scores]))
 
 
-def _normalize_records(records: list[ActivityRecord], config: DetectorConfig,
-                       ) -> list[ActivityRecord]:
-    """Apply the out-of-order policy per user; output is per-user ordered."""
+def _check_order(records: list[ActivityRecord]) -> None:
+    """Each user's records must be in time order; a raw log is not sorted here."""
     last_seen: dict[str, float] = {}
-    if config.order_policy == "reject":
-        for rec in records:
-            prev = last_seen.get(rec.user)
-            if prev is not None and rec.timestamp < prev:
-                raise DataError(
-                    f"out-of-order record for user {rec.user!r} at {rec.timestamp} "
-                    f"(previous {prev}); use order_policy='reorder' to buffer")
-            last_seen[rec.user] = rec.timestamp
-        return records
-
-    heaps: dict[str, list] = {}
-    out: list[ActivityRecord] = []
-
-    def emit(user: str, rec: ActivityRecord) -> None:
-        prev = last_seen.get(user)
+    for rec in records:
+        prev = last_seen.get(rec.user)
         if prev is not None and rec.timestamp < prev:
-            raise DataError(
-                f"user {rec.user!r}: disorder at {rec.timestamp} exceeds the "
-                f"{REORDER_BUFFER}-record reorder buffer")
-        last_seen[user] = rec.timestamp
-        out.append(rec)
-
-    for i, rec in enumerate(records):
-        heap = heaps.setdefault(rec.user, [])
-        heapq.heappush(heap, (rec.timestamp, i, rec))
-        if len(heap) > REORDER_BUFFER:
-            _, _, oldest = heapq.heappop(heap)
-            emit(oldest.user, oldest)
-    for user in sorted(heaps):
-        while heaps[user]:
-            _, _, rec = heapq.heappop(heaps[user])
-            emit(user, rec)
-    return out
+            raise DataError(f"out-of-order record for user {rec.user!r} at "
+                            f"{rec.timestamp} (previous {prev})")
+        last_seen[rec.user] = rec.timestamp
 
 
 def _user_window_series(checkpoint: Checkpoint, source) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -261,13 +208,12 @@ def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
     processed independently in sorted order.
     """
     if isinstance(source, list):
-        source = _normalize_records(source, config)
+        _check_order(source)
     series = _user_window_series(checkpoint, source)
     warm_steps = checkpoint.config.t_len
 
     scores: list[WindowScore] = []
     alerts: list[Alert] = []
-    states: dict[str, UserState] = {}
     for user in sorted(series):
         feats, ends = series[user]
         windows = checkpoint.scaler.transform(feats)
@@ -284,8 +230,7 @@ def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
                 d=state.last_drift, s=score, alert=alert is not None,
                 trigger=alert.triggered_by if alert else "",
                 cluster=assessment.argmax_cluster()))
-        states[user] = state
-    return DetectionResult(window_scores=scores, alerts=alerts, states=states)
+    return DetectionResult(window_scores=scores, alerts=alerts)
 
 
 def write_scores_csv(result: DetectionResult, path: Path | str) -> None:

@@ -20,6 +20,7 @@ from .numerics import SeededRng
 from .training import ClusterInit, init_clusters
 
 REPORT_SCHEMA_VERSION = 1
+BASELINE_QUANTILE = 0.95  # the k-means baseline flags the farthest 5% of users
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,11 @@ def roc_auc(scores: dict[str, float], truth: dict[str, bool]) -> RocCurve:
 
 
 def baseline_kmeans_detector(embeddings: dict[str, np.ndarray], n_clusters: int,
-                             rng: SeededRng, quantile: float = 0.95,
-                             ) -> tuple[dict[str, bool], float]:
+                             rng: SeededRng) -> tuple[dict[str, bool], float]:
     """Hard-clustering baseline: flag users far from every centroid.
 
     Distances are measured to the nearest k-means centroid; the cut is
-    the given quantile of the training-set distances.  Returns the flags
+    the BASELINE_QUANTILE of the training-set distances.  Returns the flags
     and the cut value.
     """
     users = sorted(embeddings)
@@ -122,7 +122,7 @@ def baseline_kmeans_detector(embeddings: dict[str, np.ndarray], n_clusters: int,
     clusters: ClusterInit = init_clusters(points, n_clusters, rng)
     diffs = points - clusters.centroids[clusters.assignments]
     dists = np.sqrt((diffs * diffs).sum(axis=1))
-    cut = float(np.quantile(dists, quantile))
+    cut = float(np.quantile(dists, BASELINE_QUANTILE))
     flags = {u: bool(dists[i] > cut) for i, u in enumerate(users)}
     return flags, cut
 
@@ -204,8 +204,7 @@ class EvaluationReport:
 
 
 def evaluate_run(window_scores, sequences, embeddings: dict[str, np.ndarray],
-                 n_clusters: int, seed: int, config_digest: str,
-                 baseline_quantile: float = 0.95) -> EvaluationReport:
+                 n_clusters: int, seed: int, config_digest: str) -> EvaluationReport:
     """Score a finished detection run against corpus ground truth.
 
     window_scores: per-window detector emissions (WindowScore-like).
@@ -247,8 +246,7 @@ def evaluate_run(window_scores, sequences, embeddings: dict[str, np.ndarray],
     roc = roc_auc({u: o.max_s for u, o in agg.items()}, truth)
 
     flags, _ = baseline_kmeans_detector(embeddings, n_clusters,
-                                        SeededRng(seed, stream=777),
-                                        quantile=baseline_quantile)
+                                        SeededRng(seed, stream=777))
     benign = [u for u, t in truth.items() if not t]
     baseline_fpr = (sum(flags[u] for u in benign) / len(benign)) if benign else None
 

@@ -9,7 +9,6 @@ KL-to-uniform regularizer on the misleading (non-target) evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +36,6 @@ class DirichletAssessment:
         return int(np.argmax(self.p))
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Eq-level decomposition of one loss evaluation (total = ce + lam*kl)."""
-
-    ce: float
-    kl: float
-    lam: float
-    total: float
-
-
 def assess(alpha) -> DirichletAssessment:
     """Expected assignment, belief mass, and uncertainty for one alpha."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -58,23 +47,6 @@ def assess(alpha) -> DirichletAssessment:
     p = alpha / belief
     u = alpha.shape[0] / belief
     return DirichletAssessment(alpha=alpha, p=p, belief_mass=belief, uncertainty=u)
-
-
-def _check_one_hot(y: np.ndarray) -> int:
-    ones = np.flatnonzero(y == 1.0)
-    if len(ones) != 1 or not np.all((y == 0.0) | (y == 1.0)):
-        raise ContractError("y must be a one-hot vector")
-    return int(ones[0])
-
-
-def evidential_ce(alpha, y) -> float:
-    """Expected cross-entropy under Dir(alpha): sum_j y_j (psi(S) - psi(alpha_j))."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(alpha <= 0.0):
-        raise DomainError("alpha entries must be positive")
-    target = _check_one_hot(y)
-    return float(digamma(alpha.sum()) - digamma(alpha[target]))
 
 
 def dirichlet_kl_to_uniform(alpha_tilde) -> float:
@@ -92,22 +64,6 @@ def dirichlet_kl_to_uniform(alpha_tilde) -> float:
     )
 
 
-def evidential_loss(alpha, y, lam: float) -> LossBreakdown:
-    """Combined loss: expected CE plus lam * KL on misleading evidence.
-
-    The KL argument keeps the target coordinate pinned at 1 so correct
-    evidence is never penalized: alpha_tilde = y + (1 - y) * alpha.
-    """
-    if lam < 0.0:
-        raise ContractError(f"lambda must be non-negative, got {lam}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    ce = evidential_ce(alpha, y)
-    alpha_tilde = y + (1.0 - y) * alpha
-    kl = dirichlet_kl_to_uniform(alpha_tilde)
-    return LossBreakdown(ce=ce, kl=kl, lam=lam, total=ce + lam * kl)
-
-
 def anneal_lambda(epoch: int, anneal_epochs: int, lambda_max: float) -> float:
     """Linear ramp from 0 to lambda_max over the first anneal_epochs epochs."""
     if anneal_epochs < 1:
@@ -123,7 +79,9 @@ def taped_evidential_loss(tape: Tape, alpha: Node, y_onehot: np.ndarray,
     """Differentiable batch-mean loss for an (n, K) alpha node.
 
     Returns (total, mean_ce, mean_kl) nodes; total = mean_ce + lam * mean_kl
-    by construction, matching the LossBreakdown identity.
+    by construction.  The CE row is sum_j y_j (psi(S) - psi(alpha_j)); the
+    KL row is KL(Dir(alpha_tilde) || Dir(1, ..., 1)) with alpha_tilde =
+    y + (1 - y) * alpha, so correct evidence is never penalized.
     """
     n, k = alpha.shape
     y = np.asarray(y_onehot, dtype=np.float64)

@@ -279,18 +279,6 @@ def head(params: EvidentialHeadParams, z) -> DirichletAssessment:
 # -- taped (training) forward -------------------------------------------------
 
 
-def leaf_params(tape: Tape, encoder: EncoderParams,
-                head_params: EvidentialHeadParams | None = None,
-                extra: dict[str, np.ndarray] | None = None) -> dict[str, Node]:
-    """Wrap parameter arrays as differentiable tape leaves, keyed by name."""
-    flat = encoder.to_flat()
-    if head_params is not None:
-        flat.update(head_params.to_flat())
-    if extra:
-        flat.update(extra)
-    return {name: tape.leaf(arr) for name, arr in flat.items()}
-
-
 def taped_encode(tape: Tape, pnodes: dict[str, Node], features: np.ndarray,
                  n_layers: int, dropout: DropoutSpec,
                  rng: SeededRng | None) -> Node:

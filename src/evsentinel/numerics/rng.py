@@ -56,8 +56,8 @@ class SeededRng:
     """Deterministic random stream identified by (seed, stream).
 
     The only mutable state is the draw counter, so the full generator
-    state is the triple ``(seed, stream, counter)`` and can be stored in
-    a checkpoint and restored exactly.
+    state is the triple ``(seed, stream, counter)``: constructing a
+    generator from the same triple resumes the same sequence exactly.
     """
 
     def __init__(self, seed: int, stream: int = 0, counter: int = 0):

@@ -16,7 +16,7 @@ optimizer and RNG state are not kept.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -127,15 +127,23 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path | str) -> "Checkpoint":
+        """A missing header key or array, or an unknown config key, is a DataError."""
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
-        config = TrainConfig(**header["config"])
-        encoder = EncoderParams.from_flat(arrays, config.n_layers)
-        head = EvidentialHeadParams.from_flat(arrays)
-        scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])
+        try:
+            unknown = set(header["config"]) - {f.name for f in fields(TrainConfig)}
+            if unknown:
+                raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+            config = TrainConfig(**header["config"])
+            encoder = EncoderParams.from_flat(arrays, config.n_layers)
+            head = EvidentialHeadParams.from_flat(arrays)
+            scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])
+            window_duration = header["window_duration"]
+        except KeyError as exc:
+            raise DataError(f"{path}: checkpoint has no {exc}") from None
         return cls(encoder=encoder, head=head, config=config, scaler=scaler,
-                   window_duration=header["window_duration"], digest=digest)
+                   window_duration=window_duration, digest=digest)
 
 
 # -- cluster bootstrap ---------------------------------------------------------
@@ -173,11 +181,6 @@ def init_clusters(embeddings: np.ndarray, n_clusters: int, rng: SeededRng,
             if members.shape[0] > 0:
                 centroids[j] = members.mean(axis=0)
     return ClusterInit(centroids=centroids, assignments=assignments)
-
-
-def distortion(points: np.ndarray, clusters: ClusterInit) -> float:
-    diffs = points - clusters.centroids[clusters.assignments]
-    return float((diffs * diffs).sum())
 
 
 # -- dataset plumbing ----------------------------------------------------------
@@ -272,17 +275,6 @@ def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: np.ndarray
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     return EncoderParams.from_flat(params, config.n_layers), losses
-
-
-def warmup(config: TrainConfig, dataset, rng: SeededRng) -> EncoderParams:
-    """Public warm-up entry point: fit scaler, init encoder, reconstruct."""
-    seqs = _as_sequences(dataset)
-    scaler = FeatureScaler.fit(seqs)
-    features, n_pads = _stack(seqs, scaler)
-    encoder = init_encoder(config.input_dim, config.hidden, config.n_layers,
-                           rng.derive(_STREAM_INIT))
-    encoder, _ = _warmup_arrays(config, features, n_pads, encoder, rng)
-    return encoder
 
 
 # -- main loop -----------------------------------------------------------------

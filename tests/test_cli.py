@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from evsentinel.arrayio import read_blob, write_blob
 from evsentinel.cli import DEFAULTS, EXIT_CONFIG, EXIT_DATA, EXIT_IO, build_parser, main
 
 
@@ -103,6 +104,18 @@ def test_unknown_config_key_rejected(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("removed", [{"input_dim": 7}, {"order_policy": "reorder"},
+                                     {"drift_reference": "previous"},
+                                     {"baseline_quantile": 0.9}])
+def test_removed_config_key_is_config_error(tmp_path, capsys, removed):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(removed))
+    rc = main(["gen", "--config", str(cfg), "--population", "2", "--t-len", "4",
+               "--window-duration", "3600", "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert next(iter(removed)) in capsys.readouterr().err
+
+
 def test_detect_tau_u_zero_alerts_everywhere(small_run, tmp_path):
     out = tmp_path / "all_alerts"
     assert main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
@@ -190,7 +203,8 @@ def test_corpus_stages_do_not_read_events_csv(small_run, tmp_path, events):
 @pytest.mark.parametrize("text,line", [
     ("user,timestamp,kind,attributes\nu0000,3600.0,logon,\nu0000,notanumber,logon,\n", 3),
     ("user,kind,attributes\nu0000,logon,\n", 1),
-], ids=["non-numeric-timestamp", "no-timestamp-column"])
+    ("user,timestamp,kind,attributes\nu0000,3600.0,email,bytes=lots;external=1\n", 2),
+], ids=["non-numeric-timestamp", "no-timestamp-column", "non-numeric-bytes"])
 def test_malformed_raw_log_is_data_error(small_run, tmp_path, capsys, text, line):
     log = tmp_path / "events.csv"
     log.write_text(text)
@@ -199,6 +213,54 @@ def test_malformed_raw_log_is_data_error(small_run, tmp_path, capsys, text, line
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{log}, line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_order_raw_log_is_data_error(small_run, tmp_path, capsys):
+    log = tmp_path / "events.csv"
+    log.write_text("user,timestamp,kind,attributes\n"
+                   "u0000,7200.0,logon,\nu0001,3600.0,logon,\nu0000,3600.0,logoff,\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(log), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "out-of-order record for user 'u0000'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("part,key", [
+    ("header", "window_duration"), ("header", "config"), ("arrays", "scaler.std"),
+    ("arrays", "head.w"), ("config", "no_such_field"),
+], ids=["no-window-duration", "no-config", "no-scaler-std", "no-head-w",
+        "unknown-config-key"])
+def test_incomplete_checkpoint_is_data_error(small_run, tmp_path, capsys, part, key):
+    header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
+    if part == "config":
+        header["config"][key] = 1
+    else:
+        del (header if part == "header" else arrays)[key]
+    ckpt = tmp_path / "edited.ckpt"
+    write_blob(ckpt, header, arrays)
+    rc = main(["detect", "--checkpoint", str(ckpt), "--input", str(small_run["corpus"]),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and key in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_label_onset_is_data_error(small_run, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    user, label, _, duration = lines[1].split(",")  # user,label,onset,duration
+    lines[1] = f"{user},{label},x,{duration}"
+    (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(corpus), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'labels.csv'}, line 2:" in err
     assert "Traceback" not in err
 
 
@@ -225,7 +287,7 @@ def test_run_directory_contains_reproduction_config(small_run):
 
 @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"learning_rate": "0.01"},
                                  {"n_layers": 1.5}, {"seed": True},
-                                 {"drift_reference": 1}])
+                                 {"beta": [0.7]}])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, bad):
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(bad))

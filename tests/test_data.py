@@ -274,6 +274,18 @@ def test_ingest_counts_malformed_rows(tmp_path):
     assert len(records) == 3
 
 
+def test_ingest_counts_non_numeric_email_size_as_malformed(tmp_path):
+    write_cert_fixture(tmp_path / "cert")
+    (tmp_path / "cert" / "email.csv").write_text(
+        "id,date,user,pc,to,cc,bcc,from,activity,size,attachments,content\n"
+        "e1,01/02/2010 12:00:00,ACM2278,PC-1234,x@dtaa.com,,,a@dtaa.com,Send,2048,,hi\n"
+        "e2,01/02/2010 12:05:00,ACM2278,PC-1234,x@y.org,,,a@dtaa.com,Send,big,,hi\n")
+    records, malformed = ingest_cert(tmp_path / "cert")
+    assert malformed == 1
+    assert [r.attributes["bytes"] for r in records if r.kind == "email"] == ["2048"]
+    window_series(records, 3600.0)
+
+
 def test_ingest_mixed_sources(tmp_path):
     write_cert_fixture(tmp_path / "cert", logon=True, device=True, file_=True)
     records, malformed = ingest_cert(tmp_path / "cert")

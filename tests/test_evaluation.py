@@ -7,6 +7,7 @@ from evsentinel.data import generate
 from evsentinel.detector import WindowScore
 from evsentinel.errors import ContractError, DegenerateInputError
 from evsentinel.evaluation import (
+    BASELINE_QUANTILE,
     baseline_kmeans_detector,
     confusion,
     evaluate_run,
@@ -152,7 +153,7 @@ def test_baseline_flags_match_distance_definition():
     blob_b = rng.normal((15, 4)) * 0.5 + 10.0
     points = np.vstack([blob_a, blob_b])
     embeddings = {f"u{i:02d}": points[i] for i in range(30)}
-    flags, cut = baseline_kmeans_detector(embeddings, 2, SeededRng(78), quantile=0.8)
+    flags, cut = baseline_kmeans_detector(embeddings, 2, SeededRng(78))
 
     # independent recompute of the rule: distance to nearest centroid > cut
     users = sorted(embeddings)
@@ -160,11 +161,11 @@ def test_baseline_flags_match_distance_definition():
     clusters = init_clusters(stacked, 2, SeededRng(78))
     diffs = stacked - clusters.centroids[clusters.assignments]
     dists = np.sqrt((diffs * diffs).sum(axis=1))
-    assert cut > 0.0
+    assert cut == np.quantile(dists, BASELINE_QUANTILE)
     for i, user in enumerate(users):
         assert flags[user] == (dists[i] > cut)
-    # roughly the top quintile is flagged, and the nearest point never is
-    assert 1 <= sum(flags.values()) <= 10
+    # the 95% cut of 30 distances leaves the top two above it; the nearest never is
+    assert sum(flags.values()) == 2
     assert not flags[users[int(np.argmin(dists))]]
 
 

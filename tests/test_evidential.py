@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -11,13 +12,51 @@ from evsentinel.evidential import (
     anneal_lambda,
     assess,
     dirichlet_kl_to_uniform,
-    evidential_ce,
-    evidential_loss,
     taped_evidential_loss,
 )
-from evsentinel.numerics import SeededRng, Tape, backward
+from evsentinel.numerics import SeededRng, Tape, backward, digamma
 
 mp.mp.dps = 40
+
+
+# -- scalar loss oracles for the taped batch loss -------------------------------
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """Eq-level decomposition of one loss evaluation (total = ce + lam*kl)."""
+
+    ce: float
+    kl: float
+    lam: float
+    total: float
+
+
+def evidential_ce(alpha, y) -> float:
+    """Expected cross-entropy under Dir(alpha): sum_j y_j (psi(S) - psi(alpha_j))."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if np.any(alpha <= 0.0):
+        raise DomainError("alpha entries must be positive")
+    ones = np.flatnonzero(y == 1.0)
+    if len(ones) != 1 or not np.all((y == 0.0) | (y == 1.0)):
+        raise ContractError("y must be a one-hot vector")
+    return float(digamma(alpha.sum()) - digamma(alpha[ones[0]]))
+
+
+def evidential_loss(alpha, y, lam: float) -> LossBreakdown:
+    """Combined loss: expected CE plus lam * KL on misleading evidence.
+
+    The KL argument keeps the target coordinate pinned at 1 so correct
+    evidence is never penalized: alpha_tilde = y + (1 - y) * alpha.
+    """
+    if lam < 0.0:
+        raise ContractError(f"lambda must be non-negative, got {lam}")
+    alpha = np.asarray(alpha, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    ce = evidential_ce(alpha, y)
+    kl = dirichlet_kl_to_uniform(y + (1.0 - y) * alpha)
+    return LossBreakdown(ce=ce, kl=kl, lam=lam, total=ce + lam * kl)
 
 
 # -- assessments -------------------------------------------------------------

@@ -16,11 +16,18 @@ from evsentinel.model import (
     head,
     init_encoder,
     init_head,
-    leaf_params,
     taped_encode,
     taped_head,
 )
 from evsentinel.numerics import SeededRng, Tape, backward, sigmoid as array_sigmoid
+
+
+def leaf_params(tape, encoder, head_params=None):
+    """Wrap parameter arrays as differentiable tape leaves, keyed by name."""
+    flat = encoder.to_flat()
+    if head_params is not None:
+        flat.update(head_params.to_flat())
+    return {name: tape.leaf(arr) for name, arr in flat.items()}
 
 
 def zero_encoder(d, k, layers=2):

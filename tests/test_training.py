@@ -11,12 +11,11 @@ from evsentinel.numerics import SeededRng
 from evsentinel.training import (
     Checkpoint,
     TrainConfig,
+    _stack,
     _warmup_arrays,
-    distortion,
     init_clusters,
     refresh_pseudo_labels,
     train,
-    warmup,
     write_epoch_log,
 )
 
@@ -58,6 +57,11 @@ def test_config_validation(bad):
 
 
 # -- k-means bootstrap -------------------------------------------------------------
+
+
+def distortion(points, clusters):
+    diffs = points - clusters.centroids[clusters.assignments]
+    return float((diffs * diffs).sum())
 
 
 def test_k_points_k_clusters_zero_distortion():
@@ -149,6 +153,13 @@ def test_pseudo_labels_in_range():
 
 
 # -- warm-up ----------------------------------------------------------------------
+
+
+def warmup(config, corpus, rng):
+    """The warm-up train() runs first: fit the scaler, init the encoder, reconstruct."""
+    features, n_pads = _stack(corpus.sequences, FeatureScaler.fit(corpus.sequences))
+    encoder = init_encoder(config.input_dim, config.hidden, config.n_layers, rng.derive(1))
+    return _warmup_arrays(config, features, n_pads, encoder, rng)[0]
 
 
 def test_warmup_zero_epochs_returns_init_unchanged():
