@@ -32,7 +32,7 @@ from .errors import (
 from .evaluation import evaluate_run, export_report, project_2d, write_projection_csv
 from .model import encode_batch
 from .numerics import SeededRng
-from .training import Checkpoint, TrainConfig, train, write_epoch_log
+from .training import Checkpoint, TrainConfig, fits_type, train, write_epoch_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,11 +71,7 @@ DEFAULTS = {
 def _check_type(key: str, value, source: str) -> None:
     """A config-file value must have its default's type; an int may stand for a float."""
     default = DEFAULTS[key]
-    if isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok:
+    if not fits_type(value, default):
         raise ConfigError(f"config key {key!r} in {source} must be a "
                           f"{type(default).__name__}, got {value!r}")
 

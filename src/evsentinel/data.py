@@ -23,7 +23,7 @@ import numpy as np
 
 from .arrayio import read_blob, write_blob
 from .errors import ContractError, DataError
-from .numerics import SeededRng
+from .numerics import SeededRng, below, box_muller, unit_floats
 
 EVENT_KINDS = (
     "logon", "logoff", "file-access", "removable-device",
@@ -487,14 +487,14 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
                  rng: SeededRng) -> list[ActivityRecord]:
     """Hourly Poisson event generation spanning t_len windows.
 
-    Hourly counts for all (hour, kind) cells are drawn in one vectorized
-    pass per stream.  Attack perturbations draw from a separate stream,
-    so a user's benign activity is bitwise identical whether or not a
-    scenario is active.
+    Each stream draws the counts of all its (hour, kind) cells in one
+    vectorized pass, then the attributes of all its events in one raw()
+    call (see _stream_events).  Attack perturbations draw from a separate
+    stream, so a user's benign activity is bitwise identical whether or
+    not a scenario is active.
     """
     benign_rng = rng.derive(20_000 + idx)
     attack_rng = rng.derive(40_000 + idx)
-    events: list[ActivityRecord] = []
     total_hours = math.ceil(t_len * window_duration / 3600.0)
 
     hours = np.arange(total_hours)
@@ -504,10 +504,7 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
         factors = np.array([_diurnal(h, kind) for h in range(24)])
         base[:, j] = profile.day_rates[kind] * factors[hod]
     counts = benign_rng.poisson(base)
-    for h, j in zip(*np.nonzero(counts)):
-        h_start = start_time + float(h) * 3600.0
-        events.extend(_make_events(profile, EVENT_KINDS[j], int(counts[h, j]),
-                                   h_start, 3600.0, benign_rng, spec=None))
+    events = _stream_events(profile, counts, hours, start_time, benign_rng, {})
 
     if spec is not None:
         in_attack = (hours * 3600.0 // window_duration >= spec.onset) & \
@@ -520,57 +517,121 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
             for j, kind in enumerate(EVENT_KINDS):
                 extra[row, j] = max(0.0, perturbed[kind] - base[h, j])
         extra_counts = attack_rng.poisson(extra)
-        for row, j in zip(*np.nonzero(extra_counts)):
-            h = int(attack_hours[row])
-            h_start = start_time + h * 3600.0
-            events.extend(_make_events(profile, EVENT_KINDS[j],
-                                       int(extra_counts[row, j]),
-                                       h_start, 3600.0, attack_rng, spec=spec))
+        events += _stream_events(profile, extra_counts, attack_hours, start_time,
+                                 attack_rng, spec.intensity)
     return events
 
 
 _BYTES_LOC = {"file-access": 9.0, "removable-device": 13.0, "http": 7.0, "email": 10.0}
 
+# After its timestamp, an event draws each field its kind has, in this
+# order: (field, draws, kinds).  bytes takes a Box-Muller pair.
+_EVENT_FIELDS = (
+    ("host", 1, ("logon", "logoff", "file-access", "process-exec")),
+    ("bytes", 2, tuple(_BYTES_LOC)),
+    ("mode", 1, ("file-access",)),
+    ("cmd", 1, ("command",)),
+    ("external", 1, ("email",)),
+)
 
-def _make_events(profile: UserProfile, kind: str, count: int, w_start: float,
-                 window_duration: float, rng: SeededRng,
-                 spec: ScenarioSpec | None) -> list[ActivityRecord]:
-    intensity = spec.intensity if spec is not None else {}
-    out = []
-    for _ in range(count):
-        ts = w_start + rng.uniform() * window_duration
-        attrs: dict[str, str] = {}
-        if kind in ("logon", "logoff", "file-access", "process-exec"):
-            hosts = profile.hosts
-            extra_hosts = int(round(intensity.get("distinct_hosts", 1.0))) - 1
-            if extra_hosts > 0:
-                hosts = hosts + [f"srv-{j:03d}" for j in range(extra_hosts)]
-            attrs["host"] = hosts[rng.index_below(len(hosts))]
-        if kind in _BYTES_LOC:
-            scale = intensity.get("bytes_moved", 1.0)
-            attrs["bytes"] = str(int(scale * math.exp(_BYTES_LOC[kind] + rng.normal())))
-        if kind == "file-access":
-            write_share = 1.0 - profile.read_share
-            if "file_write_share" in intensity:
-                write_share = min(0.95, write_share * intensity["file_write_share"])
-            attrs["mode"] = "write" if rng.uniform() < write_share else "read"
-        if kind == "command":
-            cmds = profile.commands
-            extra_cmds = int(2 * (intensity.get("distinct_commands", 1.0) - 1.0))
-            if extra_cmds > 0:
-                cmds = cmds + [f"cmd{(199 - j) % 200:03d}" for j in range(extra_cmds)]
-            attrs["cmd"] = cmds[rng.index_below(len(cmds))]
-        if kind == "email":
-            attrs["external"] = "1" if rng.uniform() < profile.external_share else "0"
-        out.append(ActivityRecord(user=profile.user, timestamp=ts, kind=kind,
-                                  attributes=attrs))
-    return out
+
+def _draw_layout() -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Draws per event of each kind, and where each field's draws start (-1: none)."""
+    width = np.ones(len(EVENT_KINDS), dtype=np.int64)  # the timestamp
+    start = {}
+    for name, n_draws, kinds in _EVENT_FIELDS:
+        has = np.array([kind in kinds for kind in EVENT_KINDS])
+        start[name] = np.where(has, width, -1)
+        width = width + n_draws * has
+    return width, start
+
+
+_DRAW_WIDTH, _FIELD_START = _draw_layout()
+_KIND_BYTES_LOC = np.array([_BYTES_LOC.get(kind, 0.0) for kind in EVENT_KINDS])
+
+
+def _pick(options, index: np.ndarray) -> list[str]:
+    """options[i] for each i in index (or each bool), sharing the option strings."""
+    return np.array(options, dtype=object)[index.astype(np.intp)].tolist()
+
+
+def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
+                   start_time: float, rng: SeededRng,
+                   intensity: dict[str, float]) -> list[ActivityRecord]:
+    """The events of one stream's (row, kind) counts, drawn in one raw() call.
+
+    Row r of counts is the hour that starts at start_time + hours[r] * 3600.
+    Events follow the cells in np.nonzero order, and each takes the next
+    _DRAW_WIDTH[kind] draws of the stream: first a uniform that places its
+    timestamp in the hour, then per _EVENT_FIELDS
+      host      an index into the user's hosts (logon, logoff,
+                file-access, process-exec);
+      bytes     a Box-Muller pair whose cosine output z gives
+                exp(loc + z), loc set per kind (file-access,
+                removable-device, email, http);
+      mode      write when a uniform falls below the write share
+                (file-access);
+      cmd       an index into the user's commands (command);
+      external  1 when a uniform falls below the external share (email).
+    The cumulative sum of these widths places every event's draws.  A
+    stream with no events draws nothing.
+    """
+    rows, kinds = np.nonzero(counts)
+    per_cell = counts[rows, kinds]
+    kind = np.repeat(kinds, per_cell)
+    if kind.size == 0:
+        return []
+    width = _DRAW_WIDTH[kind]
+    first = np.cumsum(width) - width
+    raw = rng.raw(int(first[-1] + width[-1]))
+    u = unit_floats(raw)
+
+    def draws(name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The events whose kind has the field, and the field's first draw."""
+        at = _FIELD_START[name][kind]
+        has = np.flatnonzero(at >= 0)
+        return has, first[has] + at[has]
+
+    extra_hosts = int(round(intensity.get("distinct_hosts", 1.0))) - 1
+    hosts = profile.hosts + [f"srv-{j:03d}" for j in range(extra_hosts)]
+    extra_cmds = int(2 * (intensity.get("distinct_commands", 1.0) - 1.0))
+    cmds = profile.commands + [f"cmd{(199 - j) % 200:03d}" for j in range(extra_cmds)]
+    write_share = 1.0 - profile.read_share
+    if "file_write_share" in intensity:
+        write_share = min(0.95, write_share * intensity["file_write_share"])
+    scale = intensity.get("bytes_moved", 1.0)
+
+    columns = []
+    has, at = draws("host")
+    columns.append(("host", has, _pick(hosts, below(raw[at], len(hosts)))))
+    has, at = draws("bytes")
+    r, theta = box_muller(u[at], u[at + 1])
+    log_bytes = _KIND_BYTES_LOC[kind[has]] + r * np.cos(theta)
+    # math.exp per event: numpy's vectorised exp need not round as libm does
+    columns.append(("bytes", has, [str(int(scale * math.exp(v))) for v in log_bytes.tolist()]))
+    has, at = draws("mode")
+    columns.append(("mode", has, _pick(("read", "write"), u[at] < write_share)))
+    has, at = draws("cmd")
+    columns.append(("cmd", has, _pick(cmds, below(raw[at], len(cmds)))))
+    has, at = draws("external")
+    columns.append(("external", has, _pick(("0", "1"), u[at] < profile.external_share)))
+
+    attrs: list[dict[str, str]] = [{} for _ in range(kind.size)]
+    for name, has, values in columns:
+        for i, value in zip(has.tolist(), values):
+            attrs[i][name] = value
+    hour_start = start_time + hours[rows].astype(np.float64) * 3600.0
+    timestamps = np.repeat(hour_start, per_cell) + u[first] * 3600.0
+    return [ActivityRecord(user=profile.user, timestamp=ts, kind=EVENT_KINDS[k],
+                           attributes=a)
+            for ts, k, a in zip(timestamps.tolist(), kind.tolist(), attrs)]
 
 
 # -- corpus persistence -------------------------------------------------------
 
 
 RAW_LOG_COLUMNS = ("user", "timestamp", "kind", "attributes")
+LABEL_COLUMNS = ("user", "label", "onset", "duration")
 
 
 def save_corpus(corpus: Corpus, directory: Path | str) -> str:
@@ -595,7 +656,7 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
                         {"features": feats, "n_pad": n_pad, "window_end": ends})
     with open(directory / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["user", "label", "onset", "duration"])
+        writer.writerow(LABEL_COLUMNS)
         for s in corpus.sequences:
             writer.writerow([s.user, s.label,
                              "" if s.onset is None else s.onset,
@@ -610,7 +671,11 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
 
 
 def load_corpus(directory: Path | str) -> Corpus:
-    """Read sequences.bin and labels.csv; events.csv is not opened."""
+    """Read sequences.bin and labels.csv; events.csv is not opened.
+
+    A labels.csv that lacks one of LABEL_COLUMNS, or whose onset or
+    duration is not an integer, is a DataError naming the file and line.
+    """
     directory = Path(directory)
     header, arrays, _ = read_blob(directory / "sequences.bin")
     if header.get("schema") != "corpus":
@@ -620,6 +685,10 @@ def load_corpus(directory: Path | str) -> Corpus:
     if labels_path.exists():
         with open(labels_path, newline="") as fh:
             reader = csv.DictReader(fh)
+            missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{labels_path}, line 1: "
+                                f"missing column(s) {', '.join(missing)}")
             for row in reader:
                 try:
                     onset = int(row["onset"]) if row["onset"] else None

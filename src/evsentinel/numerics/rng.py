@@ -18,9 +18,15 @@ More vectors, cross-checked against a pure-Python reimplementation, live
 in tests/test_rng.py.
 
 Derived quantities:
-  uniform   (raw >> 11) * 2**-53, in [0, 1)
-  normal    Box-Muller on uniform pairs
-  poisson   Knuth's product-of-uniforms method
+  uniform      (raw >> 11) * 2**-53, in [0, 1)
+  normal       Box-Muller on uniform pairs
+  poisson      Knuth's product-of-uniforms method
+  index_below  the high 64 bits of raw * bound
+
+Since draw i depends on nothing but i, a caller that knows how many
+draws each item takes can make all of them in one raw() call and map
+them with unit_floats, below and box_muller, the mappings the methods
+use, getting the bits that one call per draw would give.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
+_S32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 _INV_2_53 = float(2.0**-53)
 
@@ -50,6 +58,33 @@ def mix64(z: np.ndarray) -> np.ndarray:
         z = z * _M2
         z = z ^ (z >> _S31)
     return z
+
+
+def unit_floats(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw draws, as uniform() makes them."""
+    return (raw >> _S11).astype(np.float64) * _INV_2_53
+
+
+def below(raw: np.ndarray, bound: int) -> np.ndarray:
+    """Integers in [0, bound) from raw draws: the high 64 bits of raw * bound.
+
+    Built from 32-bit halves so that no product overflows uint64; bound
+    must be below 2**32.
+    """
+    if not 0 < bound < 2**32:
+        raise ValueError("bound must be in [1, 2**32)")
+    b = np.uint64(bound)
+    low = (raw & _LOW32) * b
+    return ((raw >> _S32) * b + (low >> _S32)) >> _S32
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and angle of the Box-Muller transform of uniform pairs.
+
+    u1 is clamped at 2**-53 to keep log() finite; the normals are
+    r * cos(theta) and r * sin(theta).
+    """
+    return np.sqrt(-2.0 * np.log(np.maximum(u1, _INV_2_53))), (2.0 * np.pi) * u2
 
 
 class SeededRng:
@@ -86,21 +121,17 @@ class SeededRng:
     def uniform(self, shape=None):
         """Doubles in [0, 1). Scalar when shape is None."""
         if shape is None:
-            return float(self.raw(1)[0] >> _S11) * _INV_2_53
+            return float(unit_floats(self.raw(1))[0])
         n = int(np.prod(shape)) if shape != () else 1
-        out = (self.raw(n) >> _S11).astype(np.float64) * _INV_2_53
-        return out.reshape(shape)
+        return unit_floats(self.raw(n)).reshape(shape)
 
     def normal(self, shape=None):
         """Standard normals via Box-Muller. Scalar when shape is None."""
         scalar = shape is None
         n = 1 if scalar else (int(np.prod(shape)) if shape != () else 1)
         pairs = (n + 1) // 2
-        u = (self.raw(2 * pairs) >> _S11).astype(np.float64) * _INV_2_53
-        u1 = np.maximum(u[:pairs], _INV_2_53)  # keep log() finite
-        u2 = u[pairs:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
+        u = unit_floats(self.raw(2 * pairs))
+        r, theta = box_muller(u[:pairs], u[pairs:])
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         if scalar:
             return float(z[0])
@@ -122,11 +153,8 @@ class SeededRng:
         return counts.reshape(lam.shape)
 
     def index_below(self, bound: int) -> int:
-        """Unbiased-to-2**-64 integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        x = int(self.raw(1)[0])
-        return (x * bound) >> 64
+        """Unbiased-to-2**-64 integer in [0, bound), for bound < 2**32."""
+        return int(below(self.raw(1), bound)[0])
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""

@@ -85,6 +85,13 @@ class TrainConfig:
             raise ConfigError("lambda_max must be non-negative")
 
 
+def fits_type(value, default) -> bool:
+    """Whether a config value has its default's type; an int may stand for a float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if isinstance(default, int) else (int, float))
+
+
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -127,15 +134,28 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path | str) -> "Checkpoint":
-        """A missing header key or array, or an unknown config key, is a DataError."""
+        """A missing header key or array, or a config that is not an object of
+        known keys with values of their defaults' types and ranges, is a DataError.
+        """
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
         try:
-            unknown = set(header["config"]) - {f.name for f in fields(TrainConfig)}
+            values = header["config"]
+            if not isinstance(values, dict):
+                raise DataError(f"{path}: checkpoint config is not an object")
+            defaults = {f.name: f.default for f in fields(TrainConfig)}
+            unknown = set(values) - set(defaults)
             if unknown:
                 raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
-            config = TrainConfig(**header["config"])
+            for key, value in values.items():
+                if not fits_type(value, defaults[key]):
+                    raise DataError(f"{path}: config key {key!r} must be a "
+                                    f"{type(defaults[key]).__name__}, got {value!r}")
+            try:
+                config = TrainConfig(**values)
+            except ConfigError as exc:
+                raise DataError(f"{path}: {exc}") from None
             encoder = EncoderParams.from_flat(arrays, config.n_layers)
             head = EvidentialHeadParams.from_flat(arrays)
             scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])

@@ -264,6 +264,44 @@ def test_non_integer_label_onset_is_data_error(small_run, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("header,missing", [
+    ("user,label,start,duration", "onset"), ("name,label,onset,duration", "user"),
+    ("user,label", "onset, duration"),
+], ids=["no-onset", "no-user", "no-onset-no-duration"])
+def test_labels_missing_column_is_data_error(small_run, tmp_path, capsys, header, missing):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    (corpus / "labels.csv").write_text("\n".join([header] + lines[1:]) + "\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(corpus), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'labels.csv'}, line 1: missing column(s) {missing}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"hidden": "4"}, "config key 'hidden' must be a int, got '4'"),
+    ({"n_layers": 2.0}, "config key 'n_layers' must be a int, got 2.0"),
+    ({"learning_rate": None}, "config key 'learning_rate' must be a float, got None"),
+    ({"hidden": 0}, "hidden must be at least 1"),
+    ("oops", "checkpoint config is not an object"),
+], ids=["string-int", "float-int", "null-float", "out-of-range", "not-an-object"])
+def test_malformed_checkpoint_config_is_data_error(small_run, tmp_path, capsys, config,
+                                                   message):
+    header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
+    header["config"] = {**header["config"], **config} if isinstance(config, dict) else config
+    ckpt = tmp_path / "edited.ckpt"
+    write_blob(ckpt, header, arrays)
+    rc = main(["detect", "--checkpoint", str(ckpt), "--input", str(small_run["corpus"]),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_every_subcommand_documents_every_flag(capsys):
     parser = build_parser()
     sub_actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]

@@ -1,13 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from evsentinel import data as data_mod
 from evsentinel.data import (
+    EVENT_KINDS,
     FEATURE_NAMES,
+    SCENARIOS,
     ActivityRecord,
     FeatureScaler,
     ScenarioSpec,
+    _sample_profile,
+    _stream_events,
+    default_scenario,
     extract_features,
     generate,
     ingest_cert,
@@ -21,6 +28,7 @@ from evsentinel.errors import ContractError, DataError
 from evsentinel.numerics import SeededRng
 
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
+BYTES_LOC = {"file-access": 9.0, "removable-device": 13.0, "http": 7.0, "email": 10.0}
 
 
 # -- feature extraction --------------------------------------------------------
@@ -196,7 +204,135 @@ def test_intensity_scale_zero_collapses_to_benign_rates():
     assert np.array_equal(fa, fb)
 
 
+# -- event synthesis against the scalar loop ---------------------------------------
+
+
+def scalar_index_below(rng, bound):
+    """The high 64 bits of one draw times bound, in Python ints."""
+    return (int(rng.raw(1)[0]) * bound) >> 64
+
+
+def scalar_make_events(profile, kind, count, w_start, window_duration, rng, intensity):
+    """The per-event loop the generator once ran, one draw call per field (the oracle)."""
+    out = []
+    for _ in range(count):
+        ts = w_start + rng.uniform() * window_duration
+        attrs: dict[str, str] = {}
+        if kind in ("logon", "logoff", "file-access", "process-exec"):
+            hosts = profile.hosts
+            extra_hosts = int(round(intensity.get("distinct_hosts", 1.0))) - 1
+            if extra_hosts > 0:
+                hosts = hosts + [f"srv-{j:03d}" for j in range(extra_hosts)]
+            attrs["host"] = hosts[scalar_index_below(rng, len(hosts))]
+        if kind in BYTES_LOC:
+            scale = intensity.get("bytes_moved", 1.0)
+            attrs["bytes"] = str(int(scale * math.exp(BYTES_LOC[kind] + rng.normal())))
+        if kind == "file-access":
+            write_share = 1.0 - profile.read_share
+            if "file_write_share" in intensity:
+                write_share = min(0.95, write_share * intensity["file_write_share"])
+            attrs["mode"] = "write" if rng.uniform() < write_share else "read"
+        if kind == "command":
+            cmds = profile.commands
+            extra_cmds = int(2 * (intensity.get("distinct_commands", 1.0) - 1.0))
+            if extra_cmds > 0:
+                cmds = cmds + [f"cmd{(199 - j) % 200:03d}" for j in range(extra_cmds)]
+            attrs["cmd"] = cmds[scalar_index_below(rng, len(cmds))]
+        if kind == "email":
+            attrs["external"] = "1" if rng.uniform() < profile.external_share else "0"
+        out.append(ActivityRecord(user=profile.user, timestamp=ts, kind=kind,
+                                  attributes=attrs))
+    return out
+
+
+def scalar_stream_events(profile, counts, hours, start_time, rng, intensity):
+    """_stream_events by the scalar loop, cell by cell in np.nonzero order."""
+    events = []
+    for row, j in zip(*np.nonzero(counts)):
+        h_start = start_time + float(hours[row]) * 3600.0
+        events.extend(scalar_make_events(profile, EVENT_KINDS[j], int(counts[row, j]),
+                                         h_start, 3600.0, rng, intensity))
+    return events
+
+
+def user_events_via(monkeypatch, stream_events, profile, idx, spec, t_len,
+                    window_duration, start_time):
+    """_user_events with stream_events making each stream's events.
+
+    Returns the records, timestamps as float.hex, and per stream the
+    counter before and after and the number of events.
+    """
+    streams = []
+
+    def spy(profile, counts, hours, start_time, rng, intensity):
+        before = rng.counter
+        out = stream_events(profile, counts, hours, start_time, rng, intensity)
+        streams.append((before, rng.counter, int(counts.sum())))
+        return out
+
+    monkeypatch.setattr(data_mod, "_stream_events", spy)
+    records = data_mod._user_events(profile, idx, spec, t_len, window_duration,
+                                    start_time, SeededRng(89))
+    return [(r.user, r.timestamp.hex(), r.kind, r.attributes) for r in records], streams
+
+
+@pytest.mark.parametrize("t_len,window_duration,start_time", [
+    (10, 86400.0, 0.0), (30, 3600.0, 0.0), (10, 86400.0, 1.3e9 + 5417.25),
+], ids=["daily", "hourly", "offset-start"])
+@pytest.mark.parametrize("scenario,scale", [(None, 1.0)] + [
+    (scenario, scale) for scenario in SCENARIOS for scale in (0.0, 1.0, 3.0)])
+def test_stream_events_match_scalar_oracle(monkeypatch, scenario, scale, t_len,
+                                           window_duration, start_time):
+    idx = 3 + (SCENARIOS.index(scenario) if scenario else 3)  # admin, support, dev, analyst
+    profile = _sample_profile(f"u{idx:04d}", idx, SeededRng(89).derive(10_000 + idx))
+    spec = None if scenario is None else default_scenario(
+        scenario, t_len, SeededRng(89).derive(30_000 + idx), intensity_scale=scale)
+    args = (profile, idx, spec, t_len, window_duration, start_time)
+    got, streams = user_events_via(monkeypatch, _stream_events, *args)
+    expected, oracle_streams = user_events_via(monkeypatch, scalar_stream_events, *args)
+    assert got == expected
+    assert streams == oracle_streams
+    assert streams[0][2] > 0
+    if spec is not None:
+        (before, after, n_events), = streams[1:]
+        assert (n_events > 0) == (scale > 0)
+        if n_events == 0:
+            assert after == before
+
+
+def test_stream_without_events_draws_nothing():
+    profile = _sample_profile("u0000", 0, SeededRng(97))
+    rng = SeededRng(97, 5)
+    empty = np.zeros((48, len(EVENT_KINDS)), dtype=np.int64)
+    assert _stream_events(profile, empty, np.arange(48), 0.0, rng, {}) == []
+    assert rng.counter == 0
+
+
 # -- persistence -----------------------------------------------------------------
+
+
+# sha256 of events.csv and the save_corpus digest for generate(10, 0.3,
+# SeededRng(73), t_len=30, window_duration=3600.0) at each intensity scale,
+# frozen so that any byte drift in generation fails here.  The bytes
+# attribute goes through numpy's log and cos, so a numpy whose kernels
+# round differently changes these digests too.
+FROZEN_CORPUS = {
+    0.0: ("9c1aef2a112c7ca2dc862b2f99fa4906429d37ba3757f85fa2d3a503ccc8b0be",
+          "35c7912935d26e32de312c4750279924bb1861eefc60702a070b22ae2c04de62"),
+    1.0: ("b2bd12ade5ed41087c2a66b354ce1cebd53a4007f8265e3e010d4a3514cb5e5d",
+          "c7768b03ed6f660839631c6b89ec879578fa4586ab08e5b59dee7792d930dc06"),
+    3.0: ("d0b583b23bf7425b7f2e97d60ffb0a6305061fa46bda38c05c23dc0ddb0c6fb9",
+          "3d4e69c3d1b0d90dcabe600275820a9b476a81adb76becdc05e1ca0dfeca54ca"),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(FROZEN_CORPUS))
+def test_generated_corpus_bytes_are_frozen(tmp_path, scale):
+    corpus = generate(10, 0.3, SeededRng(73), t_len=30, window_duration=3600.0,
+                      intensity_scale=scale)
+    digest = save_corpus(corpus, tmp_path)
+    events = hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest()
+    assert (events, digest) == FROZEN_CORPUS[scale]
 
 
 def test_corpus_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evsentinel.numerics import SeededRng, mix64
+from evsentinel.numerics import SeededRng, below, mix64
 
 MASK = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15
@@ -101,3 +101,25 @@ def test_index_below_bounds():
     rng = SeededRng(29)
     draws = [rng.index_below(7) for _ in range(500)]
     assert set(draws) == set(range(7))
+
+
+@pytest.mark.parametrize("bound", range(1, 65))
+def test_below_matches_python_int_oracle(bound):
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, MASK]
+    xs = np.concatenate([np.array(edges, dtype=np.uint64), SeededRng(bound, 9).raw(200)])
+    assert [int(v) for v in below(xs, bound)] == [(int(x) * bound) >> 64 for x in xs]
+
+
+@pytest.mark.parametrize("bound", [1, 7, 2**31, 2**32 - 1])
+def test_index_below_matches_python_int_oracle(bound):
+    rng = SeededRng(37, 2)
+    got = [rng.index_below(bound) for _ in range(50)]
+    assert got == [(int(x) * bound) >> 64 for x in SeededRng(37, 2).raw(50)]
+
+
+@pytest.mark.parametrize("bound", [0, 2**32])
+def test_below_rejects_bound_outside_32_bits(bound):
+    with pytest.raises(ValueError):
+        below(np.zeros(1, dtype=np.uint64), bound)
+    with pytest.raises(ValueError):
+        SeededRng(1).index_below(bound)
