@@ -1,4 +1,4 @@
-"""Command-line entry point: gen, train, detect, eval, project.
+"""Command-line entry point: gen, train, detect, eval.
 
 Configuration resolution: package defaults, overridden by a flat JSON
 config file (--config), overridden by explicit command-line flags.  The
@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data as data_mod
@@ -29,7 +30,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .evaluation import evaluate_run, export_report, project_2d, write_projection_csv
+from .evaluation import evaluate_run, export_report
 from .model import encode_batch
 from .numerics import SeededRng
 from .training import Checkpoint, TrainConfig, fits_type, train, write_epoch_log
@@ -40,31 +41,18 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
 
+# TrainConfig's fields a config sets; train takes input_dim from the corpus
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "input_dim")
+
 DEFAULTS = {
     # generator
     "population": 200,
     "insider_fraction": 0.05,
     "intensity_scale": 1.0,
     "window_duration": 86400.0,
-    # training (reference setup)
-    "epochs": 200,
-    "learning_rate": 0.001,
-    "batch_size": 128,
-    "dropout_p": 0.3,
-    "n_clusters": 5,
-    "hidden": 64,
-    "t_len": 100,
-    "n_layers": 2,
-    "lambda_max": 0.1,
-    "anneal_epochs": 10,
-    "warmup_epochs": 5,
-    "refresh_period": 5,
-    # detector thresholds
-    "tau_u": 0.4,
-    "tau_d": 1.5,
-    "beta": 0.7,
-    # shared
-    "seed": 0,
+    # training (t_len and seed also drive gen) and detection
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_KEYS},
+    **{f.name: f.default for f in fields(DetectorConfig)},
 }
 
 
@@ -113,8 +101,7 @@ def echo_config(config: dict, out_dir: Path) -> str:
 
 
 def _detector_config(config: dict) -> DetectorConfig:
-    return DetectorConfig(tau_u=config["tau_u"], tau_d=config["tau_d"],
-                          beta=config["beta"])
+    return DetectorConfig(**{f.name: config[f.name] for f in fields(DetectorConfig)})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -148,11 +135,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not corpus.sequences:
         raise DataError(f"{args.corpus}: corpus has no users")
     config["t_len"] = corpus.t_len
-    fields = ("epochs", "learning_rate", "batch_size", "dropout_p", "n_clusters",
-              "hidden", "t_len", "n_layers", "lambda_max", "anneal_epochs",
-              "warmup_epochs", "refresh_period", "seed")
     tconf = TrainConfig(input_dim=corpus.sequences[0].features.shape[1],
-                        **{k: config[k] for k in fields})
+                        **{k: config[k] for k in TRAIN_KEYS})
     out_dir = Path(args.out)
     checkpoint, metrics = train(tconf, corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,24 +230,6 @@ def _corpus_embeddings(checkpoint: Checkpoint, corpus) -> dict:
     return {s.user: z[i] for i, s in enumerate(seqs)}
 
 
-def cmd_project(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    checkpoint = Checkpoint.load(Path(args.checkpoint))
-    corpus = data_mod.load_corpus(Path(args.corpus))
-    embeddings = _corpus_embeddings(checkpoint, corpus)
-    users = sorted(embeddings)
-    import numpy as np
-
-    proj = project_2d(np.stack([embeddings[u] for u in users]))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_projection_csv(users, proj, out_dir / "projection.csv")
-    echo_config(config, out_dir)
-    print(f"project: {len(users)} users, explained variance "
-          f"{proj.variances[0]:.4f} / {proj.variances[1]:.4f}")
-    return EXIT_OK
-
-
 # -- argument wiring --------------------------------------------------------------
 
 
@@ -338,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs.csv from training to copy into the report")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("project", help="2-D latent projection of corpus embeddings")
-    _add_common(p)
-    p.add_argument("--checkpoint", type=str, required=True, help="trained checkpoint")
-    p.add_argument("--corpus", type=str, required=True, help="corpus directory")
-    p.set_defaults(func=cmd_project)
     return parser
 
 

@@ -1,5 +1,21 @@
 """Synthetic activity generation, CERT-style ingestion, and windowed features.
 
+Every event source (the generator, a raw event CSV, CERT r6.2 CSVs)
+yields one EventTable: parallel arrays with one row per event.
+
+    user       index into `users`, the sorted user names
+    timestamp  float64 seconds since the epoch, always finite
+    kind       index into EVENT_KINDS
+    host       index into `hosts`; -1 when the event names no host
+    cmd        index into `commands`; -1 when it names no command
+    bytes      float64, finite and >= 0; NaN when it moves no bytes
+    mode       index into MODES ("read", "write"); -1 when absent or
+               any other value
+    external   1 for "1", 0 for any other value; -1 when absent
+
+Only these attributes feed a feature; any other raw-log key, and the
+CERT path and url, are not kept.
+
 Events are bucketed into contiguous fixed-duration windows (default one
 day) on a grid anchored at a global start time.  Each (user, window)
 pair reduces to a 12-dimensional feature vector; per-user sequences of T
@@ -8,15 +24,14 @@ the front with explicit all-zero windows and carry the pad count.  The
 encoder encodes those pads like any other window; the pad count keeps
 them out of the scaler fit, the warm-up targets and the detector stream.
 
-Timestamps are seconds since the epoch and are interpreted as local
-time; off-hours means 00:00-06:00.
+Timestamps are interpreted as local time; off-hours means 00:00-06:00.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +44,9 @@ EVENT_KINDS = (
     "logon", "logoff", "file-access", "removable-device",
     "process-exec", "command", "email", "http",
 )
+_KIND = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+MODES = ("read", "write")
+_MODE = {mode: code for code, mode in enumerate(MODES)}
 
 FEATURE_NAMES = (
     "logon_count",
@@ -65,24 +83,83 @@ DEFAULT_INTENSITIES = {
                  "bytes_moved": 4.0, "http": 3.0},
 }
 
+# the columns of an EventTable, and their dtypes
+_COLUMNS = {"user": np.intp, "timestamp": np.float64, "kind": np.int8, "host": np.intp,
+            "cmd": np.intp, "bytes": np.float64, "mode": np.int8, "external": np.int8}
+_NAMED = (("users", "user"), ("hosts", "host"), ("commands", "cmd"))  # name list, its column
 
-@dataclass(frozen=True, slots=True)
-class ActivityRecord:
-    user: str
-    timestamp: float
-    kind: str
-    attributes: dict[str, str] = field(default_factory=dict)
+
+@dataclass(eq=False)
+class EventTable:
+    """Activity events as parallel columns (see the module docstring).
+
+    The name lists given may come in any order, repeat a name, and hold
+    None for an absent name: the table keeps each list sorted and
+    distinct, and recodes its column to match.
+    """
+
+    users: list[str]
+    hosts: list[str]
+    commands: list[str]
+    user: np.ndarray
+    timestamp: np.ndarray
+    kind: np.ndarray
+    host: np.ndarray
+    cmd: np.ndarray
+    bytes: np.ndarray
+    mode: np.ndarray
+    external: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise DataError(f"unknown event kind {self.kind!r}")
-        if not math.isfinite(self.timestamp):
-            raise DataError("timestamp must be finite")
-        if "bytes" in self.attributes:
-            try:
-                float(self.attributes["bytes"])  # window_features sums it
-            except ValueError:
-                raise DataError(f"bytes {self.attributes['bytes']!r} is not a number") from None
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for names, column in _NAMED:
+            listed = getattr(self, names)
+            distinct = sorted(set(listed) - {None})
+            index = {name: code for code, name in enumerate(distinct)}
+            recode = np.array([index.get(name, -1) for name in listed] + [-1], dtype=np.intp)
+            setattr(self, names, distinct)
+            setattr(self, column, recode[getattr(self, column)])  # -1 stays -1
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def empty(cls) -> EventTable:
+        return cls([], [], [], *[[]] * len(_COLUMNS))
+
+    def take(self, index: np.ndarray) -> EventTable:
+        """The rows at index, in that order."""
+        return replace(self, **{name: getattr(self, name)[index] for name in _COLUMNS})
+
+
+def _concat(tables: list[EventTable]) -> EventTable:
+    """The rows of tables, in order, as one table."""
+    merged = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS}
+    for names, column in _NAMED:
+        sizes = [len(getattr(t, names)) for t in tables]
+        offset = np.repeat(np.cumsum([0] + sizes[:-1]), [len(t) for t in tables])
+        merged[column] = np.where(merged[column] < 0, -1, merged[column] + offset)
+        merged[names] = [name for t in tables for name in getattr(t, names)]
+    return EventTable(**merged)
+
+
+def _parsed(columns: list[list]) -> EventTable:
+    """A table of columns a reader filled, holding names in user, host and cmd."""
+    user, timestamp, kind, host, cmd, *rest = columns
+    every = np.arange(len(user))
+    return EventTable(user, host, cmd, every, timestamp, kind, every, every, *rest)
+
+
+def _parse_bytes(text: str) -> float:
+    """A bytes attribute: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"bytes {text!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DataError(f"bytes {text!r} must be finite and at least 0")
+    return value
 
 
 @dataclass(frozen=True)
@@ -142,100 +219,86 @@ class FeatureScaler:
 # -- feature extraction -------------------------------------------------------
 
 
-def _hour_of_day(ts: float) -> int:
-    return int((ts % 86400.0) // 3600.0)
-
-
-def window_features(events: list[ActivityRecord]) -> np.ndarray:
-    """Reduce the events of one (user, window) bucket to the 12 features."""
-    logons = offhours = files = reads = writes = device = procs = 0
-    emails = external = https = 0
-    hosts: set[str] = set()
-    commands: set[str] = set()
-    total_bytes = 0.0
-    for ev in events:
-        attrs = ev.attributes
-        if "host" in attrs:
-            hosts.add(attrs["host"])
-        if "bytes" in attrs:
-            total_bytes += float(attrs["bytes"])
-        if ev.kind == "logon":
-            logons += 1
-            if _hour_of_day(ev.timestamp) < OFF_HOURS_END:
-                offhours += 1
-        elif ev.kind == "file-access":
-            files += 1
-            mode = attrs.get("mode")
-            if mode == "read":
-                reads += 1
-            elif mode == "write":
-                writes += 1
-        elif ev.kind == "removable-device":
-            device += 1
-        elif ev.kind == "process-exec":
-            procs += 1
-        elif ev.kind == "command":
-            if "cmd" in attrs:
-                commands.add(attrs["cmd"])
-        elif ev.kind == "email":
-            emails += 1
-            if attrs.get("external") == "1":
-                external += 1
-        elif ev.kind == "http":
-            https += 1
-    rw_total = reads + writes
-    return np.array([
-        logons,
-        offhours,
-        len(hosts),
-        files,
-        reads / rw_total if rw_total else 0.0,
-        device,
-        procs,
-        len(commands),
-        emails,
-        external / emails if emails else 0.0,
-        https,
-        math.log1p(total_bytes),
-    ], dtype=np.float64)
-
-
-def window_series(records: list[ActivityRecord], window_duration: float,
+def window_series(events: EventTable, window_duration: float,
                   start_time: float | None = None,
                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-user contiguous window features spanning each user's activity.
 
-    Returns {user: (features (W, d), window_end_times (W,))} where W covers
-    the user's first through last active window on the shared grid.  Every
-    event lands in exactly one window.
+    Returns {user: (features (W, d), window_end_times (W,))} in user order,
+    where W covers the user's first through last active window on the
+    shared grid.  Every event lands in exactly one window; bytes are summed
+    in table order.  A window index beyond int64 is a DataError naming the
+    user.
     """
     if window_duration <= 0:
         raise ContractError("window duration must be positive")
-    if not records:
+    if not len(events):
         return {}
-    t0 = start_time if start_time is not None else min(r.timestamp for r in records)
+    ts = events.timestamp
+    t0 = start_time if start_time is not None else float(ts.min())
     t0 = math.floor(t0 / window_duration) * window_duration
+    window = (ts - t0) // window_duration
+    beyond = np.flatnonzero(~(np.abs(window) < 2.0**63))  # NaN too, from an inf difference
+    if beyond.size:
+        i = beyond[0]
+        raise DataError(f"user {events.users[events.user[i]]!r}: the window of timestamp "
+                        f"{float(ts[i])!r} is beyond an int64 index")
+    # bucket b holds the events of pairs[b], the b-th (user, window) in sorted order
+    order = np.lexsort((window, events.user))
+    key = np.column_stack([events.user, window.astype(np.int64)])[order]
+    first = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]
+    pairs = key[first]
+    bucket = np.empty(len(order), dtype=np.intp)
+    bucket[order] = np.cumsum(first) - 1
 
-    buckets: dict[str, dict[int, list[ActivityRecord]]] = {}
-    for rec in records:
-        idx = int((rec.timestamp - t0) // window_duration)
-        buckets.setdefault(rec.user, {}).setdefault(idx, []).append(rec)
+    def count(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(bucket[mask], minlength=len(pairs))
 
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for user, by_window in buckets.items():
-        lo, hi = min(by_window), max(by_window)
-        n_windows = hi - lo + 1
-        feats = np.zeros((n_windows, N_FEATURES))
-        ends = np.empty(n_windows)
-        for w in range(lo, hi + 1):
-            if w in by_window:
-                feats[w - lo] = window_features(by_window[w])
-            ends[w - lo] = t0 + (w + 1) * window_duration
-        out[user] = (feats, ends)
+    def distinct(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        mask = mask & (codes >= 0)
+        width = codes.max(initial=0) + 1
+        return np.bincount(np.unique(bucket[mask] * width + codes[mask]) // width,
+                           minlength=len(pairs))
+
+    def ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+        return np.divide(part, whole, out=np.zeros(len(pairs)), where=whole > 0)
+
+    kind, mode = events.kind, events.mode
+    logon, files, emails = (kind == _KIND[k] for k in ("logon", "file-access", "email"))
+    reads = count(files & (mode == _MODE["read"]))
+    n_emails = count(emails)
+    moved = ~np.isnan(events.bytes)
+    total_bytes = np.bincount(bucket[moved], weights=events.bytes[moved], minlength=len(pairs))
+    features = np.column_stack([
+        count(logon),
+        count(logon & ((ts % 86400.0) // 3600.0 < OFF_HOURS_END)),
+        distinct(events.host, np.ones(len(events), dtype=bool)),
+        count(files),
+        ratio(reads, reads + count(files & (mode == _MODE["write"]))),
+        count(kind == _KIND["removable-device"]),
+        count(kind == _KIND["process-exec"]),
+        distinct(events.cmd, kind == _KIND["command"]),
+        n_emails,
+        ratio(count(emails & (events.external == 1)), n_emails),
+        count(kind == _KIND["http"]),
+        # math.log1p per window: numpy's log1p need not round as libm does
+        [math.log1p(b) for b in total_bytes.tolist()],
+    ]).astype(np.float64)
+
+    out = {}
+    edges = np.searchsorted(pairs[:, 0], np.arange(len(events.users) + 1))
+    for user, lo_b, hi_b in zip(events.users, edges[:-1], edges[1:]):
+        if lo_b == hi_b:
+            continue  # no events
+        windows = pairs[lo_b:hi_b, 1]
+        lo, hi = int(windows[0]), int(windows[-1])
+        feats = np.zeros((hi - lo + 1, N_FEATURES))
+        feats[windows - lo] = features[lo_b:hi_b]
+        out[user] = (feats, t0 + np.arange(lo + 1, hi + 2) * window_duration)
     return out
 
 
-def extract_features(records: list[ActivityRecord], window_duration: float,
+def extract_features(records: EventTable, window_duration: float,
                      t_len: int, start_time: float | None = None,
                      ) -> list[BehaviorSequence]:
     """Per-user raw (unstandardized) sequences of exactly t_len windows.
@@ -244,19 +307,12 @@ def extract_features(records: list[ActivityRecord], window_duration: float,
     shorter histories are front-padded with zero windows and flagged via
     n_pad.  Returns sequences ordered by user id.
     """
-    series = window_series(records, window_duration, start_time)
     sequences = []
-    for user in sorted(series):
-        feats, ends = series[user]
-        if feats.shape[0] >= t_len:
-            window = feats[-t_len:]
-            n_pad = 0
-        else:
-            n_pad = t_len - feats.shape[0]
-            window = np.vstack([np.zeros((n_pad, N_FEATURES)), feats])
+    for user, (feats, ends) in window_series(records, window_duration, start_time).items():
+        n_pad = max(t_len - feats.shape[0], 0)
         sequences.append(BehaviorSequence(
-            user=user, features=window, window_duration=window_duration,
-            window_end=float(ends[-1]), n_pad=n_pad))
+            user=user, features=np.vstack([np.zeros((n_pad, N_FEATURES)), feats[-t_len:]]),
+            window_duration=window_duration, window_end=float(ends[-1]), n_pad=n_pad))
     return sequences
 
 
@@ -414,14 +470,14 @@ class Corpus:
     """Labeled per-user sequences plus `records`, the log `generate` produced.
 
     `save_corpus` writes `records` to events.csv; `load_corpus` leaves
-    them empty, as no stage that loads a corpus reads its events.
+    the table empty, as no stage that loads a corpus reads its events.
     """
 
     sequences: list[BehaviorSequence]
     t_len: int
     window_duration: float
     seed: int
-    records: list[ActivityRecord] = field(default_factory=list)
+    records: EventTable = field(default_factory=EventTable.empty)
 
     @property
     def users(self) -> list[str]:
@@ -446,7 +502,7 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
         raise ContractError("population must be at least 1")
 
     n_insiders = int(math.floor(insider_fraction * population))
-    records: list[ActivityRecord] = []
+    streams: list[EventTable] = []
     labeled: list[tuple[str, str, int | None, int | None]] = []
 
     for idx in range(population):
@@ -457,14 +513,17 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
             scenario = SCENARIOS[idx % len(SCENARIOS)]
             spec = default_scenario(scenario, t_len, rng.derive(30_000 + idx),
                                     intensity_scale=intensity_scale)
-        records.extend(_user_events(profile, idx, spec, t_len, window_duration,
+        streams.append(_user_events(profile, idx, spec, t_len, window_duration,
                                     start_time, rng))
         if spec is None:
             labeled.append((user, "benign", None, None))
         else:
             labeled.append((user, spec.scenario, spec.onset, spec.duration))
 
-    records.sort(key=lambda r: (r.timestamp, r.user, r.kind))
+    records = _concat(streams)
+    # one stable sort on (timestamp, user, kind name)
+    records = records.take(np.lexsort(
+        (_KIND_NAME_RANK[records.kind], records.user, records.timestamp)))
     sequences = extract_features(records, window_duration, t_len, start_time=start_time)
     by_user = {s.user: s for s in sequences}
     out = []
@@ -484,7 +543,7 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
 
 def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
                  t_len: int, window_duration: float, start_time: float,
-                 rng: SeededRng) -> list[ActivityRecord]:
+                 rng: SeededRng) -> EventTable:
     """Hourly Poisson event generation spanning t_len windows.
 
     Each stream draws the counts of all its (hour, kind) cells in one
@@ -517,8 +576,8 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
             for j, kind in enumerate(EVENT_KINDS):
                 extra[row, j] = max(0.0, perturbed[kind] - base[h, j])
         extra_counts = attack_rng.poisson(extra)
-        events += _stream_events(profile, extra_counts, attack_hours, start_time,
-                                 attack_rng, spec.intensity)
+        events = _concat([events, _stream_events(profile, extra_counts, attack_hours,
+                                                 start_time, attack_rng, spec.intensity)])
     return events
 
 
@@ -548,16 +607,12 @@ def _draw_layout() -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 _DRAW_WIDTH, _FIELD_START = _draw_layout()
 _KIND_BYTES_LOC = np.array([_BYTES_LOC.get(kind, 0.0) for kind in EVENT_KINDS])
-
-
-def _pick(options, index: np.ndarray) -> list[str]:
-    """options[i] for each i in index (or each bool), sharing the option strings."""
-    return np.array(options, dtype=object)[index.astype(np.intp)].tolist()
+_KIND_NAME_RANK = np.argsort(np.argsort(EVENT_KINDS))  # kind code -> rank of its name
 
 
 def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
                    start_time: float, rng: SeededRng,
-                   intensity: dict[str, float]) -> list[ActivityRecord]:
+                   intensity: dict[str, float]) -> EventTable:
     """The events of one stream's (row, kind) counts, drawn in one raw() call.
 
     Row r of counts is the hour that starts at start_time + hours[r] * 3600.
@@ -567,7 +622,7 @@ def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
       host      an index into the user's hosts (logon, logoff,
                 file-access, process-exec);
       bytes     a Box-Muller pair whose cosine output z gives
-                exp(loc + z), loc set per kind (file-access,
+                floor(scale * exp(loc + z)), loc set per kind (file-access,
                 removable-device, email, http);
       mode      write when a uniform falls below the write share
                 (file-access);
@@ -579,52 +634,48 @@ def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
     rows, kinds = np.nonzero(counts)
     per_cell = counts[rows, kinds]
     kind = np.repeat(kinds, per_cell)
+    extra_hosts = int(round(intensity.get("distinct_hosts", 1.0))) - 1
+    hosts = profile.hosts + [f"srv-{j:03d}" for j in range(extra_hosts)]
+    extra_cmds = int(2 * (intensity.get("distinct_commands", 1.0) - 1.0))
+    cmds = profile.commands + [f"cmd{(199 - j) % 200:03d}" for j in range(extra_cmds)]
     if kind.size == 0:
-        return []
+        return EventTable.empty()
     width = _DRAW_WIDTH[kind]
     first = np.cumsum(width) - width
     raw = rng.raw(int(first[-1] + width[-1]))
     u = unit_floats(raw)
 
-    def draws(name: str) -> tuple[np.ndarray, np.ndarray]:
-        """The events whose kind has the field, and the field's first draw."""
+    def field(name: str, absent=-1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A column of absent values, the events whose kind has the field,
+        and the field's first draw for each."""
         at = _FIELD_START[name][kind]
         has = np.flatnonzero(at >= 0)
-        return has, first[has] + at[has]
+        return np.full(kind.size, absent), has, first[has] + at[has]
 
-    extra_hosts = int(round(intensity.get("distinct_hosts", 1.0))) - 1
-    hosts = profile.hosts + [f"srv-{j:03d}" for j in range(extra_hosts)]
-    extra_cmds = int(2 * (intensity.get("distinct_commands", 1.0) - 1.0))
-    cmds = profile.commands + [f"cmd{(199 - j) % 200:03d}" for j in range(extra_cmds)]
     write_share = 1.0 - profile.read_share
     if "file_write_share" in intensity:
         write_share = min(0.95, write_share * intensity["file_write_share"])
     scale = intensity.get("bytes_moved", 1.0)
 
-    columns = []
-    has, at = draws("host")
-    columns.append(("host", has, _pick(hosts, below(raw[at], len(hosts)))))
-    has, at = draws("bytes")
+    host, has, at = field("host")
+    host[has] = below(raw[at], len(hosts))
+    nbytes, has, at = field("bytes", np.nan)
     r, theta = box_muller(u[at], u[at + 1])
     log_bytes = _KIND_BYTES_LOC[kind[has]] + r * np.cos(theta)
     # math.exp per event: numpy's vectorised exp need not round as libm does
-    columns.append(("bytes", has, [str(int(scale * math.exp(v))) for v in log_bytes.tolist()]))
-    has, at = draws("mode")
-    columns.append(("mode", has, _pick(("read", "write"), u[at] < write_share)))
-    has, at = draws("cmd")
-    columns.append(("cmd", has, _pick(cmds, below(raw[at], len(cmds)))))
-    has, at = draws("external")
-    columns.append(("external", has, _pick(("0", "1"), u[at] < profile.external_share)))
+    nbytes[has] = np.trunc(scale * np.fromiter(map(math.exp, log_bytes.tolist()),
+                                               np.float64, has.size))
+    mode, has, at = field("mode")
+    mode[has] = u[at] < write_share  # MODES: 0 read, 1 write
+    cmd, has, at = field("cmd")
+    cmd[has] = below(raw[at], len(cmds))  # cmds may repeat a name; the table merges them
+    external, has, at = field("external")
+    external[has] = u[at] < profile.external_share
 
-    attrs: list[dict[str, str]] = [{} for _ in range(kind.size)]
-    for name, has, values in columns:
-        for i, value in zip(has.tolist(), values):
-            attrs[i][name] = value
     hour_start = start_time + hours[rows].astype(np.float64) * 3600.0
     timestamps = np.repeat(hour_start, per_cell) + u[first] * 3600.0
-    return [ActivityRecord(user=profile.user, timestamp=ts, kind=EVENT_KINDS[k],
-                           attributes=a)
-            for ts, k, a in zip(timestamps.tolist(), kind.tolist(), attrs)]
+    return EventTable([profile.user], hosts, cmds, np.zeros(kind.size, dtype=np.intp),
+                      timestamps, kind, host, cmd, nbytes, mode, external)
 
 
 # -- corpus persistence -------------------------------------------------------
@@ -638,7 +689,6 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
     """Write sequences.bin, labels.csv, and events.csv; returns the digest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    n = len(corpus.sequences)
     t_len = corpus.t_len
     feats = np.stack([s.features for s in corpus.sequences])
     n_pad = np.array([float(s.n_pad) for s in corpus.sequences])
@@ -661,13 +711,26 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
             writer.writerow([s.user, s.label,
                              "" if s.onset is None else s.onset,
                              "" if s.duration is None else s.duration])
+    events = corpus.records
+    # key=value pairs in key order; generated byte counts are integers below 2**53
+    attributes = zip(["" if math.isnan(b) else f"bytes={int(b)}" for b in events.bytes.tolist()],
+                     _labels("cmd=", events.commands, events.cmd),
+                     _labels("external=", ("0", "1"), events.external),
+                     _labels("host=", events.hosts, events.host),
+                     _labels("mode=", MODES, events.mode))
     with open(directory / "events.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_LOG_COLUMNS)
-        for rec in corpus.records:
-            attrs = ";".join(f"{k}={v}" for k, v in sorted(rec.attributes.items()))
-            writer.writerow([rec.user, repr(rec.timestamp), rec.kind, attrs])
+        writer.writerows(zip(_labels("", events.users, events.user),
+                             map(repr, events.timestamp.tolist()),
+                             _labels("", EVENT_KINDS, events.kind),
+                             (";".join(filter(None, pairs)) for pairs in attributes)))
     return digest
+
+
+def _labels(prefix: str, names, codes: np.ndarray) -> list[str]:
+    """prefix + names[code] for each code; "" for an absent code (-1)."""
+    return np.array([prefix + name for name in names] + [""], dtype=object)[codes].tolist()
 
 
 def load_corpus(directory: Path | str) -> Corpus:
@@ -711,43 +774,64 @@ def load_corpus(directory: Path | str) -> Corpus:
                   seed=header.get("seed", 0))
 
 
-def load_raw_log(path: Path | str) -> list[ActivityRecord]:
+def load_raw_log(path: Path | str) -> EventTable:
     """Parse the raw event CSV (user,timestamp,kind,attributes).
 
-    A missing column or a row that does not parse is a DataError naming
-    the file and line.
+    Attributes are ';'-separated key=value pairs; a repeated key keeps its
+    last value, and keys other than host, cmd, bytes, mode and external
+    are dropped.  A missing column or a row that does not parse (an
+    unknown kind, a timestamp that is not a finite number, a bytes value
+    that is not a finite number >= 0) is a DataError naming the file and
+    line; so is one user's records going back in time, naming the user.
     """
-    records = []
+    columns = [[] for _ in _COLUMNS]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RAW_LOG_COLUMNS if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in RAW_LOG_COLUMNS if c not in header]
         if missing:
             raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            attrs = {}
-            if row["attributes"]:
-                for pair in row["attributes"].split(";"):
-                    key, _, value = pair.partition("=")
-                    attrs[key] = value
+        at = [header.index(c) for c in RAW_LOG_COLUMNS]
+        for row in filter(None, reader):  # blank lines are skipped
+            user, timestamp, kind, attributes = (row[i] if i < len(row) else "" for i in at)
+            attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
             try:
-                records.append(ActivityRecord(
-                    user=row["user"], timestamp=float(row["timestamp"]),
-                    kind=row["kind"], attributes=attrs))
-            except (ValueError, TypeError, DataError) as exc:
+                ts = float(timestamp)
+                if kind not in _KIND:
+                    raise DataError(f"unknown event kind {kind!r}")
+                if not math.isfinite(ts):
+                    raise DataError("timestamp must be finite")
+                nbytes = _parse_bytes(attrs["bytes"]) if "bytes" in attrs else math.nan
+            except (ValueError, DataError) as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return records
+            values = (user, ts, _KIND[kind], attrs.get("host"), attrs.get("cmd"), nbytes,
+                      _MODE.get(attrs.get("mode"), -1),
+                      int(attrs["external"] == "1") if "external" in attrs else -1)
+            for column, value in zip(columns, values):
+                column.append(value)
+    events = _parsed(columns)
+    # per user, no timestamp may fall below the one before it
+    order = np.argsort(events.user, kind="stable")
+    user, ts = events.user[order], events.timestamp[order]
+    back = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
+    if back.size:
+        i = back[np.argmin(order[back + 1])]  # the first such record in the file
+        raise DataError(f"{path}: out-of-order record for user {events.users[user[i]]!r} at "
+                        f"{float(ts[i + 1])} (previous {float(ts[i])})")
+    return events
 
 
 # -- CERT r6.2 ingestion ------------------------------------------------------
 
-# Column layouts of the CERT r6.2 per-source CSVs we consume.  Dates are
-# "%m/%d/%Y %H:%M:%S".  Extra columns are ignored.
+# The CERT r6.2 per-source CSVs read, and the event kind of each.  Columns
+# are found by header name, and the ones not read are ignored.  Dates are
+# "%m/%d/%Y %H:%M:%S".
 CERT_SOURCES = {
-    "logon.csv": ("logon", ["id", "date", "user", "pc", "activity"]),
-    "device.csv": ("removable-device", ["id", "date", "user", "pc", "activity"]),
-    "file.csv": ("file-access", ["id", "date", "user", "pc", "filename"]),
-    "email.csv": ("email", ["id", "date", "user", "pc", "to", "from"]),
-    "http.csv": ("http", ["id", "date", "user", "pc", "url"]),
+    "logon.csv": "logon",
+    "device.csv": "removable-device",
+    "file.csv": "file-access",
+    "email.csv": "email",
+    "http.csv": "http",
 }
 
 _INTERNAL_DOMAIN = "@dtaa.com"
@@ -760,67 +844,50 @@ def _parse_cert_date(text: str) -> float:
     return dt.replace(tzinfo=timezone.utc).timestamp()
 
 
-def ingest_cert(directory: Path | str) -> tuple[list[ActivityRecord], int]:
-    """Read CERT r6.2 CSVs into ActivityRecords.
+def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
+    """Read CERT r6.2 CSVs into one EventTable, ordered by (timestamp, user).
 
     Malformed rows (a date that does not parse, an empty user, an email
-    size that is not a number) are skipped and counted, never fatal.
-    Returns (records, malformed_count).
+    size that is not a finite number >= 0) are skipped and counted, never
+    fatal.  Returns (events, malformed_count).
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"CERT directory not found: {directory}")
-    records: list[ActivityRecord] = []
+    sources = [name for name in CERT_SOURCES if (directory / name).exists()]
+    if not sources:
+        raise DataError(f"no CERT source files in {directory} "
+                        f"(expected any of {', '.join(CERT_SOURCES)})")
+    columns = [[] for _ in _COLUMNS]
     malformed = 0
-    found_any = False
-    for filename, (default_kind, _) in CERT_SOURCES.items():
-        path = directory / filename
-        if not path.exists():
-            continue
-        found_any = True
-        with open(path, newline="") as fh:
+    for filename in sources:
+        with open(directory / filename, newline="") as fh:
             for row in csv.DictReader(fh):
                 try:
                     ts = _parse_cert_date(row["date"])
-                    user = row["user"]
-                    if not user:
+                    if not row["user"]:
                         raise ValueError("empty user")
-                except (KeyError, ValueError, TypeError):
+                    size = row.get("size") if filename == "email.csv" else None
+                    nbytes = _parse_bytes(size) if size else math.nan
+                except (KeyError, ValueError, TypeError, DataError):
                     malformed += 1
                     continue
-                kind = default_kind
-                attrs: dict[str, str] = {}
-                if row.get("pc"):
-                    attrs["host"] = row["pc"]
+                kind, mode, external = CERT_SOURCES[filename], -1, -1
                 activity = (row.get("activity") or "").strip().lower()
                 if filename == "logon.csv" and activity == "logoff":
                     kind = "logoff"
                 if filename == "file.csv":
-                    if any(w in activity for w in ("write", "copy", "delete")) or \
-                            (row.get("to_removable_media") or "").lower() == "true":
-                        attrs["mode"] = "write"
-                    else:
-                        attrs["mode"] = "read"
-                    if row.get("filename"):
-                        attrs["path"] = row["filename"]
+                    written = any(w in activity for w in ("write", "copy", "delete")) or \
+                        (row.get("to_removable_media") or "").lower() == "true"
+                    mode = _MODE["write" if written else "read"]
                 if filename == "email.csv":
-                    to = row.get("to") or ""
-                    external = any(addr and _INTERNAL_DOMAIN not in addr
-                                   for addr in to.split(";"))
-                    attrs["external"] = "1" if external else "0"
-                    if row.get("size"):
-                        attrs["bytes"] = row["size"]
-                if filename == "http.csv" and row.get("url"):
-                    attrs["url"] = row["url"]
-                try:
-                    records.append(ActivityRecord(user=user, timestamp=ts, kind=kind,
-                                                  attributes=attrs))
-                except DataError:  # an email size that is not a number
-                    malformed += 1
-    if not found_any:
-        raise DataError(f"no CERT source files in {directory} "
-                        f"(expected any of {', '.join(CERT_SOURCES)})")
-    if not records:
+                    external = int(any(addr and _INTERNAL_DOMAIN not in addr
+                                       for addr in (row.get("to") or "").split(";")))
+                values = (row["user"], ts, _KIND[kind], row.get("pc") or None, None, nbytes,
+                          mode, external)
+                for column, value in zip(columns, values):
+                    column.append(value)
+    events = _parsed(columns)
+    if not len(events):
         raise DataError(f"zero parseable rows in {directory}")
-    records.sort(key=lambda r: (r.timestamp, r.user))
-    return records, malformed
+    return events.take(np.lexsort((events.user, events.timestamp))), malformed

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ActivityRecord, Corpus, window_series
+from .data import Corpus, EventTable, window_series
 from .errors import ConfigError, DataError
 from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment
@@ -143,18 +143,8 @@ class DetectionResult:
         return float(np.mean([w.u for w in self.window_scores]))
 
 
-def _check_order(records: list[ActivityRecord]) -> None:
-    """Each user's records must be in time order; a raw log is not sorted here."""
-    last_seen: dict[str, float] = {}
-    for rec in records:
-        prev = last_seen.get(rec.user)
-        if prev is not None and rec.timestamp < prev:
-            raise DataError(f"out-of-order record for user {rec.user!r} at "
-                            f"{rec.timestamp} (previous {prev})")
-        last_seen[rec.user] = rec.timestamp
-
-
-def _user_window_series(checkpoint: Checkpoint, source) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
+                        ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Raw per-user window features (history only, no pads) plus end times."""
     d = checkpoint.config.input_dim
     if isinstance(source, Corpus):
@@ -174,8 +164,7 @@ def _user_window_series(checkpoint: Checkpoint, source) -> dict[str, tuple[np.nd
             ends = seq.window_end - dur * np.arange(feats.shape[0] - 1, -1, -1)
             out[seq.user] = (feats, ends)
         return out
-    series = window_series(list(source), checkpoint.window_duration)
-    return dict(series)
+    return window_series(source, checkpoint.window_duration)
 
 
 def stream_embeddings(encoder, windows: np.ndarray, warm_steps: int) -> np.ndarray:
@@ -197,9 +186,9 @@ def stream_embeddings(encoder, windows: np.ndarray, warm_steps: int) -> np.ndarr
     return encode_states(encoder, sequence)[0, warm_steps:]
 
 
-def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
-                  ) -> DetectionResult:
-    """Run the full detection loop over a corpus or raw record stream.
+def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
+                  config: DetectorConfig) -> DetectionResult:
+    """Run the full detection loop over a corpus or an event table.
 
     Each user's standardized windows are encoded by stream_embeddings,
     warm-started on that user's first window; every window yields an
@@ -207,8 +196,6 @@ def detect_stream(checkpoint: Checkpoint, source, config: DetectorConfig,
     per (user, window) and an Alert whenever the rule fires.  Users are
     processed independently in sorted order.
     """
-    if isinstance(source, list):
-        _check_order(source)
     series = _user_window_series(checkpoint, source)
     warm_steps = checkpoint.config.t_len
 

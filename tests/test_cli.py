@@ -155,6 +155,9 @@ def test_eval_outputs_parse_and_recompute(small_run):
     pts = [(float(a), float(b)) for a, b, _ in (line.split(",") for line in lines)]
     auc = sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
     assert metrics["auc"] == pytest.approx(auc, abs=1e-12)
+    projection = (report / "projection.csv").read_text().strip().splitlines()
+    assert projection[0] == "user,x,y"
+    assert len(projection) == 41  # one row per corpus user
 
 
 def test_eval_missing_users_is_data_error(small_run, tmp_path):
@@ -168,16 +171,6 @@ def test_eval_missing_users_is_data_error(small_run, tmp_path):
                "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
                "--seed", "7", "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
-
-
-def test_project_subcommand(small_run, tmp_path):
-    out = tmp_path / "proj"
-    assert main(["project", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
-                 "--corpus", str(small_run["corpus"]), "--seed", "7",
-                 "--out", str(out)]) == 0
-    lines = (out / "projection.csv").read_text().strip().splitlines()
-    assert lines[0] == "user,x,y"
-    assert len(lines) == 41
 
 
 @pytest.mark.parametrize("events", ["malformed-row", "absent"])
@@ -196,15 +189,17 @@ def test_corpus_stages_do_not_read_events_csv(small_run, tmp_path, events):
     assert main(["eval", "--scores", str(small_run["detect"] / "scores.csv"),
                  "--corpus", str(corpus), "--checkpoint", ckpt,
                  "--out", str(tmp_path / "report")] + common) == 0
-    assert main(["project", "--checkpoint", ckpt, "--corpus", str(corpus),
-                 "--out", str(tmp_path / "proj")] + common) == 0
 
 
 @pytest.mark.parametrize("text,line", [
     ("user,timestamp,kind,attributes\nu0000,3600.0,logon,\nu0000,notanumber,logon,\n", 3),
     ("user,kind,attributes\nu0000,logon,\n", 1),
     ("user,timestamp,kind,attributes\nu0000,3600.0,email,bytes=lots;external=1\n", 2),
-], ids=["non-numeric-timestamp", "no-timestamp-column", "non-numeric-bytes"])
+    ("user,timestamp,kind,attributes\nu0000,3600.0,email,bytes=-5\n", 2),
+    ("user,timestamp,kind,attributes\nu0000,3600.0,email,\nu0000,7200.0,http,bytes=inf\n", 3),
+    ("user,timestamp,kind,attributes\nu0000,3600.0,email,bytes=nan\n", 2),
+], ids=["non-numeric-timestamp", "no-timestamp-column", "non-numeric-bytes", "negative-bytes",
+        "infinite-bytes", "nan-bytes"])
 def test_malformed_raw_log_is_data_error(small_run, tmp_path, capsys, text, line):
     log = tmp_path / "events.csv"
     log.write_text(text)
@@ -225,6 +220,18 @@ def test_out_of_order_raw_log_is_data_error(small_run, tmp_path, capsys):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "out-of-order record for user 'u0000'" in err
+    assert "Traceback" not in err
+
+
+def test_window_index_beyond_int64_is_data_error(small_run, tmp_path, capsys):
+    log = tmp_path / "events.csv"
+    log.write_text("user,timestamp,kind,attributes\n"
+                   "u0001,0.0,logon,\nu0000,0.0,logon,\nu0000,1e300,logoff,\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(log), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "user 'u0000'" in err and "beyond an int64 index" in err
     assert "Traceback" not in err
 
 
@@ -306,7 +313,7 @@ def test_every_subcommand_documents_every_flag(capsys):
     parser = build_parser()
     sub_actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     subparsers = sub_actions[0].choices
-    assert set(subparsers) == {"gen", "train", "detect", "eval", "project"}
+    assert set(subparsers) == {"gen", "train", "detect", "eval"}
     for name, sp in subparsers.items():
         text = sp.format_help()
         for action in sp._actions:

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from evsentinel import data as data_mod
 from evsentinel.data import (
     EVENT_KINDS,
     FEATURE_NAMES,
+    MODES,
+    OFF_HOURS_END,
     SCENARIOS,
-    ActivityRecord,
+    EventTable,
     FeatureScaler,
     ScenarioSpec,
     _sample_profile,
@@ -21,7 +25,6 @@ from evsentinel.data import (
     load_corpus,
     load_raw_log,
     save_corpus,
-    window_features,
     window_series,
 )
 from evsentinel.errors import ContractError, DataError
@@ -30,26 +33,158 @@ from evsentinel.numerics import SeededRng
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
 BYTES_LOC = {"file-access": 9.0, "removable-device": 13.0, "http": 7.0, "email": 10.0}
 
+# one event as the per-event oracle sees it: attributes is a dict of strings
+Event = namedtuple("Event", "user timestamp kind attributes", defaults=((),))
+
+
+def make_table(events) -> EventTable:
+    """An EventTable of Events, coded as the raw-log reader codes them."""
+    attrs = [dict(e.attributes) for e in events]
+    users = sorted({e.user for e in events})
+    hosts = sorted({a["host"] for a in attrs if "host" in a})
+    commands = sorted({a["cmd"] for a in attrs if "cmd" in a})
+
+    def codes(key, names):
+        return np.array([names.index(a[key]) if key in a else -1 for a in attrs], dtype=np.intp)
+
+    return EventTable(
+        users=users, hosts=hosts, commands=commands,
+        user=np.array([users.index(e.user) for e in events], dtype=np.intp),
+        timestamp=np.array([e.timestamp for e in events], dtype=np.float64),
+        kind=np.array([EVENT_KINDS.index(e.kind) for e in events], dtype=np.int8),
+        host=codes("host", hosts), cmd=codes("cmd", commands),
+        bytes=np.array([float(a.get("bytes", "nan")) for a in attrs], dtype=np.float64),
+        mode=np.array([MODES.index(a["mode"]) if a.get("mode") in MODES else -1
+                       for a in attrs], dtype=np.int8),
+        external=np.array([int(a["external"] == "1") if "external" in a else -1
+                           for a in attrs], dtype=np.int8))
+
+
+def events_of(table: EventTable) -> list[Event]:
+    """The table's rows as Events, attribute values written as events.csv writes them."""
+    out = []
+    for i in range(len(table)):
+        attrs = {}
+        if table.host[i] >= 0:
+            attrs["host"] = table.hosts[table.host[i]]
+        if table.cmd[i] >= 0:
+            attrs["cmd"] = table.commands[table.cmd[i]]
+        b = float(table.bytes[i])
+        if not math.isnan(b):
+            attrs["bytes"] = str(int(b)) if b.is_integer() else repr(b)
+        if table.mode[i] >= 0:
+            attrs["mode"] = MODES[table.mode[i]]
+        if table.external[i] >= 0:
+            attrs["external"] = str(table.external[i])
+        out.append(Event(table.users[table.user[i]], float(table.timestamp[i]),
+                         EVENT_KINDS[table.kind[i]], attrs))
+    return out
+
+
+def window_features(events) -> np.ndarray:
+    """Reduce the events of one (user, window) bucket to the 12 features (the oracle)."""
+    logons = offhours = files = reads = writes = device = procs = 0
+    emails = external = https = 0
+    hosts: set[str] = set()
+    commands: set[str] = set()
+    total_bytes = 0.0
+    for ev in events:
+        attrs = dict(ev.attributes)
+        if "host" in attrs:
+            hosts.add(attrs["host"])
+        if "bytes" in attrs:
+            total_bytes += float(attrs["bytes"])
+        if ev.kind == "logon":
+            logons += 1
+            if int((ev.timestamp % 86400.0) // 3600.0) < OFF_HOURS_END:
+                offhours += 1
+        elif ev.kind == "file-access":
+            files += 1
+            mode = attrs.get("mode")
+            if mode == "read":
+                reads += 1
+            elif mode == "write":
+                writes += 1
+        elif ev.kind == "removable-device":
+            device += 1
+        elif ev.kind == "process-exec":
+            procs += 1
+        elif ev.kind == "command":
+            if "cmd" in attrs:
+                commands.add(attrs["cmd"])
+        elif ev.kind == "email":
+            emails += 1
+            if attrs.get("external") == "1":
+                external += 1
+        elif ev.kind == "http":
+            https += 1
+    rw_total = reads + writes
+    return np.array([
+        logons,
+        offhours,
+        len(hosts),
+        files,
+        reads / rw_total if rw_total else 0.0,
+        device,
+        procs,
+        len(commands),
+        emails,
+        external / emails if emails else 0.0,
+        https,
+        math.log1p(total_bytes),
+    ], dtype=np.float64)
+
+
+def oracle_window_series(events, window_duration, start_time=None):
+    """window_series by bucketing Events in dicts, one window_features call each."""
+    t0 = start_time if start_time is not None else min(e.timestamp for e in events)
+    t0 = math.floor(t0 / window_duration) * window_duration
+    buckets = {}
+    for ev in events:
+        idx = int((ev.timestamp - t0) // window_duration)
+        buckets.setdefault(ev.user, {}).setdefault(idx, []).append(ev)
+    out = {}
+    for user, by_window in buckets.items():
+        lo, hi = min(by_window), max(by_window)
+        feats = np.zeros((hi - lo + 1, len(FEATURE_NAMES)))
+        ends = np.empty(hi - lo + 1)
+        for w in range(lo, hi + 1):
+            if w in by_window:
+                feats[w - lo] = window_features(by_window[w])
+            ends[w - lo] = t0 + (w + 1) * window_duration
+        out[user] = (feats, ends)
+    return out
+
+
+def assert_series_equal(got, expected):
+    assert sorted(got) == sorted(expected)
+    for user, (feats, ends) in expected.items():
+        assert np.array_equal(got[user][0], feats), user
+        assert np.array_equal(got[user][1], ends), user
+
 
 # -- feature extraction --------------------------------------------------------
 
 
 def test_empty_window_is_zero_vector():
     assert np.array_equal(window_features([]), np.zeros(12))
+    table = make_table([Event("u", 10.0, "logon"), Event("u", 2 * 3600.0 + 10.0, "http")])
+    feats, ends = window_series(table, 3600.0)["u"]
+    assert np.array_equal(feats[1], np.zeros(12))
+    assert list(ends) == [3600.0, 7200.0, 10800.0]
 
 
 def test_three_am_logon_counts_as_off_hours():
-    rec = ActivityRecord(user="u", timestamp=3 * 3600.0, kind="logon",
-                         attributes={"host": "pc1"})
-    v = window_features([rec])
+    table = make_table([Event("u", 3 * 3600.0, "logon", {"host": "pc1"})])
+    v = window_series(table, 86400.0)["u"][0][0]
     assert v[F["logon_count"]] == 1
     assert v[F["offhours_logon_count"]] == 1
     assert v[F["distinct_hosts"]] == 1
 
 
 def test_daytime_logon_is_not_off_hours():
-    rec = ActivityRecord(user="u", timestamp=10 * 3600.0, kind="logon")
-    v = window_features([rec])
+    table = make_table([Event("u", 10 * 3600.0, "logon")])
+    v = window_series(table, 86400.0)["u"][0][0]
     assert v[F["logon_count"]] == 1
     assert v[F["offhours_logon_count"]] == 0
 
@@ -57,11 +192,11 @@ def test_daytime_logon_is_not_off_hours():
 def test_hand_tallied_five_event_fixture():
     t0 = 3 * 3600.0
     events = [
-        ActivityRecord("u", t0 + 60, "logon", {"host": "pc1"}),
-        ActivityRecord("u", t0 + 120, "file-access", {"host": "pc1", "mode": "read", "bytes": "100"}),
-        ActivityRecord("u", t0 + 180, "file-access", {"host": "pc2", "mode": "write", "bytes": "200"}),
-        ActivityRecord("u", t0 + 240, "email", {"external": "1"}),
-        ActivityRecord("u", t0 + 300, "http", {"bytes": "50"}),
+        Event("u", t0 + 60, "logon", {"host": "pc1"}),
+        Event("u", t0 + 120, "file-access", {"host": "pc1", "mode": "read", "bytes": "100"}),
+        Event("u", t0 + 180, "file-access", {"host": "pc2", "mode": "write", "bytes": "200"}),
+        Event("u", t0 + 240, "email", {"external": "1"}),
+        Event("u", t0 + 300, "http", {"bytes": "50"}),
     ]
     expected = np.zeros(12)
     expected[F["logon_count"]] = 1
@@ -74,6 +209,8 @@ def test_hand_tallied_five_event_fixture():
     expected[F["http_count"]] = 1
     expected[F["bytes_moved_log"]] = math.log1p(350.0)
     assert np.allclose(window_features(events), expected, atol=1e-12)
+    (feats, _), = window_series(make_table(events), 86400.0).values()
+    assert np.allclose(feats, expected[None], atol=1e-12)
 
 
 def test_window_partition_preserves_event_counts():
@@ -82,14 +219,14 @@ def test_window_partition_preserves_event_counts():
     for i in range(500):
         user = f"u{rng.index_below(4)}"
         ts = rng.uniform() * 20 * 3600.0
-        records.append(ActivityRecord(user, ts, "logon"))
-    series = window_series(records, 3600.0)
+        records.append(Event(user, ts, "logon"))
+    series = window_series(make_table(records), 3600.0)
     total_logons = sum(feats[:, F["logon_count"]].sum() for feats, _ in series.values())
     assert total_logons == 500
 
 
 def test_extract_features_pads_short_histories_at_front():
-    records = [ActivityRecord("u1", 3600.0 * w + 10.0, "logon") for w in range(10)]
+    records = make_table([Event("u1", 3600.0 * w + 10.0, "logon") for w in range(10)])
     seqs = extract_features(records, 3600.0, 20)
     assert len(seqs) == 1
     seq = seqs[0]
@@ -100,7 +237,7 @@ def test_extract_features_pads_short_histories_at_front():
 
 
 def test_extract_features_keeps_most_recent_windows():
-    records = [ActivityRecord("u1", 3600.0 * w + 10.0, "logon") for w in range(30)]
+    records = make_table([Event("u1", 3600.0 * w + 10.0, "logon") for w in range(30)])
     seqs = extract_features(records, 3600.0, 20)
     assert seqs[0].n_pad == 0
     assert seqs[0].t_len == 20
@@ -108,12 +245,69 @@ def test_extract_features_keeps_most_recent_windows():
 
 
 def test_extract_features_no_records_gives_empty():
-    assert extract_features([], 3600.0, 10) == []
+    assert extract_features(EventTable.empty(), 3600.0, 10) == []
 
 
 def test_invalid_window_duration():
     with pytest.raises(ContractError):
-        window_series([ActivityRecord("u", 0.0, "logon")], 0.0)
+        window_series(make_table([Event("u", 0.0, "logon")]), 0.0)
+
+
+def write_raw_log(path, text):
+    path.write_text("user,timestamp,kind,attributes\n" + text)
+    return path
+
+
+def oracle_raw_log(path):
+    """The raw CSV's rows as Events, every attribute kept."""
+    with open(path, newline="") as fh:
+        return [Event(row["user"], float(row["timestamp"]), row["kind"],
+                      dict(pair.partition("=")[::2] for pair in row["attributes"].split(";"))
+                      if row["attributes"] else {})
+                for row in csv.DictReader(fh)]
+
+
+# Rows with no attributes, keys the table does not keep (path, url, foo),
+# a repeated key, an empty host and command, a mode that is neither read
+# nor write, an external value that is not 0 or 1, and fractional bytes.
+RAW_LOG_ROWS = """u1,100.0,logon,
+u1,200.5,file-access,host=pc1;mode=append;bytes=1.25;path=/x/y
+u2,300.0,http,url=http://a/b;bytes=1e3;foo=bar
+u1,400.0,email,external=yes;bytes=7;bytes=9
+u2,500.0,command,cmd=
+u2,600.0,command,cmd=ls;host=
+u1,90000.0,file-access,mode=write;host=pc1;host=pc2
+u2,90001.0,logon,host=pc9
+u1,180000.0,email,external=1
+u2,180001.0,command,
+"""
+
+
+@pytest.mark.parametrize("source,window_duration,start_time", [
+    ("generated-1", 86400.0, None), ("generated-2", 3600.0, None),
+    ("generated-3", 86400.0, 1.3e9 + 5417.25), ("cert", 3600.0, None),
+    ("raw-log", 86400.0, None), ("raw-log", 3600.0, None),
+], ids=["generated-daily", "generated-hourly", "generated-offset-start", "cert",
+        "raw-log-daily", "raw-log-hourly"])
+def test_window_series_matches_per_event_oracle(tmp_path, source, window_duration,
+                                                start_time):
+    if source.startswith("generated"):
+        seed = int(source[-1])
+        table = generate(32, 0.5, SeededRng(seed), t_len=20, window_duration=window_duration,
+                         start_time=start_time or 0.0).records
+        events = events_of(table)
+    elif source == "cert":
+        write_cert_fixture(tmp_path / "cert", device=True, file_=True, malformed=True)
+        (tmp_path / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="big"))
+        table, _ = ingest_cert(tmp_path / "cert")
+        events = events_of(table)
+    else:
+        log = write_raw_log(tmp_path / "events.csv", RAW_LOG_ROWS)
+        table = load_raw_log(log)
+        events = oracle_raw_log(log)
+    assert len(table) == len(events)
+    assert_series_equal(window_series(table, window_duration, start_time),
+                        oracle_window_series(events, window_duration, start_time))
 
 
 # -- standardization -------------------------------------------------------------
@@ -151,7 +345,7 @@ def test_invalid_fraction_rejected():
 def test_generator_deterministic_same_seed():
     a = generate(10, 0.2, SeededRng(59), t_len=20, window_duration=3600.0)
     b = generate(10, 0.2, SeededRng(59), t_len=20, window_duration=3600.0)
-    assert len(a.records) == len(b.records)
+    assert len(a.records) == len(b.records) > 0
     feats_a = np.stack([s.features for s in a.sequences])
     feats_b = np.stack([s.features for s in b.sequences])
     assert feats_a.tobytes() == feats_b.tobytes()
@@ -240,8 +434,7 @@ def scalar_make_events(profile, kind, count, w_start, window_duration, rng, inte
             attrs["cmd"] = cmds[scalar_index_below(rng, len(cmds))]
         if kind == "email":
             attrs["external"] = "1" if rng.uniform() < profile.external_share else "0"
-        out.append(ActivityRecord(user=profile.user, timestamp=ts, kind=kind,
-                                  attributes=attrs))
+        out.append(Event(profile.user, ts, kind, attrs))
     return out
 
 
@@ -259,7 +452,7 @@ def user_events_via(monkeypatch, stream_events, profile, idx, spec, t_len,
                     window_duration, start_time):
     """_user_events with stream_events making each stream's events.
 
-    Returns the records, timestamps as float.hex, and per stream the
+    Returns the events, timestamps as float.hex, and per stream the
     counter before and after and the number of events.
     """
     streams = []
@@ -268,12 +461,13 @@ def user_events_via(monkeypatch, stream_events, profile, idx, spec, t_len,
         before = rng.counter
         out = stream_events(profile, counts, hours, start_time, rng, intensity)
         streams.append((before, rng.counter, int(counts.sum())))
-        return out
+        return out if isinstance(out, EventTable) else make_table(out)
 
     monkeypatch.setattr(data_mod, "_stream_events", spy)
-    records = data_mod._user_events(profile, idx, spec, t_len, window_duration,
-                                    start_time, SeededRng(89))
-    return [(r.user, r.timestamp.hex(), r.kind, r.attributes) for r in records], streams
+    table = data_mod._user_events(profile, idx, spec, t_len, window_duration,
+                                  start_time, SeededRng(89))
+    return [(e.user, e.timestamp.hex(), e.kind, e.attributes) for e in events_of(table)], \
+        streams
 
 
 @pytest.mark.parametrize("t_len,window_duration,start_time", [
@@ -304,7 +498,7 @@ def test_stream_without_events_draws_nothing():
     profile = _sample_profile("u0000", 0, SeededRng(97))
     rng = SeededRng(97, 5)
     empty = np.zeros((48, len(EVENT_KINDS)), dtype=np.int64)
-    assert _stream_events(profile, empty, np.arange(48), 0.0, rng, {}) == []
+    assert len(_stream_events(profile, empty, np.arange(48), 0.0, rng, {})) == 0
     assert rng.counter == 0
 
 
@@ -343,7 +537,7 @@ def test_corpus_round_trip(tmp_path):
     for a, b in zip(corpus.sequences, loaded.sequences):
         assert np.array_equal(a.features, b.features)
         assert (a.label, a.onset, a.duration, a.n_pad) == (b.label, b.onset, b.duration, b.n_pad)
-    assert loaded.records == []  # events.csv is read by load_raw_log, not load_corpus
+    assert len(loaded.records) == 0  # events.csv is read by load_raw_log, not load_corpus
     digest2 = save_corpus(corpus, tmp_path / "c2")
     assert digest1 == digest2
     bytes1 = (tmp_path / "c" / "sequences.bin").read_bytes()
@@ -355,9 +549,8 @@ def test_raw_log_round_trip(tmp_path):
     corpus = generate(5, 0.2, SeededRng(83), t_len=10, window_duration=3600.0)
     save_corpus(corpus, tmp_path / "c")
     records = load_raw_log(tmp_path / "c" / "events.csv")
-    assert len(records) == len(corpus.records)
-    for a, b in zip(corpus.records, records):
-        assert (a.user, a.timestamp, a.kind, a.attributes) == (b.user, b.timestamp, b.kind, b.attributes)
+    assert len(records) == len(corpus.records) > 0
+    assert events_of(records) == events_of(corpus.records)
 
 
 # -- CERT ingestion ----------------------------------------------------------------
@@ -398,9 +591,22 @@ def test_ingest_three_row_logon_fixture(tmp_path):
     records, malformed = ingest_cert(tmp_path / "cert")
     assert malformed == 0
     assert len(records) == 3
-    kinds = sorted(r.kind for r in records)
+    kinds = sorted(r.kind for r in events_of(records))
     assert kinds == ["logoff", "logon", "logon"]
-    assert all(r.timestamp > 1.2e9 for r in records)  # parsed into epoch seconds
+    assert all(r.timestamp > 1.2e9 for r in events_of(records))  # parsed into epoch seconds
+
+
+def test_ingest_orders_rows_by_time_then_user(tmp_path):
+    (tmp_path / "cert").mkdir()
+    (tmp_path / "cert" / "logon.csv").write_text(
+        "id,date,user,pc,activity\n"
+        "a,01/02/2010 09:00:00,ZED1,PC-1,Logon\n"
+        "b,01/02/2010 08:00:00,YAN2,PC-2,Logon\n"
+        "c,01/02/2010 09:00:00,ABE3,PC-3,Logon\n"
+        "d,01/02/2010 09:00:00,ZED1,PC-1,Logoff\n")
+    records, _ = ingest_cert(tmp_path / "cert")
+    assert [(e.user, e.kind) for e in events_of(records)] == [
+        ("YAN2", "logon"), ("ABE3", "logon"), ("ZED1", "logon"), ("ZED1", "logoff")]
 
 
 def test_ingest_counts_malformed_rows(tmp_path):
@@ -410,15 +616,21 @@ def test_ingest_counts_malformed_rows(tmp_path):
     assert len(records) == 3
 
 
+EMAIL_ROWS = (
+    "id,date,user,pc,to,cc,bcc,from,activity,size,attachments,content\n"
+    "e1,01/02/2010 12:00:00,ACM2278,PC-1234,x@dtaa.com,,,a@dtaa.com,Send,2048,,hi\n"
+    "e2,01/02/2010 12:05:00,ACM2278,PC-1234,x@y.org,,,a@dtaa.com,Send,{size},,hi\n")
+
+
 def test_ingest_counts_non_numeric_email_size_as_malformed(tmp_path):
     write_cert_fixture(tmp_path / "cert")
-    (tmp_path / "cert" / "email.csv").write_text(
-        "id,date,user,pc,to,cc,bcc,from,activity,size,attachments,content\n"
-        "e1,01/02/2010 12:00:00,ACM2278,PC-1234,x@dtaa.com,,,a@dtaa.com,Send,2048,,hi\n"
-        "e2,01/02/2010 12:05:00,ACM2278,PC-1234,x@y.org,,,a@dtaa.com,Send,big,,hi\n")
+    # a size that is not a number, negative, infinite or NaN: one malformed row each
+    (tmp_path / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="big") + "".join(
+        f"e{i},01/02/2010 12:1{i}:00,ACM2278,PC-1234,x@y.org,,,a@dtaa.com,Send,{size},,hi\n"
+        for i, size in enumerate(("-5", "inf", "nan"), start=3)))
     records, malformed = ingest_cert(tmp_path / "cert")
-    assert malformed == 1
-    assert [r.attributes["bytes"] for r in records if r.kind == "email"] == ["2048"]
+    assert malformed == 4
+    assert [r.attributes["bytes"] for r in events_of(records) if r.kind == "email"] == ["2048"]
     window_series(records, 3600.0)
 
 
@@ -428,10 +640,10 @@ def test_ingest_mixed_sources(tmp_path):
     assert malformed == 0
     assert len(records) == 10
     by_kind = {}
-    for r in records:
+    for r in events_of(records):
         by_kind[r.kind] = by_kind.get(r.kind, 0) + 1
     assert by_kind == {"logon": 2, "logoff": 1, "removable-device": 2, "file-access": 5}
-    modes = [r.attributes["mode"] for r in records if r.kind == "file-access"]
+    modes = [r.attributes["mode"] for r in events_of(records) if r.kind == "file-access"]
     assert modes.count("write") == 2  # File Write + File Copy
 
 

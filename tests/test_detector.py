@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evsentinel.data import FeatureScaler, generate
+from evsentinel.data import FeatureScaler, generate, load_raw_log, save_corpus
 from evsentinel.detector import (
     Alert,
     DetectorConfig,
@@ -221,7 +221,7 @@ def test_detect_stream_from_raw_records_matches_corpus_path():
     ckpt.scaler = FeatureScaler.fit(corpus.sequences)
     config = DetectorConfig()
     from_corpus = detect_stream(ckpt, corpus, config)
-    from_records = detect_stream(ckpt, list(corpus.records), config)
+    from_records = detect_stream(ckpt, corpus.records, config)
     assert from_corpus.windows_processed == from_records.windows_processed
     for a, b in zip(from_corpus.window_scores, from_records.window_scores):
         assert a.user == b.user
@@ -275,20 +275,18 @@ def test_detect_stream_mismatched_t_len_fails():
         detect_stream(ckpt, corpus, DetectorConfig())
 
 
-def test_out_of_order_record_rejected():
+def test_out_of_order_record_rejected(tmp_path):
     corpus = generate(3, 0.0, SeededRng(59), t_len=8, window_duration=3600.0)
-    ckpt = make_checkpoint(t_len=8, window_duration=3600.0)
-    ckpt.scaler = FeatureScaler.fit(corpus.sequences)
-    records = list(corpus.records)
-    # move one record of some user far earlier in its own timeline
-    target_user = records[len(records) // 2].user
-    user_records = [r for r in records if r.user == target_user]
-    moved = user_records[-1]
-    swapped = [r for r in records if r is not moved]
-    swapped.insert(0, moved)
+    save_corpus(corpus, tmp_path)
+    header, *rows = (tmp_path / "events.csv").read_text().splitlines()
+    # move the last record of some user to the front of the raw log
+    target_user = rows[len(rows) // 2].split(",")[0]
+    moved = max(i for i, row in enumerate(rows) if row.startswith(target_user + ","))
+    rows.insert(0, rows.pop(moved))
+    (tmp_path / "events.csv").write_text("\n".join([header] + rows) + "\n")
 
     with pytest.raises(DataError, match=f"out-of-order record for user '{target_user}'"):
-        detect_stream(ckpt, swapped, DetectorConfig())
+        load_raw_log(tmp_path / "events.csv")
 
 
 def test_history_longer_than_t_len_still_emits_every_window():
@@ -297,8 +295,8 @@ def test_history_longer_than_t_len_still_emits_every_window():
     corpus = generate(2, 0.0, SeededRng(61), t_len=16, window_duration=3600.0)
     ckpt = make_checkpoint(t_len=8, window_duration=3600.0)  # context shorter than history
     ckpt.scaler = FeatureScaler.fit(corpus.sequences)
-    result = detect_stream(ckpt, list(corpus.records), DetectorConfig())
-    series = window_series(list(corpus.records), 3600.0)
+    result = detect_stream(ckpt, corpus.records, DetectorConfig())
+    series = window_series(corpus.records, 3600.0)
     per_user = {}
     for w in result.window_scores:
         per_user.setdefault(w.user, []).append(w)

@@ -1,0 +1,50 @@
+"""What the benchmark in perfbench/ takes from the program.
+
+perfbench/tracer.py rebinds the functions its TRACED list names and takes
+len() of what the event readers return; perfbench/checks.py takes len()
+of ingest_cert's events.  These tests load those files without running
+them: tracer.install is never called, since it would rebind the
+program's functions for the rest of the session.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from evsentinel.data import generate, ingest_cert, load_raw_log, save_corpus
+from evsentinel.numerics import SeededRng
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    traced = load_perfbench("tracer").TRACED
+    assert traced
+    for module_name, attr, _ in traced:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
+
+
+def test_event_sources_report_their_event_count(tmp_path):
+    corpus = generate(6, 0.5, SeededRng(5), t_len=4)
+    save_corpus(corpus, tmp_path / "corpus")
+    events_csv = tmp_path / "corpus" / "events.csv"
+    n_events = len(events_csv.read_text().splitlines()) - 1
+    assert n_events > 0
+    assert len(corpus.records) == n_events
+    assert len(load_raw_log(events_csv)) == n_events
+
+    cert = load_perfbench("inputs").write_cert(events_csv, tmp_path / "cert",
+                                               tmp_path / "twin.csv", seed=5)
+    events, malformed = ingest_cert(tmp_path / "cert")
+    assert malformed == cert.malformed > 0
+    assert len(events) == cert.records == len(load_raw_log(tmp_path / "twin.csv"))
