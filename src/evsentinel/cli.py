@@ -12,15 +12,16 @@ Exit codes: 0 success, 2 configuration, 3 data, 4 I/O, 5 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import data as data_mod
-from .detector import DetectorConfig, WindowScore, detect_stream, write_alerts_jsonl, write_scores_csv
+from .detector import (DetectorConfig, detect_stream, read_scores_csv, write_alerts_jsonl,
+                       write_scores_csv)
 from .errors import (
     ConfigError,
     ContractError,
@@ -33,7 +34,8 @@ from .errors import (
 from .evaluation import evaluate_run, export_report
 from .model import encode_batch
 from .numerics import SeededRng
-from .training import Checkpoint, TrainConfig, fits_type, train, write_epoch_log
+from .training import (Checkpoint, TrainConfig, check_config, corpus_features, train,
+                       write_epoch_log)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,29 +58,18 @@ DEFAULTS = {
 }
 
 
-def _check_type(key: str, value, source: str) -> None:
-    """A config-file value must have its default's type; an int may stand for a float."""
-    default = DEFAULTS[key]
-    if not fits_type(value, default):
-        raise ConfigError(f"config key {key!r} in {source} must be a "
-                          f"{type(default).__name__}, got {value!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, in increasing precedence."""
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            merged.update(check_config(json.loads(Path(config_path).read_text()), DEFAULTS,
+                                       "config file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys in {config_path}: {sorted(unknown)}")
-        for key, value in loaded.items():
-            _check_type(key, value, config_path)
-        merged.update(loaded)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from None
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -179,18 +170,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def read_scores_csv(path: Path) -> list[WindowScore]:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(WindowScore(
-                user=row["user"], window_end=float(row["window_end"]),
-                u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
-                alert=row["alert"] == "1", trigger=row["trigger"],
-                cluster=int(row["cluster"])))
-    return rows
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     checkpoint = Checkpoint.load(Path(args.checkpoint))
@@ -203,7 +182,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"scores cover {len(score_users)} users but corpus has "
                         f"{len(corpus.users)}; missing {missing[:5]}")
 
-    embeddings = _corpus_embeddings(checkpoint, corpus)
+    z = encode_batch(checkpoint.encoder, corpus_features(corpus, checkpoint.scaler))
+    embeddings = dict(zip(corpus.users, z))
     report = evaluate_run(window_scores, corpus.sequences, embeddings,
                           n_clusters=checkpoint.config.n_clusters,
                           seed=int(config["seed"]),
@@ -211,23 +191,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     payload = export_report(report, out_dir)
     if args.epochs_log:
-        import shutil
-
         shutil.copyfile(args.epochs_log, out_dir / "epochs.csv")
     echo_config(config, out_dir)
     fpr = payload["fpr"]
     print(f"eval: auc {payload['auc']:.4f}, fpr {fpr if fpr is None else round(fpr, 4)}, "
           f"baseline fpr {payload['baseline_fpr']}, accuracy {payload['accuracy']}")
     return EXIT_OK
-
-
-def _corpus_embeddings(checkpoint: Checkpoint, corpus) -> dict:
-    import numpy as np
-
-    seqs = corpus.sequences
-    feats = np.stack([checkpoint.scaler.transform(s.features) for s in seqs])
-    z = encode_batch(checkpoint.encoder, feats)
-    return {s.user: z[i] for i, s in enumerate(seqs)}
 
 
 # -- argument wiring --------------------------------------------------------------

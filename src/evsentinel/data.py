@@ -500,6 +500,10 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
         raise ContractError(f"insider fraction must be in [0, 1], got {insider_fraction}")
     if population < 1:
         raise ContractError("population must be at least 1")
+    if t_len < 1:
+        raise ContractError(f"t_len must be at least 1, got {t_len}")
+    if not (math.isfinite(window_duration) and window_duration > 0):
+        raise ContractError(f"window_duration must be finite and positive, got {window_duration}")
 
     n_insiders = int(math.floor(insider_fraction * population))
     streams: list[EventTable] = []

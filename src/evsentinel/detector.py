@@ -22,8 +22,9 @@ interleaving streams cannot change any per-user output.
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,10 @@ class WindowScore:
     alert: bool
     trigger: str  # "", "uncertainty", "drift", "both"
     cluster: int
+
+
+# scores.csv holds one row per WindowScore, its fields in order
+SCORE_COLUMNS = tuple(f.name for f in fields(WindowScore))
 
 
 def observe(state: UserState | None, z: LatentEmbedding,
@@ -221,15 +226,33 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
 
 
 def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["user", "window_end", "u", "d", "s", "alert", "trigger",
-                         "cluster"])
+        writer.writerow(SCORE_COLUMNS)
         for w in result.window_scores:
             writer.writerow([w.user, repr(w.window_end), repr(w.u), repr(w.d),
                              repr(w.s), int(w.alert), w.trigger, w.cluster])
+
+
+def read_scores_csv(path: Path | str) -> list[WindowScore]:
+    """The window scores write_scores_csv wrote.  A missing column or a
+    value that does not parse is a DataError naming the file and line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                rows.append(WindowScore(
+                    user=row["user"], window_end=float(row["window_end"]),
+                    u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
+                    alert=row["alert"] == "1", trigger=row["trigger"],
+                    cluster=int(row["cluster"])))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def write_alerts_jsonl(alerts: list[Alert], path: Path | str) -> None:

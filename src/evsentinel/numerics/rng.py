@@ -65,15 +65,16 @@ def unit_floats(raw: np.ndarray) -> np.ndarray:
     return (raw >> _S11).astype(np.float64) * _INV_2_53
 
 
-def below(raw: np.ndarray, bound: int) -> np.ndarray:
+def below(raw: np.ndarray, bound) -> np.ndarray:
     """Integers in [0, bound) from raw draws: the high 64 bits of raw * bound.
 
-    Built from 32-bit halves so that no product overflows uint64; bound
-    must be below 2**32.
+    bound is one int or one per draw.  Built from 32-bit halves so that no
+    product overflows uint64; every bound must be below 2**32.
     """
-    if not 0 < bound < 2**32:
+    bounds = np.asarray(bound)
+    if not np.all((0 < bounds) & (bounds < 2**32)):
         raise ValueError("bound must be in [1, 2**32)")
-    b = np.uint64(bound)
+    b = bounds.astype(np.uint64)
     low = (raw & _LOW32) * b
     return ((raw >> _S32) * b + (low >> _S32)) >> _S32
 
@@ -157,9 +158,12 @@ class SeededRng:
         return int(below(self.raw(1), bound)[0])
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n): step i = n-1, ..., 1 swaps i
+        with index_below(i + 1), all n - 1 draws made in one raw() call."""
         order = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.index_below(i + 1)
+        if n < 2:
+            return order
+        steps = np.arange(n - 1, 0, -1)
+        for i, j in zip(steps.tolist(), below(self.raw(n - 1), steps + 1).tolist()):
             order[i], order[j] = order[j], order[i]
         return order

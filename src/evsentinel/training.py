@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import read_blob, write_blob
-from .data import Corpus, BehaviorSequence, FeatureScaler
+from .data import Corpus, FeatureScaler
 from .errors import (
     ConfigError,
     ContractError,
@@ -30,8 +30,9 @@ from .errors import (
     DegenerateInputError,
     NumericError,
 )
-from .evidential import anneal_lambda, taped_evidential_loss
+from .evidential import alpha_from_raw, anneal_lambda, taped_evidential_loss
 from .model import (
+    GATES,
     DropoutSpec,
     EncoderParams,
     EvidentialHeadParams,
@@ -85,11 +86,24 @@ class TrainConfig:
             raise ConfigError("lambda_max must be non-negative")
 
 
-def fits_type(value, default) -> bool:
-    """Whether a config value has its default's type; an int may stand for a float."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int if isinstance(default, int) else (int, float))
+def check_config(values, defaults: dict, what: str) -> dict:
+    """values, a parsed JSON config, must be an object of keys in defaults,
+    each value of its default's type; an int may stand for a float.
+
+    Anything else is a ConfigError; what names the config in the message.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} is not an object")
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for key, value in values.items():
+        default = defaults[key]
+        if isinstance(value, bool) or not isinstance(
+                value, int if isinstance(default, int) else (int, float)):
+            raise ConfigError(f"config key {key!r} must be a "
+                              f"{type(default).__name__}, got {value!r}")
+    return values
 
 
 @dataclass
@@ -118,11 +132,8 @@ class Checkpoint:
     digest: str = ""
 
     def save(self, path: Path | str) -> str:
-        arrays: dict[str, np.ndarray] = {}
-        arrays.update(self.encoder.to_flat())
-        arrays.update(self.head.to_flat())
-        arrays["scaler.mean"] = self.scaler.mean
-        arrays["scaler.std"] = self.scaler.std
+        arrays = {**self.encoder.to_flat(), **self.head.to_flat(),
+                  "scaler.mean": self.scaler.mean, "scaler.std": self.scaler.std}
         header = {
             "schema": "checkpoint",
             "schema_version": 1,
@@ -134,36 +145,43 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path | str) -> "Checkpoint":
-        """A missing header key or array, or a config that is not an object of
-        known keys with values of their defaults' types and ranges, is a DataError.
+        """A missing header key or array, a config that check_config or
+        TrainConfig rejects, or an array whose shape does not fit the config
+        is a DataError naming the file.
         """
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
         try:
-            values = header["config"]
-            if not isinstance(values, dict):
-                raise DataError(f"{path}: checkpoint config is not an object")
             defaults = {f.name: f.default for f in fields(TrainConfig)}
-            unknown = set(values) - set(defaults)
-            if unknown:
-                raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
-            for key, value in values.items():
-                if not fits_type(value, defaults[key]):
-                    raise DataError(f"{path}: config key {key!r} must be a "
-                                    f"{type(defaults[key]).__name__}, got {value!r}")
-            try:
-                config = TrainConfig(**values)
-            except ConfigError as exc:
-                raise DataError(f"{path}: {exc}") from None
+            config = TrainConfig(**check_config(header["config"], defaults,
+                                                "checkpoint config"))
+            for name, shape in _array_shapes(config):
+                if arrays[name].shape != shape:
+                    raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                                    f"expected {shape}")
             encoder = EncoderParams.from_flat(arrays, config.n_layers)
             head = EvidentialHeadParams.from_flat(arrays)
             scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])
             window_duration = header["window_duration"]
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint has no {exc}") from None
+        except ConfigError as exc:
+            raise DataError(f"{path}: {exc}") from None
         return cls(encoder=encoder, head=head, config=config, scaler=scaler,
                    window_duration=window_duration, digest=digest)
+
+
+def _array_shapes(config: TrainConfig):
+    """(name, shape) of every checkpoint array under config."""
+    d, k, n_clusters = config.input_dim, config.hidden, config.n_clusters
+    yield from (("scaler.mean", (d,)), ("scaler.std", (d,)),
+                ("head.w", (k, n_clusters)), ("head.b", (n_clusters,)))
+    for i in range(config.n_layers):
+        for g in GATES:
+            yield f"enc.l{i}.w_{g}", (d if i == 0 else k, k)
+            yield f"enc.l{i}.u_{g}", (k, k)
+            yield f"enc.l{i}.b_{g}", (k,)
 
 
 # -- cluster bootstrap ---------------------------------------------------------
@@ -206,40 +224,44 @@ def init_clusters(embeddings: np.ndarray, n_clusters: int, rng: SeededRng,
 # -- dataset plumbing ----------------------------------------------------------
 
 
-def _as_sequences(dataset) -> list[BehaviorSequence]:
-    seqs = dataset.sequences if isinstance(dataset, Corpus) else list(dataset)
-    if not seqs:
-        raise ContractError("dataset is empty")
-    return seqs
+def corpus_features(corpus: Corpus, scaler: FeatureScaler) -> np.ndarray:
+    """The (n, T, d) standardized features of every sequence, pad rows included:
+    they are standardized and encoded like everything else."""
+    return np.stack([scaler.transform(s.features) for s in corpus.sequences])
 
 
-def _stack(seqs: list[BehaviorSequence], scaler: FeatureScaler) -> tuple[np.ndarray, np.ndarray]:
-    # pad rows are standardized and encoded like everything else
-    feats = np.stack([scaler.transform(s.features) for s in seqs])
-    n_pads = np.array([s.n_pad for s in seqs], dtype=np.int64)
-    return feats, n_pads
+def _adam_epoch(config: TrainConfig, params: dict[str, np.ndarray], adam: AdamState,
+                features: np.ndarray, rngs: tuple[SeededRng, SeededRng], batch_loss,
+                where: str) -> tuple[dict[str, np.ndarray], AdamState]:
+    """One shuffled pass of mini-batch Adam steps; returns the new params and state.
 
-
-def _collect_grads(pnodes, grads_by_node) -> dict[str, np.ndarray]:
-    grads = {}
-    for name, node in pnodes.items():
-        if node not in grads_by_node:
-            raise NumericError(f"parameter {name!r} never reached the gradient tape")
-        grads[name] = grads_by_node[node]
-    return grads
-
-
-def _one_hot(labels: np.ndarray, n_clusters: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_clusters))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    rngs are the (shuffle, dropout) streams.  For each batch of indices,
+    batch_loss(tape, pnodes, z, batch) puts the loss of the batch's taped
+    embeddings z on the tape and returns it.  Non-finite embeddings or a
+    non-finite loss are a NumericError naming where (the epoch) and the batch.
+    """
+    shuffle_rng, dropout_rng = rngs
+    dropout = DropoutSpec(p=config.dropout_p, active=True)
+    order = shuffle_rng.permutation(features.shape[0])
+    for n_batch, start in enumerate(range(0, len(order), config.batch_size)):
+        batch = order[start:start + config.batch_size]
+        tape = Tape()
+        pnodes = {name: tape.leaf(arr) for name, arr in params.items()}
+        z = taped_encode(tape, pnodes, features[batch], config.n_layers, dropout, dropout_rng)
+        if not np.all(np.isfinite(z.value)):
+            raise NumericError(f"non-finite embeddings at {where}, batch {n_batch}")
+        loss = batch_loss(tape, pnodes, z, batch)
+        if not np.isfinite(float(loss.value)):
+            raise NumericError(f"non-finite loss at {where}, batch {n_batch}")
+        grads = backward(tape, loss)
+        params, adam = adam_step(params, {name: grads[node] for name, node in pnodes.items()},
+                                 adam, config.learning_rate)
+    return params, adam
 
 
 def refresh_pseudo_labels(encoder: EncoderParams, head: EvidentialHeadParams,
                           features: np.ndarray) -> np.ndarray:
     """argmax expected assignment per sequence; ties go to the lowest index."""
-    from .evidential import alpha_from_raw
-
     z = encode_batch(encoder, features)
     alpha = alpha_from_raw(z @ head.w + head.b)
     return np.argmax(alpha, axis=1)
@@ -248,20 +270,15 @@ def refresh_pseudo_labels(encoder: EncoderParams, head: EvidentialHeadParams,
 # -- warm-up -------------------------------------------------------------------
 
 
-def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: np.ndarray,
+def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: list[int],
                    encoder: EncoderParams, rng: SeededRng) -> tuple[EncoderParams, list[float]]:
     """Reconstruction warm-up; returns updated encoder and per-epoch losses."""
-    if config.warmup_epochs == 0:
-        return encoder, []
-    n, t_len, d = features.shape
+    n, _, d = features.shape
     warm_rng = rng.derive(_STREAM_WARMUP)
-    dropout_rng = rng.derive(_STREAM_DROPOUT + 100)
-    shuffle_rng = rng.derive(_STREAM_SHUFFLE + 100)
+    rngs = (rng.derive(_STREAM_SHUFFLE + 100), rng.derive(_STREAM_DROPOUT + 100))
 
     # mean real (unpadded) feature vector per sequence is the target
-    targets = np.stack([
-        features[i, n_pads[i]:].mean(axis=0) for i in range(n)
-    ])
+    targets = np.stack([features[i, n_pads[i]:].mean(axis=0) for i in range(n)])
 
     decoder = {
         "dec.w": (warm_rng.uniform((config.hidden, d)) * 2.0 - 1.0) / np.sqrt(config.hidden),
@@ -269,30 +286,21 @@ def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: np.ndarray
     }
     params = {**encoder.to_flat(), **decoder}
     adam = AdamState.for_params(params)
-    dropout = DropoutSpec(p=config.dropout_p, active=True)
+
+    def reconstruction(tape, pnodes, z, batch):
+        nonlocal epoch_loss, n_batches
+        pred = tape.add(tape.matmul(z, pnodes["dec.w"]), pnodes["dec.b"])
+        err = tape.sub(pred, tape.const(targets[batch]))
+        loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / (len(batch) * d))
+        epoch_loss += float(loss.value)
+        n_batches += 1
+        return loss
+
     losses = []
     for epoch in range(config.warmup_epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            tape = Tape()
-            pnodes = {name: tape.leaf(arr) for name, arr in params.items()}
-            z = taped_encode(tape, pnodes, features[batch], config.n_layers,
-                             dropout, dropout_rng)
-            pred = tape.add(tape.matmul(z, pnodes["dec.w"]), pnodes["dec.b"])
-            err = tape.sub(pred, tape.const(targets[batch]))
-            loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / (len(batch) * d))
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite warm-up loss at epoch {epoch}, "
-                                   f"batch {n_batches}")
-            grads_by_node = backward(tape, loss)
-            grads = _collect_grads(pnodes, grads_by_node)
-            params, adam = adam_step(params, grads, adam, config.learning_rate)
-            epoch_loss += value
-            n_batches += 1
+        epoch_loss, n_batches = 0.0, 0
+        params, adam = _adam_epoch(config, params, adam, features, rngs, reconstruction,
+                                   f"warm-up epoch {epoch}")
         losses.append(epoch_loss / n_batches)
     return EncoderParams.from_flat(params, config.n_layers), losses
 
@@ -300,9 +308,9 @@ def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: np.ndarray
 # -- main loop -----------------------------------------------------------------
 
 
-def train(config: TrainConfig, dataset) -> tuple[Checkpoint, list[EpochMetrics]]:
+def train(config: TrainConfig, corpus: Corpus) -> tuple[Checkpoint, list[EpochMetrics]]:
     """Full training run; returns the final checkpoint and per-epoch metrics."""
-    seqs = _as_sequences(dataset)
+    seqs = corpus.sequences
     n = len(seqs)
     if n < config.batch_size:
         raise ContractError(
@@ -316,11 +324,11 @@ def train(config: TrainConfig, dataset) -> tuple[Checkpoint, list[EpochMetrics]]
 
     rng = SeededRng(config.seed)
     scaler = FeatureScaler.fit(seqs)
-    features, n_pads = _stack(seqs, scaler)
+    features = corpus_features(corpus, scaler)
 
     encoder = init_encoder(config.input_dim, config.hidden, config.n_layers,
                            rng.derive(_STREAM_INIT))
-    encoder, _ = _warmup_arrays(config, features, n_pads, encoder, rng)
+    encoder, _ = _warmup_arrays(config, features, [s.n_pad for s in seqs], encoder, rng)
 
     embeddings = encode_batch(encoder, features)
     clusters = init_clusters(embeddings, config.n_clusters, rng.derive(_STREAM_KMEANS))
@@ -329,36 +337,25 @@ def train(config: TrainConfig, dataset) -> tuple[Checkpoint, list[EpochMetrics]]
     head = init_head(config.hidden, config.n_clusters, rng.derive(_STREAM_INIT + 50))
     params = {**encoder.to_flat(), **head.to_flat()}
     adam = AdamState.for_params(params)
-    dropout = DropoutSpec(p=config.dropout_p, active=True)
-    shuffle_rng = rng.derive(_STREAM_SHUFFLE)
-    dropout_rng = rng.derive(_STREAM_DROPOUT)
+    rngs = (rng.derive(_STREAM_SHUFFLE), rng.derive(_STREAM_DROPOUT))
+
+    def evidential(tape, pnodes, z, batch):
+        nonlocal sum_ce, sum_kl, correct
+        alpha = taped_head(tape, pnodes, z)
+        y = np.eye(config.n_clusters)[labels[batch]]
+        total, ce, kl = taped_evidential_loss(tape, alpha, y, lam)
+        sum_ce += float(ce.value) * len(batch)
+        sum_kl += float(kl.value) * len(batch)
+        correct += int((np.argmax(alpha.value, axis=1) == labels[batch]).sum())
+        return total
 
     metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         lam = anneal_lambda(epoch, config.anneal_epochs, config.lambda_max)
-        order = shuffle_rng.permutation(n)
         sum_ce = sum_kl = 0.0
         correct = 0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            y = _one_hot(labels[batch], config.n_clusters)
-            tape = Tape()
-            pnodes = {name: tape.leaf(arr) for name, arr in params.items()}
-            z = taped_encode(tape, pnodes, features[batch], config.n_layers,
-                             dropout, dropout_rng)
-            alpha = taped_head(tape, pnodes, z)
-            total, ce, kl = taped_evidential_loss(tape, alpha, y, lam)
-            if not np.isfinite(float(total.value)):
-                raise NumericError(f"non-finite loss at epoch {epoch}, "
-                                   f"batch {n_batches}")
-            grads_by_node = backward(tape, total)
-            grads = _collect_grads(pnodes, grads_by_node)
-            params, adam = adam_step(params, grads, adam, config.learning_rate)
-            sum_ce += float(ce.value) * len(batch)
-            sum_kl += float(kl.value) * len(batch)
-            correct += int((np.argmax(alpha.value, axis=1) == labels[batch]).sum())
-            n_batches += 1
+        params, adam = _adam_epoch(config, params, adam, features, rngs, evidential,
+                                   f"epoch {epoch}")
 
         encoder = EncoderParams.from_flat(params, config.n_layers)
         head = EvidentialHeadParams.from_flat(params)

@@ -1,11 +1,17 @@
 import json
+import math
+import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evsentinel.arrayio import read_blob, write_blob
-from evsentinel.cli import DEFAULTS, EXIT_CONFIG, EXIT_DATA, EXIT_IO, build_parser, main
+from evsentinel.cli import (DEFAULTS, EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC,
+                            build_parser, main)
+from evsentinel.data import generate, save_corpus
+from evsentinel.numerics import SeededRng
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +120,32 @@ def test_removed_config_key_is_config_error(tmp_path, capsys, removed):
                "--window-duration", "3600", "--seed", "1", "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert next(iter(removed)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", '[["epochs", 3]]', '"abc"'],
+                         ids=["number", "null", "pairs", "string"])
+def test_config_file_not_an_object_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["gen", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}: config file is not an object" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,setting", [
+    ("--t-len", "-5", "t_len"), ("--t-len", "0", "t_len"),
+    ("--window-duration", "nan", "window_duration"),
+    ("--window-duration", "inf", "window_duration"),
+    ("--window-duration", "0", "window_duration"),
+], ids=["t-len-negative", "t-len-zero", "window-nan", "window-inf", "window-zero"])
+def test_gen_out_of_range_is_config_error(tmp_path, capsys, flag, value, setting):
+    rc = main(["gen", "--population", "2", flag, value, "--seed", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert setting in err and "Traceback" not in err
 
 
 def test_detect_tau_u_zero_alerts_everywhere(small_run, tmp_path):
@@ -306,6 +338,59 @@ def test_malformed_checkpoint_config_is_data_error(small_run, tmp_path, capsys, 
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{ckpt}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("enc.l0.w_r", (12, 5)), ("head.w", (8, 4)), ("head.b", (6,)), ("enc.l1.u_c", (3,)),
+    ("scaler.mean", (11,)),
+], ids=["enc.l0.w_r", "head.w", "head.b", "enc.l1.u_c", "scaler.mean"])
+def test_checkpoint_array_of_wrong_shape_is_data_error(small_run, tmp_path, capsys, name,
+                                                       shape):
+    header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
+    arrays[name] = np.zeros(shape)
+    ckpt = tmp_path / "edited.ckpt"
+    write_blob(ckpt, header, arrays)
+    rc = main(["detect", "--checkpoint", str(ckpt), "--input", str(small_run["corpus"]),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: array {name!r} has shape {shape}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [lines[0].replace(",u,", ",uncertainty,")] + lines[1:],
+     "line 1: missing column(s) u"),
+    (lambda lines: [lines[0], re.sub(r"^([^,]*,[^,]*),[^,]*,", r"\1,abc,", lines[1])]
+     + lines[2:], "line 2: could not convert string to float: 'abc'"),
+], ids=["renamed-u", "u-not-a-number"])
+def test_malformed_scores_csv_is_data_error(small_run, tmp_path, capsys, edit, message):
+    scores = tmp_path / "scores.csv"
+    lines = (small_run["detect"] / "scores.csv").read_text().splitlines()
+    scores.write_text("\n".join(edit(lines)) + "\n")
+    rc = main(["eval", "--scores", str(scores), "--corpus", str(small_run["corpus"]),
+               "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--seed", "7", "--out", str(tmp_path / "report")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{scores}, {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("warmup,epoch", [("1", "warm-up epoch 0"), ("0", "epoch 0")],
+                         ids=["warm-up", "no-warm-up"])
+def test_non_finite_feature_stops_training_naming_epoch_and_batch(tmp_path, capsys, warmup,
+                                                                  epoch):
+    corpus = generate(12, 0.25, SeededRng(5), t_len=8, window_duration=3600.0)
+    corpus.sequences[3].features[-1, 0] = math.nan
+    save_corpus(corpus, tmp_path / "corpus")
+    rc = main(["train", "--corpus", str(tmp_path / "corpus"), "--epochs", "2",
+               "--batch-size", "4", "--hidden", "4", "--n-clusters", "2",
+               "--warmup-epochs", warmup, "--seed", "5", "--out", str(tmp_path / "t")])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.search(rf"non-finite \w+ at {epoch}, batch \d+", err)
     assert "Traceback" not in err
 
 

@@ -9,6 +9,7 @@ from evsentinel.detector import (
     detect_stream,
     observe,
     rank_alerts,
+    read_scores_csv,
     stream_embeddings,
     write_alerts_jsonl,
     write_scores_csv,
@@ -196,6 +197,7 @@ def test_detect_stream_over_corpus_replays_identically(tmp_path):
     write_scores_csv(r1, tmp_path / "a.csv")
     write_scores_csv(r2, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert read_scores_csv(tmp_path / "a.csv") == r1.window_scores
 
 
 def test_per_user_isolation_under_interleaving():

@@ -97,6 +97,39 @@ def test_permutation_is_permutation():
     assert np.array_equal(SeededRng(23).permutation(100), p)
 
 
+def fisher_yates(rng, n):
+    """Fisher-Yates with one index_below call per step (the oracle)."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.index_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100])
+def test_permutation_matches_fisher_yates_oracle(n):
+    rng, oracle = SeededRng(41, 3), SeededRng(41, 3)
+    assert rng.permutation(n).tolist() == fisher_yates(oracle, n)
+    assert rng.counter == oracle.counter
+
+
+@pytest.mark.parametrize("n,calls", [(0, []), (1, []), (2, [1]), (100, [99])])
+def test_permutation_draws_in_one_raw_call(monkeypatch, n, calls):
+    seen = []
+    raw = SeededRng.raw
+    monkeypatch.setattr(SeededRng, "raw", lambda self, k: seen.append(k) or raw(self, k))
+    SeededRng(41, 3).permutation(n)
+    assert seen == calls
+
+
+def test_below_takes_one_bound_per_draw():
+    xs = SeededRng(43).raw(64)
+    bounds = np.arange(1, 65)
+    assert below(xs, bounds).tolist() == [(int(x) * int(b)) >> 64 for x, b in zip(xs, bounds)]
+    with pytest.raises(ValueError):
+        below(xs[:2], np.array([5, 2**32]))
+
+
 def test_index_below_bounds():
     rng = SeededRng(29)
     draws = [rng.index_below(7) for _ in range(500)]

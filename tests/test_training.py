@@ -11,8 +11,8 @@ from evsentinel.numerics import SeededRng
 from evsentinel.training import (
     Checkpoint,
     TrainConfig,
-    _stack,
     _warmup_arrays,
+    corpus_features,
     init_clusters,
     refresh_pseudo_labels,
     train,
@@ -157,9 +157,10 @@ def test_pseudo_labels_in_range():
 
 def warmup(config, corpus, rng):
     """The warm-up train() runs first: fit the scaler, init the encoder, reconstruct."""
-    features, n_pads = _stack(corpus.sequences, FeatureScaler.fit(corpus.sequences))
+    features = corpus_features(corpus, FeatureScaler.fit(corpus.sequences))
     encoder = init_encoder(config.input_dim, config.hidden, config.n_layers, rng.derive(1))
-    return _warmup_arrays(config, features, n_pads, encoder, rng)[0]
+    return _warmup_arrays(config, features, [s.n_pad for s in corpus.sequences], encoder,
+                          rng)[0]
 
 
 def test_warmup_zero_epochs_returns_init_unchanged():
