@@ -181,6 +181,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if missing:
         raise DataError(f"scores cover {len(score_users)} users but corpus has "
                         f"{len(corpus.users)}; missing {missing[:5]}")
+    unknown = sorted(score_users - set(corpus.users))
+    if unknown:
+        raise DataError(f"scores name {len(unknown)} user(s) the corpus lacks: {unknown[:5]}")
 
     z = encode_batch(checkpoint.encoder, corpus_features(corpus, checkpoint.scaler))
     embeddings = dict(zip(corpus.users, z))

@@ -30,8 +30,12 @@ Timestamps are interpreted as local time; off-hours means 00:00-06:00.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
+import re
 from dataclasses import dataclass, field, replace
+from datetime import datetime, time, timezone
 from pathlib import Path
 
 import numpy as np
@@ -828,8 +832,7 @@ def load_raw_log(path: Path | str) -> EventTable:
 # -- CERT r6.2 ingestion ------------------------------------------------------
 
 # The CERT r6.2 per-source CSVs read, and the event kind of each.  Columns
-# are found by header name, and the ones not read are ignored.  Dates are
-# "%m/%d/%Y %H:%M:%S".
+# are found by header name, and the ones not read are ignored.
 CERT_SOURCES = {
     "logon.csv": "logon",
     "device.csv": "removable-device",
@@ -840,20 +843,66 @@ CERT_SOURCES = {
 
 _INTERNAL_DOMAIN = "@dtaa.com"
 
+_CERT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
+# the form of nearly every CERT date: each field zero-padded at a fixed offset
+_FIXED_WIDTH_DATE = re.compile(r"\d\d/\d\d/\d{4} \d\d:\d\d:\d\d", re.ASCII)
+
+
+def _strptime_cert_date(text: str) -> datetime:
+    """A CERT date not in the fixed-width form, which strptime may still
+    accept: an unpadded field, a run of whitespace, non-ASCII digits."""
+    return datetime.strptime(text, _CERT_DATE_FORMAT)
+
+
+@functools.lru_cache(maxsize=1024)
+def _cert_day(text: str) -> float:
+    """Epoch seconds of the UTC midnight that starts a day written MM/DD/YYYY
+    in ASCII digits."""
+    return datetime(int(text[6:10]), int(text[:2]), int(text[3:5]),
+                    tzinfo=timezone.utc).timestamp()
+
 
 def _parse_cert_date(text: str) -> float:
-    from datetime import datetime, timezone
+    """Epoch seconds of a CERT date read as UTC, exactly as strptime reads
+    it with _CERT_DATE_FORMAT; a ValueError for every string it rejects.
 
-    dt = datetime.strptime(text, "%m/%d/%Y %H:%M:%S")
-    return dt.replace(tzinfo=timezone.utc).timestamp()
+    The fixed-width form skips strptime: its fields are sliced out, and the
+    date and time constructors reject the same out-of-range values (month
+    00 or 13, day 00 or past the month's end, year 0000, hour 24, minute 60,
+    second 60 or 61).  The day's seconds come from a bounded cache, since
+    one day starts many rows.
+    """
+    if _FIXED_WIDTH_DATE.fullmatch(text):
+        clock = time(int(text[11:13]), int(text[14:16]), int(text[17:]))
+        return _cert_day(text[:10]) + (clock.hour * 3600 + clock.minute * 60 + clock.second)
+    return _strptime_cert_date(text).replace(tzinfo=timezone.utc).timestamp()
+
+
+def _cert_rows(fh, names: tuple[str, ...]):
+    """The fields named by names, from each row of a CERT CSV, as
+    csv.DictReader reads them: blank lines are skipped, a name the header repeats reads its last
+    column, a name the header lacks or a field past a short row's end reads
+    None, and fields past the header's end are ignored."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    width = len(header)
+    at = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+    pick = operator.itemgetter(*(at.get(name, width) for name in names))
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)  # at index width: the field of every name the header lacks
+        yield pick(row)
 
 
 def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     """Read CERT r6.2 CSVs into one EventTable, ordered by (timestamp, user).
 
-    Malformed rows (a date that does not parse, an empty user, an email
-    size that is not a finite number >= 0) are skipped and counted, never
-    fatal.  Returns (events, malformed_count).
+    Malformed rows (no date or one that does not parse, an empty user, an
+    email size that is not a finite number >= 0) are skipped and counted,
+    never fatal.  Returns (events, malformed_count).
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -862,36 +911,40 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     if not sources:
         raise DataError(f"no CERT source files in {directory} "
                         f"(expected any of {', '.join(CERT_SOURCES)})")
-    columns = [[] for _ in _COLUMNS]
+    users, stamps, kinds, hosts, sizes, modes, externals = ([] for _ in range(7))
     malformed = 0
     for filename in sources:
+        kind = _KIND[CERT_SOURCES[filename]]
         with open(directory / filename, newline="") as fh:
-            for row in csv.DictReader(fh):
+            for date, user, pc, activity, removable, to, size in _cert_rows(
+                    fh, ("date", "user", "pc", "activity", "to_removable_media", "to", "size")):
                 try:
-                    ts = _parse_cert_date(row["date"])
-                    if not row["user"]:
-                        raise ValueError("empty user")
-                    size = row.get("size") if filename == "email.csv" else None
-                    nbytes = _parse_bytes(size) if size else math.nan
-                except (KeyError, ValueError, TypeError, DataError):
+                    if date is None or not user:
+                        raise ValueError("no date or user")
+                    ts = _parse_cert_date(date)
+                    nbytes = _parse_bytes(size) if size and filename == "email.csv" else math.nan
+                except (ValueError, DataError):
                     malformed += 1
                     continue
-                kind, mode, external = CERT_SOURCES[filename], -1, -1
-                activity = (row.get("activity") or "").strip().lower()
-                if filename == "logon.csv" and activity == "logoff":
-                    kind = "logoff"
-                if filename == "file.csv":
+                code, mode, external = kind, -1, -1
+                if filename == "logon.csv" and (activity or "").strip().lower() == "logoff":
+                    code = _KIND["logoff"]
+                elif filename == "file.csv":
+                    activity = (activity or "").strip().lower()
                     written = any(w in activity for w in ("write", "copy", "delete")) or \
-                        (row.get("to_removable_media") or "").lower() == "true"
+                        (removable or "").lower() == "true"
                     mode = _MODE["write" if written else "read"]
-                if filename == "email.csv":
+                elif filename == "email.csv":
                     external = int(any(addr and _INTERNAL_DOMAIN not in addr
-                                       for addr in (row.get("to") or "").split(";")))
-                values = (row["user"], ts, _KIND[kind], row.get("pc") or None, None, nbytes,
-                          mode, external)
-                for column, value in zip(columns, values):
-                    column.append(value)
-    events = _parsed(columns)
-    if not len(events):
+                                       for addr in (to or "").split(";")))
+                users.append(user)
+                stamps.append(ts)
+                kinds.append(code)
+                hosts.append(pc or None)
+                sizes.append(nbytes)
+                modes.append(mode)
+                externals.append(external)
+    if not users:
         raise DataError(f"zero parseable rows in {directory}")
+    events = _parsed([users, stamps, kinds, hosts, [None] * len(users), sizes, modes, externals])
     return events.take(np.lexsort((events.user, events.timestamp))), malformed

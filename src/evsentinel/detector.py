@@ -92,6 +92,9 @@ class WindowScore:
 
 # scores.csv holds one row per WindowScore, its fields in order
 SCORE_COLUMNS = tuple(f.name for f in fields(WindowScore))
+# the values of its alert column, and of its trigger column ("" when no alert)
+_ALERT = {"0": False, "1": True}
+_TRIGGERS = ("", "uncertainty", "drift", "both")
 
 
 def observe(state: UserState | None, z: LatentEmbedding,
@@ -235,8 +238,10 @@ def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
 
 
 def read_scores_csv(path: Path | str) -> list[WindowScore]:
-    """The window scores write_scores_csv wrote.  A missing column or a
-    value that does not parse is a DataError naming the file and line."""
+    """The window scores write_scores_csv wrote.  A missing column, a value
+    that does not parse, an alert other than 0 or 1, a trigger other than
+    "", uncertainty, drift or both, and a trigger set on a row without an
+    alert or missing on one with it are DataErrors naming the file and line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -245,11 +250,15 @@ def read_scores_csv(path: Path | str) -> list[WindowScore]:
             raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
             try:
+                alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
+                if alert is None:
+                    raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
+                if trigger not in _TRIGGERS or (trigger != "") != alert:
+                    raise ValueError(f"trigger {trigger!r} does not fit alert {row['alert']}")
                 rows.append(WindowScore(
                     user=row["user"], window_end=float(row["window_end"]),
                     u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
-                    alert=row["alert"] == "1", trigger=row["trigger"],
-                    cluster=int(row["cluster"])))
+                    alert=alert, trigger=trigger, cluster=int(row["cluster"])))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows

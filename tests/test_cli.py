@@ -378,6 +378,47 @@ def test_malformed_scores_csv_is_data_error(small_run, tmp_path, capsys, edit, m
     assert "Traceback" not in err
 
 
+def eval_edited_scores(small_run, tmp_path, capsys, edit):
+    """eval over small_run's scores.csv with edit applied to its data rows' fields;
+    returns the exit code, the edited file and stderr."""
+    scores = tmp_path / "scores.csv"
+    header, *rows = (small_run["detect"] / "scores.csv").read_text().splitlines()
+    rows = [row.split(",") for row in rows]  # no scores.csv field holds a comma
+    edit(rows)
+    scores.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    rc = main(["eval", "--scores", str(scores), "--corpus", str(small_run["corpus"]),
+               "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--seed", "7", "--out", str(tmp_path / "report")])
+    return rc, scores, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alert,trigger,message", [
+    ("yes", "", "alert 'yes' is not 0 or 1"),
+    ("1", "", "trigger '' does not fit alert 1"),
+    ("0", "drift", "trigger 'drift' does not fit alert 0"),
+    ("1", "sometimes", "trigger 'sometimes' does not fit alert 1"),
+], ids=["alert-yes", "alert-without-trigger", "trigger-without-alert", "unknown-trigger"])
+def test_scores_csv_alert_and_trigger_are_checked(small_run, tmp_path, capsys, alert, trigger,
+                                                  message):
+    def edit(rows):
+        rows[0][5:7] = [alert, trigger]
+
+    rc, scores, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
+    assert rc == EXIT_DATA
+    assert f"{scores}, line 2: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_eval_scores_for_a_user_the_corpus_lacks_is_data_error(small_run, tmp_path, capsys):
+    def edit(rows):
+        rows[0][0] = "u9999"  # the user keeps its other rows, so none is missing
+
+    rc, _, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
+    assert rc == EXIT_DATA
+    assert "scores name 1 user(s) the corpus lacks: ['u9999']" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("warmup,epoch", [("1", "warm-up epoch 0"), ("0", "epoch 0")],
                          ids=["warm-up", "no-warm-up"])
 def test_non_finite_feature_stops_training_naming_epoch_and_batch(tmp_path, capsys, warmup,

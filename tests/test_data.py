@@ -2,9 +2,12 @@ import csv
 import hashlib
 import math
 from collections import namedtuple
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evsentinel import data as data_mod
 from evsentinel.data import (
@@ -656,3 +659,204 @@ def test_ingest_no_source_files(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataError):
         ingest_cert(tmp_path / "empty")
+
+
+# -- CERT dates and rows against the strptime / DictReader oracles ---------------
+
+
+def strptime_cert_date(text):
+    """The strptime parse ingest_cert once made of every CERT date (the oracle)."""
+    return datetime.strptime(text, "%m/%d/%Y %H:%M:%S").replace(tzinfo=timezone.utc).timestamp()
+
+
+def oracle_ingest_cert(directory):
+    """The csv.DictReader loop ingest_cert once ran, dates parsed by strptime (the oracle)."""
+    columns = [[] for _ in range(8)]
+    malformed = 0
+    for filename in data_mod.CERT_SOURCES:
+        if not (directory / filename).exists():
+            continue
+        with open(directory / filename, newline="") as fh:
+            for row in csv.DictReader(fh):
+                try:
+                    ts = strptime_cert_date(row["date"])
+                    if not row["user"]:
+                        raise ValueError("empty user")
+                    size = row.get("size") if filename == "email.csv" else None
+                    nbytes = data_mod._parse_bytes(size) if size else math.nan
+                except (KeyError, ValueError, TypeError, DataError):
+                    malformed += 1
+                    continue
+                kind, mode, external = data_mod.CERT_SOURCES[filename], -1, -1
+                activity = (row.get("activity") or "").strip().lower()
+                if filename == "logon.csv" and activity == "logoff":
+                    kind = "logoff"
+                if filename == "file.csv":
+                    written = any(w in activity for w in ("write", "copy", "delete")) or \
+                        (row.get("to_removable_media") or "").lower() == "true"
+                    mode = MODES.index("write" if written else "read")
+                if filename == "email.csv":
+                    external = int(any(addr and "@dtaa.com" not in addr
+                                       for addr in (row.get("to") or "").split(";")))
+                values = (row["user"], ts, EVENT_KINDS.index(kind), row.get("pc") or None,
+                          None, nbytes, mode, external)
+                for column, value in zip(columns, values):
+                    column.append(value)
+    user, ts, kind, host, cmd, *rest = columns
+    every = np.arange(len(user))
+    events = EventTable(user, host, cmd, every, ts, kind, every, every, *rest)
+    return events.take(np.lexsort((events.user, events.timestamp))), malformed
+
+
+def assert_tables_identical(table, expected):
+    assert (table.users, table.hosts, table.commands) == \
+        (expected.users, expected.hosts, expected.commands)
+    for name in ("user", "timestamp", "kind", "host", "cmd", "bytes", "mode", "external"):
+        column, want = getattr(table, name), getattr(expected, name)
+        assert column.dtype == want.dtype and column.tobytes() == want.tobytes(), name
+
+
+def date_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+TWO_DIGITS = st.integers(0, 99).map("{:02d}".format)
+FIXED_WIDTH_DATES = st.builds("{}/{}/{} {}:{}:{}".format, TWO_DIGITS, TWO_DIGITS,
+                              st.integers(0, 9999).map("{:04d}".format),
+                              TWO_DIGITS, TWO_DIGITS, TWO_DIGITS)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(
+    FIXED_WIDTH_DATES,
+    st.builds(str.__add__, FIXED_WIDTH_DATES, st.text(min_size=1)),  # trailing junk
+    st.text(alphabet="0123456789/: \t\u0663\uff11", max_size=22),  # near-forms
+    st.text(max_size=22)))
+@example("02/29/1900 00:00:00")  # 1900 is no leap year
+@example("02/29/2000 12:00:00")
+@example("02/29/2004 23:59:59")
+@example("04/31/2010 10:00:00")
+@example("01/02/2010 10:00:60")
+@example("01/02/2010 10:00:61")
+@example("00/02/2010 10:00:00")
+@example("13/02/2010 10:00:00")
+@example("01/00/2010 10:00:00")
+@example("01/02/0000 10:00:00")
+@example("01/02/2010 24:00:00")
+@example("01/02/2010 10:60:00")
+@example("01/01/0001 00:00:00")
+@example("12/31/9999 23:59:59")
+@example("1/2/2010 7:05:09")  # strptime accepts unpadded fields
+@example("1/02/2010 07:05:09")
+@example("01/ 2/2010 07:05:09")
+@example("01/02/2010  07:05:09")  # and a run of whitespace
+@example("01/02/2010\t07:05:09")
+@example("\uff10\uff11/02/2010 07:05:09")  # and non-ASCII digits
+@example("01/02/\u0662\u0660\u0661\u0660 07:05:09")
+@example("01/02/2010 07:05:09 ")
+@example("01/02/2010 07:05:09\n")
+@example("01/02/2010 07:05:09x")
+@example("")
+def test_cert_date_matches_strptime(text):
+    assert date_or_error(data_mod._parse_cert_date, text) == \
+        date_or_error(strptime_cert_date, text)
+
+
+def test_fixed_width_cert_dates_skip_strptime(tmp_path, monkeypatch):
+    calls = []
+    fallback = data_mod._strptime_cert_date
+    monkeypatch.setattr(data_mod, "_strptime_cert_date",
+                        lambda text: calls.append(text) or fallback(text))
+    write_cert_fixture(tmp_path / "cert", device=True, file_=True)
+    (tmp_path / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="1"))
+    records, malformed = ingest_cert(tmp_path / "cert")
+    assert (len(records), malformed, calls) == (12, 0, [])
+    assert data_mod._parse_cert_date("1/2/2010 7:05:09") == \
+        strptime_cert_date("01/02/2010 07:05:09")
+    assert calls == ["1/2/2010 7:05:09"]  # the counter sees the fallback
+
+
+LOGON_HEADER = "id,date,user,pc,activity\n"
+
+CERT_EDGE_CASES = {
+    "short-rows": {
+        "logon.csv": LOGON_HEADER + "a,01/02/2010 07:00:00,ACM2278,PC-1,Logon\n"
+        "b,01/02/2010 08:00:00,ACM2278\nc,01/02/2010 09:00:00\nd\n",
+        "file.csv": "id,date,user,pc,filename,activity,to_removable_media\n"
+        "f1,01/02/2010 11:00:00,ACM2278,PC-1,doc.pdf,File Write\n"
+        "f2,01/02/2010 11:05:00,ACM2278,PC-1,doc.pdf\n",
+        "email.csv": "id,date,user,pc,to,size\ne1,01/02/2010 12:00:00,ACM2278,PC-1\n"
+        "e2,01/02/2010 12:05:00,ACM2278,PC-1,x@y.org\n"},
+    "blank-lines": {
+        "logon.csv": LOGON_HEADER + "\na,01/02/2010 07:00:00,ACM2278,PC-1,Logon\n\n\n"
+        "b,01/02/2010 08:00:00,CDE1846,PC-2,Logoff\n\n",
+        "device.csv": "\nid,date,user,pc,activity\nd1,01/02/2010 10:00:00,ACM2278,PC-1,Connect\n"},
+    "extra-trailing-fields": {
+        "logon.csv": LOGON_HEADER + "a,01/02/2010 07:00:00,ACM2278,PC-1,Logon,x,y\n"
+        "b,01/02/2010 08:00:00,CDE1846,PC-2,Logoff,\n",
+        "email.csv": "id,date,user,pc,to,size\n"
+        "e1,01/02/2010 12:00:00,ACM2278,PC-1,x@dtaa.com,99,big,a@b.org\n"},
+    "repeated-user-header": {
+        "logon.csv": "id,date,user,pc,user,activity\n"
+        "a,01/02/2010 07:00:00,FIRST1,PC-1,LAST1,Logon\n"
+        "b,01/02/2010 08:00:00,FIRST2,PC-2,,Logoff\n"
+        "c,01/02/2010 09:00:00,FIRST3,PC-3\n"
+        "d,01/02/2010 10:00:00,,PC-4,LAST4,Logoff\n"},
+    "logon-without-date": {
+        "logon.csv": "id,user,pc,activity\na,ACM2278,PC-1,Logon\nb,CDE1846,PC-2,Logoff\n",
+        "http.csv": "id,date,user,pc,url\nh1,01/02/2010 13:00:00,ACM2278,PC-1,http://a/b\n"},
+    "email-without-size": {
+        "email.csv": "id,date,user,pc,to,cc\n"
+        "e1,01/02/2010 12:00:00,ACM2278,PC-1,x@dtaa.com;y@z.org,\n"
+        "e2,01/02/2010 12:05:00,ACM2278,PC-1,x@dtaa.com,\n"},
+    "quoted-fields": {
+        "email.csv": 'id,date,user,pc,to,size\n'
+        'e1,01/02/2010 12:00:00,ACM2278,"PC-1,2","x@dtaa.com;\ny@z.org",7\n'
+        'e2,"01/02/2010 12:05:00",ACM2278,PC-1,x@dtaa.com,"8"\n'},
+    "loose-dates": {
+        "logon.csv": LOGON_HEADER + "a,1/2/2010 7:00:00,ACM2278,PC-1,Logon\n"
+        "b,01/02/2010  08:00:00,ACM2278,PC-1,Logoff\nc,02/29/2010 08:00:00,ACM2278,PC-1,Logon\n"
+        "d,01/02/2010 08:00:60,ACM2278,PC-1,Logon\ne,01/02/2010 08:00:00 ,ACM2278,PC-1,Logon\n"},
+}
+
+
+@pytest.mark.parametrize("files", CERT_EDGE_CASES.values(), ids=CERT_EDGE_CASES.keys())
+def test_ingest_cert_matches_dictreader_oracle(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    table, malformed = ingest_cert(tmp_path)
+    expected, expected_malformed = oracle_ingest_cert(tmp_path)
+    assert malformed == expected_malformed
+    assert_tables_identical(table, expected)
+
+
+def test_ingest_cert_matches_dictreader_oracle_on_generated_events(tmp_path):
+    """Every event of a generated corpus written as CERT rows, malformed ones mixed in."""
+    events = events_of(generate(12, 0.5, SeededRng(5), t_len=6, window_duration=86400.0,
+                                start_time=1.26e9).records)
+    sources = {"logon": "logon.csv", "logoff": "logon.csv", "removable-device": "device.csv",
+               "file-access": "file.csv", "email": "email.csv", "http": "http.csv"}
+    rows = {name: ["id,date,user,pc,activity,to_removable_media,to,size"]
+            for name in set(sources.values())}
+    for n, e in enumerate(events):
+        if e.kind not in sources:
+            continue
+        date = datetime.fromtimestamp(math.floor(e.timestamp), timezone.utc)
+        a = e.attributes
+        user = "" if n % 97 == 0 else e.user
+        rows[sources[e.kind]].append(",".join([
+            f"r{n}", "13/45/2010 99:99:99" if n % 89 == 0 else date.strftime("%m/%d/%Y %H:%M:%S"),
+            user, a.get("host", ""), "Logoff" if e.kind == "logoff" else
+            "File Write" if a.get("mode") == "write" else "Logon",
+            "True" if n % 5 == 0 else "False",
+            "x@y.org" if a.get("external") == "1" else "x@dtaa.com", a.get("bytes", "")]))
+    for name, lines in rows.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    table, malformed = ingest_cert(tmp_path)
+    expected, expected_malformed = oracle_ingest_cert(tmp_path)
+    assert malformed == expected_malformed > 0
+    assert len(table) > 1000
+    assert_tables_identical(table, expected)
