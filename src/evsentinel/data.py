@@ -790,7 +790,8 @@ def load_raw_log(path: Path | str) -> EventTable:
     are dropped.  A missing column or a row that does not parse (an
     unknown kind, a timestamp that is not a finite number, a bytes value
     that is not a finite number >= 0) is a DataError naming the file and
-    line; so is one user's records going back in time, naming the user.
+    line; so is one user's records going back in time, naming the user,
+    and a file with no event rows, naming the file.
     """
     columns = [[] for _ in _COLUMNS]
     with open(path, newline="") as fh:
@@ -817,6 +818,8 @@ def load_raw_log(path: Path | str) -> EventTable:
                       int(attrs["external"] == "1") if "external" in attrs else -1)
             for column, value in zip(columns, values):
                 column.append(value)
+    if not columns[0]:
+        raise DataError(f"{path}: no event rows")
     events = _parsed(columns)
     # per user, no timestamp may fall below the one before it
     order = np.argsort(events.user, kind="stable")

@@ -1,14 +1,15 @@
 """Real-time per-user detection over window streams.
 
 Each user's standardized windows run through the GRU as one continuous
-per-user sequence, warm-started on the user's first window: the encoder
-sees the first window repeated for a training length, then every window
-in order, all in one call, and the final-layer state at each real window
-is that window's embedding (the trailing sequence is never re-encoded
-per window).  The engine assesses each embedding through the evidential
-head and updates the user's EWMA baseline.  Drift is the Euclidean
-distance between the new embedding and the baseline, the anomaly score
-is uncertainty times drift, and an alert fires when either strict
+sequence, warm-started on the user's first window: the encoder sees the
+first window repeated for a training length, then every window in order,
+and the final-layer state at each real window is that window's embedding
+(the trailing sequence is never re-encoded per window).  Users are
+encoded BLOCK_USERS at a time, each block one encoder call and one head
+product.  The engine assesses each embedding's concentrations and
+updates the user's EWMA baseline.  Drift is the Euclidean distance
+between the new embedding and the baseline, the anomaly score is
+uncertainty times drift, and an alert fires when either strict
 threshold is crossed:
 
     d = ||z - baseline_prev||        (drift)
@@ -16,8 +17,10 @@ threshold is crossed:
     s = u * d
     alert  iff  u > tau_u  or  d > tau_d
 
-Users are fully isolated: each user is a separate encoder call, so
-interleaving streams cannot change any per-user output.
+Users are fully isolated: a block always has BLOCK_USERS rows, and the
+state at step t depends only on a row's own inputs up to t, so which
+other users share a block, or how long their histories are, cannot
+change any per-user output.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Corpus, EventTable, window_series
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .model import LatentEmbedding, encode_states, head
-from .evidential import DirichletAssessment
+from .evidential import DirichletAssessment, assess
 from .training import Checkpoint
 
 
@@ -163,6 +166,10 @@ def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
         if source.t_len != checkpoint.config.t_len:
             raise ConfigError(
                 f"corpus t_len {source.t_len} != checkpoint t_len {checkpoint.config.t_len}")
+        if source.window_duration != checkpoint.window_duration:
+            raise ConfigError(
+                f"corpus window_duration {source.window_duration:g} s != checkpoint "
+                f"window_duration {checkpoint.window_duration:g} s")
         out = {}
         for seq in source.sequences:
             feats = seq.features[seq.n_pad:]
@@ -175,56 +182,82 @@ def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
     return window_series(source, checkpoint.window_duration)
 
 
-def stream_embeddings(encoder, windows: np.ndarray, warm_steps: int) -> np.ndarray:
-    """Per-window embeddings of one user's (W, d) standardized windows.
+# Users per encoder block.  A block is always this many rows, zero rows
+# filling a short one, because a row's arithmetic must not depend on the
+# other rows.  With OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU a one-row
+# product takes another kernel (gemv) than a multi-row one: a row of
+# (1, 64) @ (64, 128) differs from the same row inside a 32-row product in
+# its last bits (by 7.1e-15 for standard-normal inputs), while products of
+# 2 to 3,200 rows, and input GEMMs of 2 to 1,280 rows, agree bit for bit.
+# A fixed height gives every user the same arithmetic whoever else is in
+# the input; test_block_rows_do_not_depend_on_the_other_rows fails on a
+# BLAS where that does not hold.
+BLOCK_USERS = 32
 
-    The stream is warm-started by prefixing the user's first window
-    warm_steps times, as if the user had always produced it, so the first
-    embedding is already near that behavior's fixed point and drift
-    measures behavioral change rather than the encoder's cold-start ramp.
-    The prefix and the windows are encoded as one (1, warm_steps + W, d)
-    sequence, and the last-layer states from index warm_steps on are the
-    embeddings.  Re-encoding a sliding padded sequence per window is
-    deliberately avoided: consecutive re-encodes start from minutely
-    different states, and a trained recurrence amplifies those
+
+def stream_embeddings(encoder, streams: list[np.ndarray], warm_steps: int) -> np.ndarray:
+    """Per-window embeddings of up to BLOCK_USERS users' standardized windows.
+
+    streams holds each user's (W_i, d) windows.  Each stream is
+    warm-started by prefixing the user's first window warm_steps times,
+    as if the user had always produced it, so the first embedding is
+    already near that behavior's fixed point and drift measures
+    behavioral change rather than the encoder's cold-start ramp.  The
+    streams are encoded as one (BLOCK_USERS, warm_steps + W_max, d) stack:
+    zero rows fill a short block and zero windows the end of a short
+    stream.  Returns the (BLOCK_USERS, W_max, k) last-layer states from
+    index warm_steps on; row i's first W_i are stream i's embeddings, and
+    the padding after them cannot reach them, as the state at step t
+    depends only on steps up to t.  Re-encoding a sliding padded sequence
+    per window is deliberately avoided: consecutive re-encodes start from
+    minutely different states, and a trained recurrence amplifies those
     differences chaotically into spurious drift.
     """
-    prefix = np.repeat(windows[:1], warm_steps, axis=0)
-    sequence = np.concatenate([prefix, windows])[None]
-    return encode_states(encoder, sequence)[0, warm_steps:]
+    if not 0 < len(streams) <= BLOCK_USERS:
+        raise ContractError(f"a block holds 1 to {BLOCK_USERS} streams, got {len(streams)}")
+    w_max = max(len(windows) for windows in streams)
+    block = np.zeros((BLOCK_USERS, warm_steps + w_max, streams[0].shape[1]))
+    for i, windows in enumerate(streams):
+        block[i, :warm_steps] = windows[0]
+        block[i, warm_steps:warm_steps + len(windows)] = windows
+    return encode_states(encoder, block)[:, warm_steps:]
 
 
 def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
                   config: DetectorConfig) -> DetectionResult:
     """Run the full detection loop over a corpus or an event table.
 
-    Each user's standardized windows are encoded by stream_embeddings,
-    warm-started on that user's first window; every window yields an
-    embedding, an assessment, and an EWMA update.  Emits one WindowScore
-    per (user, window) and an Alert whenever the rule fires.  Users are
-    processed independently in sorted order.
+    Users' standardized windows are encoded by stream_embeddings, one
+    block of BLOCK_USERS users at a time in sorted order, and each block's
+    concentrations are one head product.  Every window then yields an
+    assessment and an EWMA update through observe.  Emits one WindowScore
+    per (user, window) and an Alert whenever the rule fires.
     """
     series = _user_window_series(checkpoint, source)
-    warm_steps = checkpoint.config.t_len
+    users = sorted(series)
 
     scores: list[WindowScore] = []
     alerts: list[Alert] = []
-    for user in sorted(series):
-        feats, ends = series[user]
-        windows = checkpoint.scaler.transform(feats)
-        embeddings = stream_embeddings(checkpoint.encoder, windows, warm_steps)
-        state = None
-        for w, values in enumerate(embeddings):
-            z = LatentEmbedding(values=values, user=user, window_end=float(ends[w]))
-            assessment = head(checkpoint.head, values)
-            state, score, alert = observe(state, z, assessment, config)
-            if alert is not None:
-                alerts.append(alert)
-            scores.append(WindowScore(
-                user=user, window_end=float(ends[w]), u=assessment.uncertainty,
-                d=state.last_drift, s=score, alert=alert is not None,
-                trigger=alert.triggered_by if alert else "",
-                cluster=assessment.argmax_cluster()))
+    for lo in range(0, len(users), BLOCK_USERS):
+        block = users[lo:lo + BLOCK_USERS]
+        states = stream_embeddings(
+            checkpoint.encoder, [checkpoint.scaler.transform(series[u][0]) for u in block],
+            checkpoint.config.t_len)
+        n, w_max, k = states.shape
+        alphas = head(checkpoint.head, states.reshape(n * w_max, k)).reshape(n, w_max, -1)
+        for user, embeddings, alpha in zip(block, states, alphas):
+            state = None
+            for w, end in enumerate(series[user][1]):
+                z = LatentEmbedding(values=embeddings[w], user=user, window_end=float(end))
+                assessment = assess(alpha[w])
+                state, score, alert = observe(state, z, assessment, config)
+                if alert is not None:
+                    alerts.append(alert)
+                scores.append(WindowScore(
+                    user=user, window_end=float(end), u=assessment.uncertainty,
+                    d=state.last_drift, s=score, alert=alert is not None,
+                    trigger=alert.triggered_by if alert else "",
+                    cluster=assessment.argmax_cluster()))
     return DetectionResult(window_scores=scores, alerts=alerts)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .evidential import DirichletAssessment, alpha_from_raw, assess
+from .evidential import alpha_from_raw
 from .numerics import Node, SeededRng, Tape
 from .numerics.autodiff import sigmoid
 
@@ -266,14 +266,14 @@ def encode_batch(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     return encode_states(params, features)[:, -1]
 
 
-def head(params: EvidentialHeadParams, z) -> DirichletAssessment:
-    """Map an embedding to Dirichlet concentrations (all > 1)."""
-    values = z.values if isinstance(z, LatentEmbedding) else np.asarray(z, dtype=np.float64)
-    if values.shape != (params.w.shape[0],):
+def head(params: EvidentialHeadParams, z) -> np.ndarray:
+    """Map an (n, k) stack of embeddings to (n, K) Dirichlet concentrations
+    (all > 1), one row per embedding, in one product."""
+    values = np.asarray(z, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != params.w.shape[0]:
         raise ShapeError(
-            f"embedding length {values.shape} != head input width {params.w.shape[0]}")
-    raw = values @ params.w + params.b
-    return assess(alpha_from_raw(raw))
+            f"embeddings of shape {values.shape} do not fit head input width {params.w.shape[0]}")
+    return alpha_from_raw(values @ params.w + params.b)
 
 
 # -- taped (training) forward -------------------------------------------------

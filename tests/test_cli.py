@@ -177,6 +177,19 @@ def test_detect_mismatched_checkpoint_is_config_error(small_run, tmp_path):
     assert rc == EXIT_CONFIG
 
 
+def test_detect_window_duration_mismatch_is_config_error(small_run, tmp_path, capsys):
+    daily = tmp_path / "daily"  # small_run's checkpoint has 3600 s windows
+    assert main(["gen", "--population", "6", "--insider-fraction", "0.0",
+                 "--t-len", "16", "--window-duration", "86400", "--seed", "4",
+                 "--out", str(daily)]) == 0
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(daily), "--seed", "4", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "window_duration 86400 s != checkpoint window_duration 3600 s" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_outputs_parse_and_recompute(small_run):
     report = small_run["report"]
     for name in ("metrics.json", "roc.csv", "scores.csv", "projection.csv",
@@ -241,6 +254,21 @@ def test_malformed_raw_log_is_data_error(small_run, tmp_path, capsys, text, line
     err = capsys.readouterr().err
     assert f"{log}, line {line}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["user,timestamp,kind,attributes\n",
+                                  "user,timestamp,kind,attributes\n\n\n"],
+                         ids=["header-only", "blank-lines"])
+def test_raw_log_without_events_is_data_error(small_run, tmp_path, capsys, text):
+    log = tmp_path / "events.csv"
+    log.write_text(text)
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(log), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{log}: no event rows" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_of_order_raw_log_is_data_error(small_run, tmp_path, capsys):

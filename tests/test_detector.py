@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from evsentinel.data import FeatureScaler, generate, load_raw_log, save_corpus
 from evsentinel.detector import (
+    BLOCK_USERS,
     Alert,
     DetectorConfig,
     UserState,
@@ -200,21 +203,44 @@ def test_detect_stream_over_corpus_replays_identically(tmp_path):
     assert read_scores_csv(tmp_path / "a.csv") == r1.window_scores
 
 
-def test_per_user_isolation_under_interleaving():
-    corpus = generate(4, 0.0, SeededRng(43), t_len=10, window_duration=3600.0)
+def isolation_input(case):
+    """A detector input and, per user, the same input holding that user alone."""
+    n_users = {"lone": 1, "four-users": 4, "full-block": BLOCK_USERS}.get(case, BLOCK_USERS + 8)
+    corpus = generate(n_users, 0.0, SeededRng(43), t_len=10, window_duration=3600.0)
+    if case == "raw-log-gaps":
+        # users start 0-3 windows late, and every third has no events in windows 4-5
+        events = corpus.records
+        window, user = events.timestamp // 3600.0, events.user
+        kept = (window >= user % 4) & ~((user % 3 == 0) & (window >= 4) & (window < 6))
+        events = events.take(np.flatnonzero(kept))
+        return corpus.sequences, events, {
+            name: events.take(np.flatnonzero(events.user == i))
+            for i, name in enumerate(events.users)}
+    if case == "ragged-pads":
+        for i, seq in enumerate(corpus.sequences):
+            seq.n_pad = i % 7
+    return corpus.sequences, corpus, {
+        seq.user: replace(corpus, sequences=[seq]) for seq in corpus.sequences}
+
+
+@pytest.mark.parametrize("case", ["lone", "four-users", "full-block", "two-blocks",
+                                  "ragged-pads", "raw-log-gaps"])
+def test_per_user_isolation_under_interleaving(case):
+    sequences, combined_input, solo_inputs = isolation_input(case)
     ckpt = make_checkpoint(t_len=10, window_duration=3600.0)
-    ckpt.scaler = FeatureScaler.fit(corpus.sequences)
+    ckpt.scaler = FeatureScaler.fit(sequences)
     config = DetectorConfig()
 
-    combined = detect_stream(ckpt, corpus, config)
-    for seq in corpus.sequences:
-        solo_corpus = generate(4, 0.0, SeededRng(43), t_len=10, window_duration=3600.0)
-        solo_corpus.sequences = [s for s in solo_corpus.sequences if s.user == seq.user]
-        solo = detect_stream(ckpt, solo_corpus, config)
-        combined_rows = [w for w in combined.window_scores if w.user == seq.user]
-        assert len(solo.window_scores) == len(combined_rows)
-        for a, b in zip(solo.window_scores, combined_rows):
-            assert (a.window_end, a.u, a.d, a.s, a.alert) == (b.window_end, b.u, b.d, b.s, b.alert)
+    combined = detect_stream(ckpt, combined_input, config)
+    lengths = []
+    for user, solo_input in solo_inputs.items():
+        solo = detect_stream(ckpt, solo_input, config)
+        assert solo.window_scores
+        assert solo.window_scores == [w for w in combined.window_scores if w.user == user]
+        lengths.append(len(solo.window_scores))
+    assert len(combined.window_scores) == sum(lengths)
+    if case in ("ragged-pads", "raw-log-gaps"):
+        assert len(set(lengths)) > 1
 
 
 def test_detect_stream_from_raw_records_matches_corpus_path():
@@ -243,8 +269,10 @@ def test_stream_embeddings_match_warm_started_step_oracle(n_layers):
     for w in result.window_scores:
         rows.setdefault(w.user, []).append(w)
 
-    for seq in corpus.sequences:
-        windows = ckpt.scaler.transform(seq.features[seq.n_pad:])
+    streams = [ckpt.scaler.transform(seq.features[seq.n_pad:]) for seq in corpus.sequences]
+    block = stream_embeddings(ckpt.encoder, streams, ckpt.config.t_len)
+    assert block.shape == (BLOCK_USERS, max(map(len, streams)), ckpt.config.hidden)
+    for seq, windows, got in zip(corpus.sequences, streams, block):
         # one state per layer, stepped t_len times on the first window, then
         # once per window
         hs = [np.zeros(layer.hidden) for layer in ckpt.encoder.layers]
@@ -256,11 +284,36 @@ def test_stream_embeddings_match_warm_started_step_oracle(n_layers):
             expected.append(hs[-1])
         expected = np.array(expected[ckpt.config.t_len:])
 
-        got = stream_embeddings(ckpt.encoder, windows, ckpt.config.t_len)
-        assert np.allclose(got, expected, atol=1e-12, rtol=0)
+        assert np.allclose(got[:len(windows)], expected, atol=1e-12, rtol=0)
         assert len(rows[seq.user]) == len(expected)
         for row, emb in zip(rows[seq.user], expected):
-            assert row.u == pytest.approx(head(ckpt.head, emb).uncertainty, abs=1e-12)
+            assert row.u == pytest.approx(assess(head(ckpt.head, emb[None])[0]).uncertainty,
+                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [6, 64])
+def test_block_rows_do_not_depend_on_the_other_rows(hidden):
+    # BLOCK_USERS rests on this: with a fixed block height, the BLAS gives a
+    # row the same bits whichever rows and history lengths share its block
+    rng = SeededRng(67)
+    ckpt = make_checkpoint(hidden=hidden)
+    warm = ckpt.config.t_len
+    streams = [rng.normal((w, 12)) for w in (5, 9, 1, 14)]
+    lone = stream_embeddings(ckpt.encoder, streams[2:3], warm)  # W_max 1
+    pair = stream_embeddings(ckpt.encoder, streams[:2], warm)  # W_max 9
+    full = stream_embeddings(ckpt.encoder, [streams[3], streams[1], streams[2], streams[0]] * 8,
+                             warm)  # W_max 14
+    assert full.shape == (BLOCK_USERS, 14, hidden)
+    assert np.array_equal(lone[0, :1], full[2, :1])
+    assert np.array_equal(pair[0, :5], full[3, :5])
+    assert np.array_equal(pair[1, :9], full[1, :9])
+    assert np.array_equal(full[:4], full[4:8])
+
+    def alpha(states):
+        return head(ckpt.head, states.reshape(-1, hidden)).reshape(*states.shape[:2], -1)
+
+    assert np.array_equal(alpha(lone)[0, :1], alpha(full)[2, :1])
+    assert np.array_equal(alpha(pair)[1, :9], alpha(full)[1, :9])
 
 
 def test_detect_stream_mismatched_width_fails_before_processing():

@@ -5,7 +5,7 @@ import pytest
 
 from evsentinel.detector import DetectorConfig
 from evsentinel.errors import ContractError, ShapeError
-from evsentinel.evidential import taped_evidential_loss
+from evsentinel.evidential import assess, taped_evidential_loss
 from evsentinel.model import (
     DropoutSpec,
     EncoderParams,
@@ -233,14 +233,14 @@ def test_encode_batch_matches_single_encodes(n_layers):
 
 def test_head_zero_params_gives_ln2_plus_one():
     params = EvidentialHeadParams(w=np.zeros((4, 5)), b=np.zeros(5))
-    a = head(params, np.ones(4))
+    a = assess(head(params, np.ones((1, 4)))[0])
     assert np.allclose(a.alpha, math.log(2.0) + 1.0, atol=1e-12)
 
 
 def test_init_head_starts_with_zero_bias():
     params = init_head(6, 5, SeededRng(15))
     assert np.array_equal(params.b, np.zeros(5))
-    a = head(params, np.zeros(6))
+    a = assess(head(params, np.zeros((1, 6)))[0])
     assert np.allclose(a.alpha, math.log(2.0) + 1.0, atol=1e-12)
     assert a.uncertainty == pytest.approx(1.0 / (1.0 + math.log(2.0)), abs=1e-12)
     # an untrained head is uncertain enough to alert at the default tau_u
@@ -251,14 +251,14 @@ def test_head_alpha_always_above_one():
     rng = SeededRng(15)
     params = init_head(6, 5, rng)
     for _ in range(50):
-        a = head(params, 10.0 * rng.normal((6,)))
+        a = assess(head(params, 10.0 * rng.normal((1, 6)))[0])
         assert np.all(a.alpha > 1.0)
         assert 0.0 < a.uncertainty <= 1.0
 
 
 def test_head_hand_set_two_cluster():
     params = EvidentialHeadParams(w=np.array([[2.0, -2.0]]), b=np.zeros(2))
-    a = head(params, np.array([1.0]))
+    a = assess(head(params, np.array([[1.0]]))[0])
     expected = np.array([math.log1p(math.exp(2.0)) + 1.0,
                          math.log1p(math.exp(-2.0)) + 1.0])
     assert np.allclose(a.alpha, expected, atol=1e-12)
@@ -269,7 +269,9 @@ def test_head_hand_set_two_cluster():
 def test_head_length_mismatch():
     params = init_head(6, 5, SeededRng(16))
     with pytest.raises(ShapeError):
-        head(params, np.ones(4))
+        head(params, np.ones((1, 4)))
+    with pytest.raises(ShapeError):
+        head(params, np.ones(6))  # one embedding, not a stack
 
 
 # -- gradients through the composed model ---------------------------------------
