@@ -29,8 +29,11 @@ Timestamps are interpreted as local time; off-hours means 00:00-06:00.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import functools
+import itertools
 import math
 import operator
 import re
@@ -223,6 +226,11 @@ class FeatureScaler:
 # -- feature extraction -------------------------------------------------------
 
 
+# the most windows one user's (W, d) feature array can hold: numpy refuses
+# an array of more than the largest intp bytes
+_MAX_WINDOWS = np.iinfo(np.intp).max // (N_FEATURES * np.dtype(np.float64).itemsize)
+
+
 def window_series(events: EventTable, window_duration: float,
                   start_time: float | None = None,
                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -231,8 +239,8 @@ def window_series(events: EventTable, window_duration: float,
     Returns {user: (features (W, d), window_end_times (W,))} in user order,
     where W covers the user's first through last active window on the
     shared grid.  Every event lands in exactly one window; bytes are summed
-    in table order.  A window index beyond int64 is a DataError naming the
-    user.
+    in table order.  A window index beyond int64, or a span of windows
+    more than one array can hold, is a DataError naming the user.
     """
     if window_duration <= 0:
         raise ContractError("window duration must be positive")
@@ -296,6 +304,9 @@ def window_series(events: EventTable, window_duration: float,
             continue  # no events
         windows = pairs[lo_b:hi_b, 1]
         lo, hi = int(windows[0]), int(windows[-1])
+        if hi - lo + 1 > _MAX_WINDOWS:
+            raise DataError(f"user {user!r}: its events span {hi - lo + 1} windows, more "
+                            f"than an array of their features can hold ({_MAX_WINDOWS})")
         feats = np.zeros((hi - lo + 1, N_FEATURES))
         feats[windows - lo] = features[lo_b:hi_b]
         out[user] = (feats, t0 + np.arange(lo + 1, hi + 2) * window_duration)
@@ -691,6 +702,10 @@ def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
 
 RAW_LOG_COLUMNS = ("user", "timestamp", "kind", "attributes")
 LABEL_COLUMNS = ("user", "label", "onset", "duration")
+# the raw-log attributes an EventTable keeps
+_ATTRIBUTES = {key: code for code, key in enumerate(("host", "cmd", "bytes", "mode", "external"))}
+# rows of a raw event CSV read, or written, at a time
+_CHUNK_ROWS = 1 << 12
 
 
 def save_corpus(corpus: Corpus, directory: Path | str) -> str:
@@ -719,33 +734,59 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
             writer.writerow([s.user, s.label,
                              "" if s.onset is None else s.onset,
                              "" if s.duration is None else s.duration])
-    events = corpus.records
-    # key=value pairs in key order; generated byte counts are integers below 2**53
-    attributes = zip(["" if math.isnan(b) else f"bytes={int(b)}" for b in events.bytes.tolist()],
-                     _labels("cmd=", events.commands, events.cmd),
-                     _labels("external=", ("0", "1"), events.external),
-                     _labels("host=", events.hosts, events.host),
-                     _labels("mode=", MODES, events.mode))
-    with open(directory / "events.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_LOG_COLUMNS)
-        writer.writerows(zip(_labels("", events.users, events.user),
-                             map(repr, events.timestamp.tolist()),
-                             _labels("", EVENT_KINDS, events.kind),
-                             (";".join(filter(None, pairs)) for pairs in attributes)))
+    _write_events_csv(corpus.records, directory / "events.csv")
     return digest
 
 
-def _labels(prefix: str, names, codes: np.ndarray) -> list[str]:
-    """prefix + names[code] for each code; "" for an absent code (-1)."""
-    return np.array([prefix + name for name in names] + [""], dtype=object)[codes].tolist()
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes one field: quoted, inner quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_events_csv(events: EventTable, path: Path) -> None:
+    """The raw event CSV of events, byte for byte as csv.writer writes it
+    one row at a time, built a column at a time for _CHUNK_ROWS rows at a
+    time.  Attributes are key=value pairs in key order; generated byte
+    counts are integers below 2**53.  Quoting is decided once per name."""
+    users = np.array([_csv_field(name) for name in events.users], dtype=object)
+    kinds = np.array(EVENT_KINDS, dtype=object)
+    # per attribute after bytes: ";key=value" by code, "" for an absent code (-1)
+    attributes = [(np.array([f";{key}={name}" for name in names] + [""], dtype=object), codes)
+                  for key, names, codes in (("cmd", events.commands, events.cmd),
+                                            ("external", ("0", "1"), events.external),
+                                            ("host", events.hosts, events.host),
+                                            ("mode", MODES, events.mode))]
+    # the names that make csv quote the whole attributes field
+    quoted = [np.array([_csv_field(name) != name for name in names] + [False])
+              for names in (events.commands, events.hosts)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(RAW_LOG_COLUMNS) + "\r\n")
+        for lo in range(0, len(events), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            nbytes = events.bytes[rows]
+            moved = ~np.isnan(nbytes)
+            text = np.full(len(nbytes), "", dtype=object)
+            text[moved] = [f";bytes={int(b)}" for b in nbytes[moved].tolist()]
+            for table, codes in attributes:
+                text += table[codes[rows]]
+            text = [pairs[1:] for pairs in text.tolist()]  # less the first ";"
+            for i in np.flatnonzero(quoted[0][events.cmd[rows]] |
+                                    quoted[1][events.host[rows]]).tolist():
+                text[i] = _csv_field(text[i])
+            fh.write("\r\n".join(map(",".join, zip(
+                users[events.user[rows]].tolist(), map(repr, events.timestamp[rows].tolist()),
+                kinds[events.kind[rows]].tolist(), text))) + "\r\n")
 
 
 def load_corpus(directory: Path | str) -> Corpus:
     """Read sequences.bin and labels.csv; events.csv is not opened.
 
     A labels.csv that lacks one of LABEL_COLUMNS, or whose onset or
-    duration is not an integer, is a DataError naming the file and line.
+    duration is not an integer, is a DataError naming the file and line;
+    so is one csv cannot read (see csv_read_errors).
     """
     directory = Path(directory)
     header, arrays, _ = read_blob(directory / "sequences.bin")
@@ -756,17 +797,19 @@ def load_corpus(directory: Path | str) -> Corpus:
     if labels_path.exists():
         with open(labels_path, newline="") as fh:
             reader = csv.DictReader(fh)
-            missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{labels_path}, line 1: "
-                                f"missing column(s) {', '.join(missing)}")
-            for row in reader:
-                try:
-                    onset = int(row["onset"]) if row["onset"] else None
-                    duration = int(row["duration"]) if row["duration"] else None
-                except ValueError as exc:
-                    raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
-                labels[row["user"]] = (row["label"], onset, duration)
+            with csv_read_errors(labels_path, reader.reader):
+                missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise DataError(f"{labels_path}, line 1: "
+                                    f"missing column(s) {', '.join(missing)}")
+                for row in reader:
+                    try:
+                        onset = int(row["onset"]) if row["onset"] else None
+                        duration = int(row["duration"]) if row["duration"] else None
+                    except ValueError as exc:
+                        raise DataError(f"{labels_path}, line {reader.line_num}: "
+                                        f"{exc}") from None
+                    labels[row["user"]] = (row["label"], onset, duration)
     sequences = []
     for i, user in enumerate(header["users"]):
         label, onset, duration = labels.get(user, ("benign", None, None))
@@ -790,37 +833,42 @@ def load_raw_log(path: Path | str) -> EventTable:
     are dropped.  A missing column or a row that does not parse (an
     unknown kind, a timestamp that is not a finite number, a bytes value
     that is not a finite number >= 0) is a DataError naming the file and
-    line; so is one user's records going back in time, naming the user,
-    and a file with no event rows, naming the file.
+    line; so are bytes that are not text and a field csv refuses (see
+    csv_read_errors).  One user's records going back in time are a
+    DataError naming the user, and a file with no event rows one naming
+    the file.
+
+    The file is read _CHUNK_ROWS rows at a time, and each chunk becomes
+    arrays a column at a time, so memory holds the table's columns and one
+    chunk of text.  Checks run as if row by row: the first bad row in the
+    file is reported, with the first check it fails in the order above.
     """
-    columns = [[] for _ in _COLUMNS]
+    parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
+    names: tuple[dict, dict, dict] = ({}, {}, {})  # user, host, cmd: name -> code
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in RAW_LOG_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-        at = [header.index(c) for c in RAW_LOG_COLUMNS]
-        for row in filter(None, reader):  # blank lines are skipped
-            user, timestamp, kind, attributes = (row[i] if i < len(row) else "" for i in at)
-            attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
-            try:
-                ts = float(timestamp)
-                if kind not in _KIND:
-                    raise DataError(f"unknown event kind {kind!r}")
-                if not math.isfinite(ts):
-                    raise DataError("timestamp must be finite")
-                nbytes = _parse_bytes(attrs["bytes"]) if "bytes" in attrs else math.nan
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-            values = (user, ts, _KIND[kind], attrs.get("host"), attrs.get("cmd"), nbytes,
-                      _MODE.get(attrs.get("mode"), -1),
-                      int(attrs["external"] == "1") if "external" in attrs else -1)
-            for column, value in zip(columns, values):
-                column.append(value)
-    if not columns[0]:
+        with csv_read_errors(path, reader):
+            header = next(reader, [])
+            missing = [c for c in RAW_LOG_COLUMNS if c not in header]
+            if missing:
+                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+            at = [header.index(c) for c in RAW_LOG_COLUMNS]
+            while True:
+                first_line, rows = reader.line_num, []
+                try:
+                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+                finally:
+                    # the rows read before csv failed come first: a bad one
+                    # among them is reported in place of csv's error
+                    for part, column in zip(parts, _raw_log_chunk(path, rows, first_line,
+                                                                  at, names)):
+                        part.append(column)
+                if len(rows) < _CHUNK_ROWS:
+                    break
+    if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no event rows")
-    events = _parsed(columns)
+    # each column's chunks are joined in turn, and freed as they are
+    events = EventTable(*map(list, names), *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
     # per user, no timestamp may fall below the one before it
     order = np.argsort(events.user, kind="stable")
     user, ts = events.user[order], events.timestamp[order]
@@ -830,6 +878,128 @@ def load_raw_log(path: Path | str) -> EventTable:
         raise DataError(f"{path}: out-of-order record for user {events.users[user[i]]!r} at "
                         f"{float(ts[i + 1])} (previous {float(ts[i])})")
     return events
+
+
+def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],
+                   names: tuple[dict, dict, dict]) -> list[np.ndarray]:
+    """The EventTable columns of a chunk of raw-log rows, read after line
+    first_line from the columns at `at`, names coded by `names` (which
+    gains the chunk's new names).  Blank rows are skipped, and a short
+    row's missing fields read "".  A bad row raises _first_bad_row's error.
+    """
+    need = max(at) + 1
+    full = rows
+    if min(map(len, rows), default=need) < need:
+        full = [row + [""] * (need - len(row)) for row in rows if row]
+    n = len(full)
+    if not n:
+        return [np.empty(0, dtype=dtype) for dtype in _COLUMNS.values()]
+    user, stamp, kind, attributes = (list(map(operator.itemgetter(i), full)) for i in at)
+    kind = np.fromiter(map(_KIND.get, kind, itertools.repeat(-1)), np.int8, n)
+    # every key=value pair of the chunk, the row it is in, and its key's code
+    pairs = [pair.partition("=") for pair in ";".join(attributes).split(";")]
+    row_of = np.repeat(np.arange(n), np.fromiter(
+        map(str.count, attributes, itertools.repeat(";")), np.intp, n) + 1)
+    key = np.fromiter(map(_ATTRIBUTES.get, map(operator.itemgetter(0), pairs),
+                          itertools.repeat(-1)), np.int8, len(pairs))
+
+    def attribute(name: str, absent, dtype, convert) -> np.ndarray:
+        """A column of absent, holding convert(values) in the rows that set
+        attribute name, values being the last one each row sets."""
+        pair = np.flatnonzero(key == _ATTRIBUTES[name])
+        row = row_of[pair]
+        last = np.diff(row, append=-1) != 0
+        column = np.full(n, absent, dtype=dtype)
+        column[row[last]] = convert([pairs[i][2] for i in pair[last].tolist()])
+        return column
+
+    try:
+        timestamp = np.fromiter(map(float, stamp), np.float64, n)
+        nbytes = attribute("bytes", np.nan, np.float64, _byte_counts)
+    except ValueError:
+        raise _first_bad_row(path, rows, first_line, at) from None
+    if not (np.isfinite(timestamp).all() and (kind >= 0).all()):
+        raise _first_bad_row(path, rows, first_line, at)
+    return [_codes(names[0], user), timestamp, kind,
+            attribute("host", -1, np.intp, functools.partial(_codes, names[1])),
+            attribute("cmd", -1, np.intp, functools.partial(_codes, names[2])),
+            nbytes,
+            attribute("mode", -1, np.int8, lambda values: [_MODE.get(v, -1) for v in values]),
+            attribute("external", -1, np.int8, lambda values: [v == "1" for v in values])]
+
+
+def _byte_counts(values: list[str]) -> np.ndarray:
+    """bytes attribute values as numbers; a ValueError unless every one is
+    a finite number, at least 0."""
+    counts = np.fromiter(map(float, values), np.float64, len(values))
+    if not (np.isfinite(counts) & (counts >= 0.0)).all():
+        raise ValueError("a bytes value is not a finite number >= 0")
+    return counts
+
+
+def _codes(index: dict, names) -> np.ndarray:
+    """The code of each name in index, which first gains the names it lacks
+    in order of arrival."""
+    for name in dict.fromkeys(names):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+
+
+def _first_bad_row(path, rows: list[list[str]], first_line: int, at: list[int]) -> DataError:
+    """The DataError of the first bad row among rows read after line
+    first_line, with the message and line the row-by-row reader gave."""
+    line = first_line
+    for row in rows:
+        # a row ends one line on, plus the line breaks inside its quoted fields
+        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+        if not row:
+            continue
+        _, stamp, kind, attributes = (row[i] if i < len(row) else "" for i in at)
+        try:
+            ts = float(stamp)
+            if kind not in _KIND:
+                raise DataError(f"unknown event kind {kind!r}")
+            if not math.isfinite(ts):
+                raise DataError("timestamp must be finite")
+            attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
+            if "bytes" in attrs:
+                _parse_bytes(attrs["bytes"])
+        except (ValueError, DataError) as exc:
+            return DataError(f"{path}, line {line}: {exc}")
+    raise AssertionError(f"{path}: no row after line {first_line} fails a check")
+
+
+@contextlib.contextmanager
+def csv_read_errors(path, reader):
+    """Turn what the csv.reader of path cannot read into a DataError naming
+    the file and line: bytes that are not text in the file's encoding, or
+    a field csv refuses, such as one over csv.field_size_limit().  A
+    DictReader's line_num lags a failed row, so pass its .reader."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}, line {_undecodable_line(path, exc.encoding)}: "
+                        f"not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+def _undecodable_line(path, encoding: str) -> int:
+    """The first line of path, counted as csv counts lines, that does not
+    decode as encoding.  The text file decodes a block ahead of the reader,
+    so the reader's own count can fall short of it."""
+    decoder = codecs.getincrementaldecoder(encoding)()
+    # latin-1 maps each byte to one character, and newline="" splits lines as
+    # csv's source does; an ASCII-compatible encoding never has \r or \n
+    # inside a character
+    with open(path, encoding="latin-1", newline="") as fh:
+        number = 0
+        for number, line in enumerate(fh, 1):
+            try:
+                decoder.decode(line.encode("latin-1"))
+            except UnicodeDecodeError:
+                return number
+    return number  # the file ends inside a character
 
 
 # -- CERT r6.2 ingestion ------------------------------------------------------
@@ -881,23 +1051,25 @@ def _parse_cert_date(text: str) -> float:
     return _strptime_cert_date(text).replace(tzinfo=timezone.utc).timestamp()
 
 
-def _cert_rows(fh, names: tuple[str, ...]):
-    """The fields named by names, from each row of a CERT CSV, as
-    csv.DictReader reads them: blank lines are skipped, a name the header repeats reads its last
-    column, a name the header lacks or a field past a short row's end reads
-    None, and fields past the header's end are ignored."""
+def _cert_rows(fh, path: Path, names: tuple[str, ...]):
+    """The fields named by names, from each row of the CERT CSV path open
+    as fh, as csv.DictReader reads them: blank lines are skipped, a name the
+    header repeats reads its last column, a name the header lacks or a field
+    past a short row's end reads None, and fields past the header's end are
+    ignored.  What csv cannot read is a DataError (see csv_read_errors)."""
     reader = csv.reader(fh)
-    header = next(reader, [])
-    width = len(header)
-    at = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
-    pick = operator.itemgetter(*(at.get(name, width) for name in names))
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
-            row = row[:width] + [None] * (width - len(row))
-        row.append(None)  # at index width: the field of every name the header lacks
-        yield pick(row)
+    with csv_read_errors(path, reader):
+        header = next(reader, [])
+        width = len(header)
+        at = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+        pick = operator.itemgetter(*(at.get(name, width) for name in names))
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                row = row[:width] + [None] * (width - len(row))
+            row.append(None)  # at index width: the field of every name the header lacks
+            yield pick(row)
 
 
 def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
@@ -920,7 +1092,8 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
         kind = _KIND[CERT_SOURCES[filename]]
         with open(directory / filename, newline="") as fh:
             for date, user, pc, activity, removable, to, size in _cert_rows(
-                    fh, ("date", "user", "pc", "activity", "to_removable_media", "to", "size")):
+                    fh, directory / filename,
+                    ("date", "user", "pc", "activity", "to_removable_media", "to", "size")):
                 try:
                     if date is None or not user:
                         raise ValueError("no date or user")

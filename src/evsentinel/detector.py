@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, EventTable, window_series
+from .data import Corpus, EventTable, csv_read_errors, window_series
 from .errors import ConfigError, ContractError, DataError
 from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment, assess
@@ -274,26 +274,29 @@ def read_scores_csv(path: Path | str) -> list[WindowScore]:
     """The window scores write_scores_csv wrote.  A missing column, a value
     that does not parse, an alert other than 0 or 1, a trigger other than
     "", uncertainty, drift or both, and a trigger set on a row without an
-    alert or missing on one with it are DataErrors naming the file and line."""
+    alert or missing on one with it are DataErrors naming the file and line,
+    as is what csv cannot read (see data.csv_read_errors)."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            try:
-                alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
-                if alert is None:
-                    raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
-                if trigger not in _TRIGGERS or (trigger != "") != alert:
-                    raise ValueError(f"trigger {trigger!r} does not fit alert {row['alert']}")
-                rows.append(WindowScore(
-                    user=row["user"], window_end=float(row["window_end"]),
-                    u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
-                    alert=alert, trigger=trigger, cluster=int(row["cluster"])))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        with csv_read_errors(path, reader.reader):
+            missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                try:
+                    alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
+                    if alert is None:
+                        raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
+                    if trigger not in _TRIGGERS or (trigger != "") != alert:
+                        raise ValueError(f"trigger {trigger!r} does not fit alert "
+                                         f"{row['alert']}")
+                    rows.append(WindowScore(
+                        user=row["user"], window_end=float(row["window_end"]),
+                        u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
+                        alert=alert, trigger=trigger, cluster=int(row["cluster"])))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 
 

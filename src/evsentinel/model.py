@@ -182,20 +182,21 @@ def _dropout_mask(rng: SeededRng, shape, p: float) -> np.ndarray:
     return keep / (1.0 - p)
 
 
-def gru_layer(layer: GruLayerParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gru_layer(layer: GruLayerParams, x: np.ndarray,
+              gates: np.ndarray | None = None) -> np.ndarray:
     """Run one GRU layer from a zero state over an (n, T, d) stack.
 
     The input projections of all steps and gates are one GEMM, hoisted out
     of the time loop (Appleyard et al. 2016); only the hidden-path
-    products stay inside it.  Returns the (n, T, k) states and the
-    (n, T, 3k) gate activations [r | z | c] that gru_layer_backward needs.
+    products stay inside it.  Returns the (n, T, k) states.  Training
+    passes an (n, T, 3k) gates buffer, which receives the gate activations
+    [r | z | c] that gru_layer_backward needs; inference passes none.
     """
     n, t_len, d = x.shape
     k = layer.hidden
     w, u_rz, b = layer.stacked()
     xw = (x.reshape(n * t_len, d) @ w).reshape(n, t_len, 3 * k)
     states = np.empty((n, t_len, k))
-    gates = np.empty((n, t_len, 3 * k))
     h = np.zeros((n, k))
     for t in range(t_len):
         rz = sigmoid(xw[:, t, :2 * k] + h @ u_rz + b[:2 * k])
@@ -203,9 +204,10 @@ def gru_layer(layer: GruLayerParams, x: np.ndarray) -> tuple[np.ndarray, np.ndar
         c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ layer.u["c"] + b[2 * k:])
         h = h - z * h + z * c
         states[:, t] = h
-        gates[:, t, :2 * k] = rz
-        gates[:, t, 2 * k:] = c
-    return states, gates
+        if gates is not None:
+            gates[:, t, :2 * k] = rz
+            gates[:, t, 2 * k:] = c
+    return states
 
 
 def gru_layer_backward(layer: GruLayerParams, x: np.ndarray, states: np.ndarray,
@@ -257,7 +259,7 @@ def encode_states(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     if x.shape[1] < 1:
         raise ContractError("sequence has no steps to encode")
     for layer in params.layers:
-        x, _ = gru_layer(layer, x)
+        x = gru_layer(layer, x)
     return x
 
 
@@ -303,7 +305,8 @@ def taped_encode(tape: Tape, pnodes: dict[str, Node], features: np.ndarray,
         if depth > 0 and dropout.active:
             mask = _dropout_mask(rng, (t_len, n, k), dropout.p).transpose(1, 0, 2)
             x = x * mask
-        states, gates = gru_layer(layer, x)
+        gates = np.empty((n, t_len, 3 * layer.hidden))
+        states = gru_layer(layer, x, gates)
         caches.append((x, states, gates, mask))
         x = states
     out = x[:, -1]

@@ -295,6 +295,55 @@ def test_window_index_beyond_int64_is_data_error(small_run, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_events_too_far_apart_are_data_error(small_run, tmp_path, capsys):
+    log = tmp_path / "events.csv"  # window index 2.8e17: an int64, but no array that long
+    log.write_text("user,timestamp,kind,attributes\nu0000,0.0,logon,\nu0000,1e21,logoff,\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(log), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"user 'u0000': its events span {int(1e21 // 3600) + 1} windows" in err
+    assert "Traceback" not in err
+
+
+# a last line csv cannot read: bytes that are not UTF-8, or a field over csv's size limit
+UNREADABLE_LINES = {"not-utf-8": (b"u0000,\xff\xfe,x\n", "not utf-8 text"),
+                    "over-field-limit": (b'u0000,"' + b"x" * 140_000 + b'"\n',
+                                         "field larger than field limit")}
+
+
+@pytest.mark.parametrize("flaw", UNREADABLE_LINES)
+@pytest.mark.parametrize("reader", ["raw-log", "cert-logon", "labels", "scores"])
+def test_unreadable_csv_is_data_error(small_run, tmp_path, capsys, reader, flaw):
+    tail, message = UNREADABLE_LINES[flaw]
+    ckpt = str(small_run["train"] / "checkpoint.ckpt")
+    if reader == "raw-log":
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"user,timestamp,kind,attributes\nu0000,3600.0,logon,\n" + tail)
+        args = ["detect", "--input", str(path)]
+    elif reader == "cert-logon":
+        path = tmp_path / "cert" / "logon.csv"
+        path.parent.mkdir()
+        path.write_bytes(b"id,date,user,pc,activity\n"
+                         b"a,01/02/2010 07:00:00,ACM2278,PC-1,Logon\n" + tail)
+        args = ["detect", "--input", str(path.parent)]
+    elif reader == "labels":
+        shutil.copytree(small_run["corpus"], tmp_path / "corpus")
+        path = tmp_path / "corpus" / "labels.csv"
+        path.write_bytes(path.read_bytes() + tail)
+        args = ["detect", "--input", str(path.parent)]
+    else:
+        path = tmp_path / "scores.csv"
+        path.write_bytes((small_run["detect"] / "scores.csv").read_bytes() + tail)
+        args = ["eval", "--scores", str(path), "--corpus", str(small_run["corpus"])]
+    rc = main(args + ["--checkpoint", ckpt, "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    last_line = path.read_bytes().count(b"\n")
+    assert f"{path}, line {last_line}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("part,key", [
     ("header", "window_duration"), ("header", "config"), ("arrays", "scaler.std"),
     ("arrays", "head.w"), ("config", "no_such_field"),

@@ -1,8 +1,13 @@
 import csv
 import hashlib
+import io
 import math
+import tempfile
+import tracemalloc
 from collections import namedtuple
 from datetime import datetime, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,6 +259,14 @@ def test_extract_features_no_records_gives_empty():
 def test_invalid_window_duration():
     with pytest.raises(ContractError):
         window_series(make_table([Event("u", 0.0, "logon")]), 0.0)
+
+
+def test_window_span_beyond_an_array_is_data_error():
+    """A user with events at 0 s and 4e23 s: numpy refuses so long an array."""
+    table = make_table([Event("v", 0.0, "logon"), Event("u", 0.0, "logon"),
+                        Event("u", 4e23, "logoff")])
+    with pytest.raises(DataError, match=f"user 'u': its events span {int(4e23 // 86400) + 1} "):
+        window_series(table, 86400.0)
 
 
 def write_raw_log(path, text):
@@ -554,6 +567,224 @@ def test_raw_log_round_trip(tmp_path):
     records = load_raw_log(tmp_path / "c" / "events.csv")
     assert len(records) == len(corpus.records) > 0
     assert events_of(records) == events_of(corpus.records)
+
+
+# -- raw-log reader and writer against the row-by-row oracles ---------------------
+
+
+def oracle_load_raw_log(path):
+    """The row-by-row loop load_raw_log once ran (the oracle)."""
+    columns = [[] for _ in range(8)]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in data_mod.RAW_LOG_COLUMNS if c not in header]
+        if missing:
+            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        at = [header.index(c) for c in data_mod.RAW_LOG_COLUMNS]
+        for row in filter(None, reader):  # blank lines are skipped
+            user, timestamp, kind, attributes = (row[i] if i < len(row) else "" for i in at)
+            attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
+            try:
+                ts = float(timestamp)
+                if kind not in EVENT_KINDS:
+                    raise DataError(f"unknown event kind {kind!r}")
+                if not math.isfinite(ts):
+                    raise DataError("timestamp must be finite")
+                nbytes = data_mod._parse_bytes(attrs["bytes"]) if "bytes" in attrs else math.nan
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+            values = (user, ts, EVENT_KINDS.index(kind), attrs.get("host"), attrs.get("cmd"),
+                      nbytes, MODES.index(attrs["mode"]) if attrs.get("mode") in MODES else -1,
+                      int(attrs["external"] == "1") if "external" in attrs else -1)
+            for column, value in zip(columns, values):
+                column.append(value)
+    if not columns[0]:
+        raise DataError(f"{path}: no event rows")
+    user, ts, kind, host, cmd, *rest = columns
+    every = np.arange(len(user))
+    events = EventTable(user, host, cmd, every, ts, kind, every, every, *rest)
+    order = np.argsort(events.user, kind="stable")
+    user, ts = events.user[order], events.timestamp[order]
+    back = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
+    if back.size:
+        i = back[np.argmin(order[back + 1])]
+        raise DataError(f"{path}: out-of-order record for user {events.users[user[i]]!r} at "
+                        f"{float(ts[i + 1])} (previous {float(ts[i])})")
+    return events
+
+
+def oracle_write_events_csv(events, path):
+    """The row-by-row csv.writer loop save_corpus once ran for events.csv (the oracle)."""
+    def labels(prefix, names, codes):
+        return np.array([prefix + name for name in names] + [""], dtype=object)[codes].tolist()
+
+    attributes = zip(["" if math.isnan(b) else f"bytes={int(b)}" for b in events.bytes.tolist()],
+                     labels("cmd=", events.commands, events.cmd),
+                     labels("external=", ("0", "1"), events.external),
+                     labels("host=", events.hosts, events.host),
+                     labels("mode=", MODES, events.mode))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data_mod.RAW_LOG_COLUMNS)
+        writer.writerows(zip(labels("", events.users, events.user),
+                             map(repr, events.timestamp.tolist()),
+                             labels("", EVENT_KINDS, events.kind),
+                             (";".join(filter(None, pairs)) for pairs in attributes)))
+
+
+def table_or_error(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+    else:
+        assert_tables_identical(got, expected)
+
+
+# text with every character csv quotes, attribute separators and a NUL
+TRICKY = st.text(alphabet=st.sampled_from(list('ab,;="\r\n\x00 é')), max_size=5)
+NAMES = st.one_of(st.sampled_from(["u1", "u2", "pc1", "", "u1\x00", "a,b", 'q"t', "l\nb",
+                                   "c\r\nr", "a=b"]), TRICKY)
+WORDS = st.sampled_from(["read", "write", "append", "0", "1", "yes", "a=b"])
+GOOD_BYTES, BAD_BYTES = ["7", "1.5", "1e3", " 8 ", "0"], ["-5", "nan", "inf", "-inf", "lots", ""]
+
+
+def attribute_pairs(bad_bytes: bool):
+    """key=value pairs: kept and unknown keys, keys ending in NUL, keys
+    without "=", and bytes values that parse, or also ones that do not."""
+    return st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["host", "cmd", "mode", "external", "path",
+                                                   "host\x00", "bytes\x00", ""]),
+                  st.one_of(NAMES, WORDS)),
+        st.builds("bytes={}".format, st.sampled_from(GOOD_BYTES + BAD_BYTES * bad_bytes)),
+        st.sampled_from(["host", "cmd", "mode", "external", "foo"] + ["bytes"] * bad_bytes))
+
+
+@st.composite
+def raw_logs(draw):
+    """The text of a raw event CSV, with every kind of row the reader must
+    treat as the row-by-row reader did; about one row in six is bad, in
+    about half the files."""
+    header = list(draw(st.permutations(data_mod.RAW_LOG_COLUMNS)))
+    for name in draw(st.lists(st.sampled_from(["x", *data_mod.RAW_LOG_COLUMNS]), max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)  # a repeat: the first is used
+    first = {name: header.index(name) for name in data_mod.RAW_LOG_COLUMNS}
+    flawed = draw(st.booleans())
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"])))
+    writer.writerow(header)
+    clock = 0.0
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 9)) == 0:
+            out.write(draw(st.sampled_from(["\r\n", "\n"])))  # a blank line
+            continue
+        clock += draw(st.sampled_from([1.0, 0.5, 0.0, -0.5]))  # -0.5: maybe out of order
+        bad = flawed and draw(st.integers(0, 5)) == 0
+        values = {
+            "user": draw(st.one_of(st.sampled_from(["u1", "u2", "u3"]), NAMES)),
+            "timestamp": draw(st.sampled_from(["nan", "inf", "-inf", "x", "", " 7 ", "1e400",
+                                               "1_0"]) if bad else st.just(repr(clock))),
+            "kind": draw(st.sampled_from([*EVENT_KINDS] + ["bogus", "", "logon\x00"] * bad)),
+            "attributes": ";".join(draw(st.lists(attribute_pairs(bad), max_size=4))),
+        }
+        row = [draw(TRICKY) for _ in header]
+        for name, i in first.items():
+            row[i] = values[name]
+        # a short row (a good one keeps its timestamp and kind), or extra fields
+        shortest = 0 if bad else max(first["timestamp"], first["kind"]) + 1
+        cut = draw(st.one_of(st.just(len(row)), st.integers(shortest, len(row) + 2)))
+        row = row[:cut] if cut < len(row) else row + [draw(TRICKY) for _ in range(cut - len(row))]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_logs(), st.integers(1, 4))
+@example("user,timestamp,kind,attributes\r\nu1,1.0,logon,\r\n", 1)
+@example('user,timestamp,kind,attributes\nu1,1.0,logon,"host=a\nb\r\nc"\n'
+         "u1,2.0,logon,\nu1,3.0,logon,bytes=-1\n", 2)  # later chunk, after a quoted break
+@example('user,timestamp,kind,attributes\n"u\r1",1.0,logon,host=a;host=b;host\n', 1)
+def test_load_raw_log_matches_row_by_row_oracle(text, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(text.encode())
+        assert_same_outcome(table_or_error(load_raw_log, path),
+                            table_or_error(oracle_load_raw_log, path))
+
+
+def test_bad_row_in_a_later_chunk_reports_its_line(tmp_path):
+    """At the module's chunk size: quoted line breaks in the first chunk,
+    the bad row in the second."""
+    rows = [f'u{i % 7},{float(i)!r},logon,"host=a\nb"' if i % 1000 == 0 else
+            f"u{i % 7},{float(i)!r},file-access,bytes={i};host=pc{i % 5};mode=read"
+            for i in range(data_mod._CHUNK_ROWS + 50)]
+    bad = data_mod._CHUNK_ROWS + 40
+    rows[bad] = rows[bad].replace("bytes=", "bytes=-")
+    path = tmp_path / "events.csv"
+    path.write_text("user,timestamp,kind,attributes\n" + "\n".join(rows) + "\n")
+    message = table_or_error(load_raw_log, path)
+    assert message == table_or_error(oracle_load_raw_log, path)
+    breaks = len(range(0, bad, 1000))
+    assert message.startswith(f"{path}, line {bad + 2 + breaks}: bytes '-")  # after the header
+
+
+def test_load_raw_log_matches_oracle_on_generated_logs(tmp_path):
+    corpus = generate(16, 0.5, SeededRng(97), t_len=12, window_duration=86400.0)
+    save_corpus(corpus, tmp_path)
+    assert_tables_identical(load_raw_log(tmp_path / "events.csv"),
+                            oracle_load_raw_log(tmp_path / "events.csv"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(NAMES, min_size=1, max_size=4, unique=True),
+       st.lists(NAMES, max_size=4, unique=True), st.lists(NAMES, max_size=4, unique=True),
+       st.integers(0, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(["a,b", 'q"t'], ["c\r\nr", ";", "="], ["l\nb", "x;y=z"], 30, 4, 1)
+def test_events_csv_writer_matches_row_by_row_oracle(users, hosts, commands, n, chunk_rows,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    nbytes = np.floor(rng.uniform(0, 2.0**53, n))
+    nbytes[rng.uniform(size=n) < 0.3] = np.nan
+    table = EventTable(users, hosts, commands, rng.integers(0, len(users), n),
+                       rng.uniform(-1e9, 1e9, n), rng.integers(0, len(EVENT_KINDS), n),
+                       rng.integers(-1, len(hosts), n), rng.integers(-1, len(commands), n),
+                       nbytes, rng.integers(-1, 2, n), rng.integers(-1, 2, n))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        data_mod._write_events_csv(table, Path(tmp) / "new.csv")
+        oracle_write_events_csv(table, Path(tmp) / "old.csv")
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()
+
+
+def test_load_raw_log_peak_memory_is_below_half_the_oracles(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(3)
+    nbytes = np.floor(rng.uniform(0, 1e6, n))
+    nbytes[rng.uniform(size=n) < 0.4] = np.nan
+    table = EventTable([f"u{i:04d}" for i in range(200)], [f"pc-{i}" for i in range(300)],
+                       [f"cmd{i}" for i in range(50)], rng.integers(0, 200, n),
+                       np.sort(rng.uniform(0, 1e7, n)), rng.integers(0, len(EVENT_KINDS), n),
+                       rng.integers(-1, 300, n), rng.integers(-1, 50, n), nbytes,
+                       rng.integers(-1, 2, n), rng.integers(-1, 2, n))
+    data_mod._write_events_csv(table, tmp_path / "events.csv")
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(tmp_path / "events.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new, old = peak(load_raw_log), peak(oracle_load_raw_log)
+    assert new < old / 2, (new, old)
 
 
 # -- CERT ingestion ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from evsentinel.model import (
     GruLayerParams,
     encode_batch,
     encode_states,
+    gru_layer,
     head,
     init_encoder,
     init_head,
@@ -375,3 +376,14 @@ def test_taped_encode_tape_length_does_not_grow_with_steps():
                      DropoutSpec(p=0.3, active=True), SeededRng(24))
         lengths.append(len(tape))
     assert lengths[0] == lengths[1] == 1
+
+
+def test_gru_layer_states_do_not_depend_on_a_gates_buffer():
+    """Inference passes no gates buffer; training's buffer changes no state bit."""
+    layer = init_encoder(5, 7, 1, SeededRng(3)).layers[0]
+    x = np.random.default_rng(4).standard_normal((3, 6, 5))
+    gates = np.full((3, 6, 21), np.nan)
+    states = gru_layer(layer, x, gates)
+    assert gru_layer(layer, x).tobytes() == states.tobytes()
+    assert np.all((gates > 0) & (gates < 1) | (np.arange(21) >= 14))  # r and z are sigmoids
+    assert np.all(np.abs(gates[..., 14:]) < 1)  # c is a tanh
