@@ -36,9 +36,8 @@ import functools
 import itertools
 import math
 import operator
-import re
 from dataclasses import dataclass, field, replace
-from datetime import datetime, time, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -149,13 +148,6 @@ def _concat(tables: list[EventTable]) -> EventTable:
         merged[column] = np.where(merged[column] < 0, -1, merged[column] + offset)
         merged[names] = [name for t in tables for name in getattr(t, names)]
     return EventTable(**merged)
-
-
-def _parsed(columns: list[list]) -> EventTable:
-    """A table of columns a reader filled, holding names in user, host and cmd."""
-    user, timestamp, kind, host, cmd, *rest = columns
-    every = np.arange(len(user))
-    return EventTable(user, host, cmd, every, timestamp, kind, every, every, *rest)
 
 
 def _parse_bytes(text: str) -> float:
@@ -499,6 +491,10 @@ class Corpus:
         return [s.user for s in self.sequences]
 
 
+# hours a generated stream may span: one (hours, kinds) float64 array holds them
+_MAX_HOURS = np.iinfo(np.intp).max // (len(EVENT_KINDS) * np.dtype(np.float64).itemsize)
+
+
 def generate(population: int, insider_fraction: float, rng: SeededRng,
              t_len: int = 100, window_duration: float = DEFAULT_WINDOW_SECONDS,
              start_time: float = 0.0, intensity_scale: float = 1.0,
@@ -519,6 +515,12 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
         raise ContractError(f"t_len must be at least 1, got {t_len}")
     if not (math.isfinite(window_duration) and window_duration > 0):
         raise ContractError(f"window_duration must be finite and positive, got {window_duration}")
+    if not t_len * window_duration / 3600.0 <= _MAX_HOURS:
+        raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s "
+                            f"span more hours than one array can hold")
+    if not (math.isfinite(intensity_scale) and intensity_scale >= 0):
+        raise ContractError(f"intensity_scale must be finite and at least 0, "
+                            f"got {intensity_scale}")
 
     n_insiders = int(math.floor(insider_fraction * population))
     streams: list[EventTable] = []
@@ -1017,8 +1019,12 @@ CERT_SOURCES = {
 _INTERNAL_DOMAIN = "@dtaa.com"
 
 _CERT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
-# the form of nearly every CERT date: each field zero-padded at a fixed offset
-_FIXED_WIDTH_DATE = re.compile(r"\d\d/\d\d/\d{4} \d\d:\d\d:\d\d", re.ASCII)
+# the fixed-width form of nearly every CERT date, a 0 for each digit, and
+# the offsets of its digits and of its separators
+_FIXED_WIDTH_DATE = np.frombuffer(b"00/00/0000 00:00:00", np.uint8)
+_DATE_DIGITS = np.flatnonzero(_FIXED_WIDTH_DATE == ord("0"))
+_DATE_SEPARATORS = np.flatnonzero(_FIXED_WIDTH_DATE != ord("0"))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month, 1-12
 
 
 def _strptime_cert_date(text: str) -> datetime:
@@ -1027,57 +1033,80 @@ def _strptime_cert_date(text: str) -> datetime:
     return datetime.strptime(text, _CERT_DATE_FORMAT)
 
 
-@functools.lru_cache(maxsize=1024)
-def _cert_day(text: str) -> float:
-    """Epoch seconds of the UTC midnight that starts a day written MM/DD/YYYY
-    in ASCII digits."""
-    return datetime(int(text[6:10]), int(text[:2]), int(text[3:5]),
-                    tzinfo=timezone.utc).timestamp()
+def _cert_seconds(dates: list) -> np.ndarray:
+    """Epoch seconds of each CERT date read as UTC, exactly as strptime
+    reads it with _CERT_DATE_FORMAT; NaN for a date strptime rejects, or None.
 
-
-def _parse_cert_date(text: str) -> float:
-    """Epoch seconds of a CERT date read as UTC, exactly as strptime reads
-    it with _CERT_DATE_FORMAT; a ValueError for every string it rejects.
-
-    The fixed-width form skips strptime: its fields are sliced out, and the
-    date and time constructors reject the same out-of-range values (month
-    00 or 13, day 00 or past the month's end, year 0000, hour 24, minute 60,
-    second 60 or 61).  The day's seconds come from a bounded cache, since
-    one day starts many rows.
+    The fixed-width dates are checked and converted as one (n, 19) array of
+    ASCII bytes: digits and separators in place, month 1-12, day 1 to its
+    month's length (leap years counted), year >= 1, hour < 24, minute and
+    second < 60.  The seconds are whole numbers below 2**53 from integer day
+    arithmetic, so they equal datetime's.  Every other date, and every date
+    of a list holding None or a non-ASCII one, goes to strptime one by one.
     """
-    if _FIXED_WIDTH_DATE.fullmatch(text):
-        clock = time(int(text[11:13]), int(text[14:16]), int(text[17:]))
-        return _cert_day(text[:10]) + (clock.hour * 3600 + clock.minute * 60 + clock.second)
-    return _strptime_cert_date(text).replace(tzinfo=timezone.utc).timestamp()
+    n = len(dates)
+    seconds = np.full(n, np.nan)
+    try:
+        text = np.frombuffer("".join(dates).encode("ascii"), np.uint8)
+        lengths = np.fromiter(map(len, dates), np.intp, n)
+    except (TypeError, UnicodeEncodeError):  # a None or a non-ASCII date
+        lengths = np.zeros(n, np.intp)
+    fixed = np.flatnonzero(lengths == 19)
+    if fixed.size:
+        b = text[(np.cumsum(lengths)[fixed] - 19)[:, None] + np.arange(19)]
+        digit = b[:, _DATE_DIGITS].astype(np.int64) - ord("0")
+        month, day, hour, minute, second = (digit[:, i] * 10 + digit[:, i + 1]
+                                            for i in (0, 2, 8, 10, 12))
+        year = digit[:, 4:8] @ np.array([1000, 100, 10, 1])
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        good = ((digit >= 0) & (digit <= 9)).all(axis=1) & \
+            (b[:, _DATE_SEPARATORS] == _FIXED_WIDTH_DATE[_DATE_SEPARATORS]).all(axis=1) & \
+            (month >= 1) & (month <= 12) & (year >= 1) & (day >= 1) & \
+            (day <= _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))) & \
+            (hour < 24) & (minute < 60) & (second < 60)
+        # days since 1970-01-01 of the proleptic Gregorian date, counted
+        # from 1 March so that a leap day ends its year
+        y = year - (month <= 2)
+        era = y // 400
+        yoe = y - era * 400
+        doe = yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+        days = era * 146097 + doe - 719468
+        seconds[fixed[good]] = (days * 86400 + hour * 3600 + minute * 60 + second)[good]
+    for i in np.flatnonzero(np.isnan(seconds)).tolist():
+        with contextlib.suppress(TypeError, ValueError):
+            seconds[i] = _strptime_cert_date(dates[i]).replace(tzinfo=timezone.utc).timestamp()
+    return seconds
 
 
-def _cert_rows(fh, path: Path, names: tuple[str, ...]):
-    """The fields named by names, from each row of the CERT CSV path open
-    as fh, as csv.DictReader reads them: blank lines are skipped, a name the
-    header repeats reads its last column, a name the header lacks or a field
-    past a short row's end reads None, and fields past the header's end are
-    ignored.  What csv cannot read is a DataError (see csv_read_errors)."""
-    reader = csv.reader(fh)
-    with csv_read_errors(path, reader):
-        header = next(reader, [])
-        width = len(header)
-        at = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
-        pick = operator.itemgetter(*(at.get(name, width) for name in names))
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                row = row[:width] + [None] * (width - len(row))
-            row.append(None)  # at index width: the field of every name the header lacks
-            yield pick(row)
+def _decided(values: list, decide) -> np.ndarray:
+    """decide(value) for each of values as a bool array, called once per
+    distinct value."""
+    decision = {value: decide(value) for value in set(values)}
+    return np.fromiter(map(decision.__getitem__, values), bool, len(values))
+
+
+def _email_size(text: str) -> float:
+    """An email size; NaN unless it is a finite number, at least 0."""
+    try:
+        return _parse_bytes(text)
+    except DataError:
+        return math.nan
 
 
 def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     """Read CERT r6.2 CSVs into one EventTable, ordered by (timestamp, user).
 
-    Malformed rows (no date or one that does not parse, an empty user, an
-    email size that is not a finite number >= 0) are skipped and counted,
-    never fatal.  Returns (events, malformed_count).
+    Rows are read as csv.DictReader reads them: blank lines are skipped, a
+    name the header repeats reads its last column, a name the header lacks
+    or a field past a short row's end reads None, and fields past the
+    header's end are ignored.  What csv cannot read is a DataError (see
+    csv_read_errors).  Malformed rows (no date or one that does not parse,
+    an empty user, an email size that is not a finite number >= 0) are
+    skipped and counted, never fatal.  Returns (events, malformed_count).
+
+    Each file is read _CHUNK_ROWS rows at a time, and each chunk becomes
+    arrays a column at a time, so memory holds the table's columns and one
+    chunk of text.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -1086,41 +1115,75 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     if not sources:
         raise DataError(f"no CERT source files in {directory} "
                         f"(expected any of {', '.join(CERT_SOURCES)})")
-    users, stamps, kinds, hosts, sizes, modes, externals = ([] for _ in range(7))
+    parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
+    names: tuple[dict, dict] = ({}, {})  # user, host: name -> code
     malformed = 0
     for filename in sources:
-        kind = _KIND[CERT_SOURCES[filename]]
-        with open(directory / filename, newline="") as fh:
-            for date, user, pc, activity, removable, to, size in _cert_rows(
-                    fh, directory / filename,
-                    ("date", "user", "pc", "activity", "to_removable_media", "to", "size")):
-                try:
-                    if date is None or not user:
-                        raise ValueError("no date or user")
-                    ts = _parse_cert_date(date)
-                    nbytes = _parse_bytes(size) if size and filename == "email.csv" else math.nan
-                except (ValueError, DataError):
-                    malformed += 1
-                    continue
-                code, mode, external = kind, -1, -1
-                if filename == "logon.csv" and (activity or "").strip().lower() == "logoff":
-                    code = _KIND["logoff"]
-                elif filename == "file.csv":
-                    activity = (activity or "").strip().lower()
-                    written = any(w in activity for w in ("write", "copy", "delete")) or \
-                        (removable or "").lower() == "true"
-                    mode = _MODE["write" if written else "read"]
-                elif filename == "email.csv":
-                    external = int(any(addr and _INTERNAL_DOMAIN not in addr
-                                       for addr in (to or "").split(";")))
-                users.append(user)
-                stamps.append(ts)
-                kinds.append(code)
-                hosts.append(pc or None)
-                sizes.append(nbytes)
-                modes.append(mode)
-                externals.append(external)
-    if not users:
+        path = directory / filename
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            with csv_read_errors(path, reader):
+                header = next(reader, [])
+                at = {name: i for i, name in enumerate(header)}  # a repeat keeps its last
+                for rows in iter(lambda: list(itertools.islice(reader, _CHUNK_ROWS)), []):
+                    columns, bad = _cert_chunk(filename, rows, len(header), at, names)
+                    for part, column in zip(parts, columns):
+                        part.append(column)
+                    malformed += bad
+    if not sum(map(len, parts[0])):
         raise DataError(f"zero parseable rows in {directory}")
-    events = _parsed([users, stamps, kinds, hosts, [None] * len(users), sizes, modes, externals])
+    users, hosts = names
+    # each column's chunks are joined in turn, and freed as they are
+    events = EventTable(list(users), [host or None for host in hosts], [],
+                        *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
     return events.take(np.lexsort((events.user, events.timestamp))), malformed
+
+
+def _cert_chunk(filename: str, rows: list[list[str]], width: int, at: dict,
+                names: tuple[dict, dict]) -> tuple[list[np.ndarray], int]:
+    """The EventTable columns of the good rows among a chunk of rows of
+    the CERT file filename, and the number of malformed rows.  The file's
+    header has width names, at the columns `at` maps them to.  User and
+    host names are coded by `names`, which gains the chunk's new names; an
+    empty host is coded as "" and an absent one as None, both no host."""
+    if min(map(len, rows)) < max(width, 1):
+        rows = [row + [None] * (width - len(row)) for row in rows if row]
+    n = len(rows)
+
+    def column(name: str) -> list:
+        return list(map(operator.itemgetter(at[name]), rows)) if name in at else [None] * n
+
+    seconds = _cert_seconds(column("date"))
+    user = column("user")
+    good = ~np.isnan(seconds) & np.fromiter(map(bool, user), bool, n)
+    kind = np.full(n, _KIND[CERT_SOURCES[filename]], np.int8)
+    nbytes = np.full(n, np.nan)
+    mode, external = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
+    if filename == "logon.csv":
+        kind[_decided(column("activity"),
+                      lambda a: (a or "").strip().lower() == "logoff")] = _KIND["logoff"]
+    elif filename == "file.csv":
+        written = _decided(column("activity"), lambda a: any(
+            w in (a or "").strip().lower() for w in ("write", "copy", "delete"))) | \
+            _decided(column("to_removable_media"), lambda r: (r or "").lower() == "true")
+        mode = np.where(written, _MODE["write"], _MODE["read"]).astype(np.int8)
+    elif filename == "email.csv":
+        external = _decided(column("to"), lambda to: any(
+            addr and _INTERNAL_DOMAIN not in addr for addr in (to or "").split(";")))
+        external = external.astype(np.int8)
+        size = column("size")
+        given = np.flatnonzero(np.fromiter(map(bool, size), bool, n))
+        values = [size[i] for i in given.tolist()]
+        try:
+            counts = _byte_counts(values)
+        except ValueError:  # some are not sizes: those rows are malformed
+            counts = np.fromiter(map(_email_size, values), np.float64, len(values))
+        nbytes[given] = counts
+        good[given] &= ~np.isnan(counts)
+    keep = np.flatnonzero(good)
+    host = column("pc")
+    if keep.size < n:
+        user, host = (list(itertools.compress(c, good.tolist())) for c in (user, host))
+    return [_codes(names[0], user), seconds[keep], kind[keep], _codes(names[1], host),
+            np.full(keep.size, -1, np.intp), nbytes[keep], mode[keep], external[keep]], \
+        n - keep.size

@@ -148,6 +148,24 @@ def test_gen_out_of_range_is_config_error(tmp_path, capsys, flag, value, setting
     assert setting in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,settings", [
+    (["--intensity-scale", "nan"], ["intensity_scale"]),
+    (["--intensity-scale", "inf"], ["intensity_scale"]),
+    (["--intensity-scale", "-1"], ["intensity_scale"]),
+    # spans that fail before anything is allocated
+    (["--window-duration", "1e308", "--t-len", "3"], ["t_len", "window_duration"]),
+    (["--window-duration", "1e300", "--t-len", "3"], ["t_len", "window_duration"]),
+], ids=["intensity-nan", "intensity-inf", "intensity-negative", "span-1e308", "span-1e300"])
+@pytest.mark.parametrize("insider_fraction", ["0", "0.5"], ids=["no-insiders", "insiders"])
+def test_gen_unusable_setting_is_config_error(tmp_path, capsys, flags, settings,
+                                              insider_fraction):
+    rc = main(["gen", "--population", "2", "--insider-fraction", insider_fraction, *flags,
+               "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(setting in err for setting in settings) and "Traceback" not in err
+
+
 def test_detect_tau_u_zero_alerts_everywhere(small_run, tmp_path):
     out = tmp_path / "all_alerts"
     assert main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),

@@ -954,6 +954,14 @@ def date_or_error(parse, text):
         return ValueError
 
 
+def array_cert_date(text):
+    """The array date parser on one date: its seconds, or a ValueError for NaN."""
+    seconds = float(data_mod._cert_seconds([text])[0])
+    if math.isnan(seconds):
+        raise ValueError(f"{text!r} is not a CERT date")
+    return seconds
+
+
 TWO_DIGITS = st.integers(0, 99).map("{:02d}".format)
 FIXED_WIDTH_DATES = st.builds("{}/{}/{} {}:{}:{}".format, TWO_DIGITS, TWO_DIGITS,
                               st.integers(0, 9999).map("{:04d}".format),
@@ -992,8 +1000,33 @@ FIXED_WIDTH_DATES = st.builds("{}/{}/{} {}:{}:{}".format, TWO_DIGITS, TWO_DIGITS
 @example("01/02/2010 07:05:09x")
 @example("")
 def test_cert_date_matches_strptime(text):
-    assert date_or_error(data_mod._parse_cert_date, text) == \
-        date_or_error(strptime_cert_date, text)
+    assert date_or_error(array_cert_date, text) == date_or_error(strptime_cert_date, text)
+
+
+# fixed-width dates strptime accepts, over its whole range of years
+VALID_DATES = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda d: f"{d.month:02d}/{d.day:02d}/{d.year:04d} {d.hour:02d}:{d.minute:02d}:{d.second:02d}")
+ASCII_DATES = st.one_of(
+    VALID_DATES, FIXED_WIDTH_DATES,
+    st.builds(str.__add__, VALID_DATES, st.text(alphabet="0123456789 x\t\n", min_size=1)),
+    st.text(alphabet="0123456789/: \t", max_size=22))  # loose forms and junk
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(ASCII_DATES, max_size=12),  # every date ASCII: the array path
+    st.lists(st.one_of(ASCII_DATES, st.none(), st.text(max_size=22), st.sampled_from(
+        ["\uff10\uff11/02/2010 07:05:09", "01/02/2010 07:05:0\u0669"])), max_size=12)))
+@example(["01/02/2010 07:05:09", "1/2/2010 7:05:09", "12/31/1999 23:59:59"])  # lengths differ
+@example(["01/02/2010 07:05:09", None, "02/29/2004 23:59:59"])
+@example(["01/02/2010 07:05:09", "\uff10\uff11/02/2010 07:05:09", "13/45/2010 99:99:99"])
+@example(["01/02/2010 07:05:0", "901/02/2010 07:05:09"])  # 18 + 20 characters: 2 x 19
+@example([])
+def test_cert_dates_match_strptime_element_by_element(dates):
+    got = data_mod._cert_seconds(dates)
+    assert got.dtype == np.float64 and got.shape == (len(dates),)
+    assert [ValueError if math.isnan(s) else s for s in got.tolist()] == \
+        [ValueError if d is None else date_or_error(strptime_cert_date, d) for d in dates]
 
 
 def test_fixed_width_cert_dates_skip_strptime(tmp_path, monkeypatch):
@@ -1005,8 +1038,7 @@ def test_fixed_width_cert_dates_skip_strptime(tmp_path, monkeypatch):
     (tmp_path / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="1"))
     records, malformed = ingest_cert(tmp_path / "cert")
     assert (len(records), malformed, calls) == (12, 0, [])
-    assert data_mod._parse_cert_date("1/2/2010 7:05:09") == \
-        strptime_cert_date("01/02/2010 07:05:09")
+    assert array_cert_date("1/2/2010 7:05:09") == strptime_cert_date("01/02/2010 07:05:09")
     assert calls == ["1/2/2010 7:05:09"]  # the counter sees the fallback
 
 
@@ -1091,3 +1123,94 @@ def test_ingest_cert_matches_dictreader_oracle_on_generated_events(tmp_path):
     assert malformed == expected_malformed > 0
     assert len(table) > 1000
     assert_tables_identical(table, expected)
+
+
+CERT_COLUMNS = ["date", "user", "pc", "activity", "to_removable_media", "to", "size"]
+CERT_VALUES = {
+    "date": st.one_of(VALID_DATES, st.sampled_from(
+        ["01/02/2010 07:05:09", "1/2/2010 7:05:09", "13/45/2010 99:99:99", "02/29/2010 08:00:00",
+         "NOT-A-DATE", "", "０１/02/2010 07:05:09", "01/02/2010 07:05:09 "])),
+    "user": st.sampled_from(["ACM2278", "CDE1846", "", "a,b", "l\nb", "ACM2278 "]),
+    "pc": st.sampled_from(["PC-1", "PC-2", "", "PC-1,2", 'q"t', "c\r\nr"]),
+    "activity": st.sampled_from(["Logon", "Logoff", " logoff ", "File Write", "File Open",
+                                 "File Copy", "delete", "Connect", ""]),
+    "to_removable_media": st.sampled_from(["True", "False", "true", ""]),
+    "to": st.sampled_from(["x@dtaa.com", "x@y.org", "x@dtaa.com;\ny@z.org", "", ";"]),
+    "size": st.sampled_from(["7", "1.5", "-0", " 8 ", "1e3", "", "nan", "inf", "-inf", "-5",
+                             "big"]),
+}
+
+
+@st.composite
+def cert_directories(draw):
+    """The files of a CERT directory: each header a subset of the columns
+    ingest reads, in any order, with unread and repeated names; rows short
+    or long, blank lines, the header again as a row, quoted fields with
+    line breaks, bad dates, empty users and sizes that are not sizes."""
+    files = {}
+    for name in draw(st.lists(st.sampled_from(list(data_mod.CERT_SOURCES)), min_size=1,
+                              max_size=3, unique=True)):
+        header = draw(st.lists(st.sampled_from(CERT_COLUMNS + ["id"]), unique=True))
+        header = draw(st.permutations(header))
+        for repeat in draw(st.lists(st.sampled_from(CERT_COLUMNS), max_size=2)):
+            header.insert(draw(st.integers(0, len(header))), repeat)
+        out = io.StringIO()
+        if draw(st.integers(0, 9)) == 0:
+            out.write("\n")  # a blank line before the header
+        writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+        writer.writerow(header)
+        for _ in range(draw(st.integers(0, 12))):
+            shape = draw(st.integers(0, 9))
+            if shape == 0:
+                out.write("\n")
+            elif shape == 1:
+                writer.writerow(header)
+            else:
+                row = [draw(CERT_VALUES[c]) if c in CERT_VALUES else "x" for c in header]
+                cut = draw(st.one_of(st.just(len(row)), st.integers(1, len(row) + 2)))
+                writer.writerow(row[:cut] + ["extra"] * (cut - len(row)))
+        files[name] = out.getvalue()
+    return files
+
+
+@settings(max_examples=400, deadline=None)
+@given(cert_directories(), st.integers(1, 4))
+@example({"email.csv": "date,user,pc,to,size\n01/02/2010 12:00:00,ACM2278,PC-1,x@y.org,7\n"
+                       '01/02/2010 12:00:01,CDE1846,"PC\n2",x@dtaa.com,nan\n\n'
+                       "date,user,pc,to,size\n01/02/2010 12:00:02,,PC-3,x@y.org,-5\n"
+                       "01/02/2010 12:00:03,ACM2278\n"}, 1)
+def test_ingest_cert_matches_dictreader_oracle_across_chunks(files, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        expected, expected_malformed = oracle_ingest_cert(Path(tmp))
+        try:
+            table, malformed = ingest_cert(tmp)
+        except DataError as exc:
+            assert str(exc) == f"zero parseable rows in {tmp}" and not len(expected)
+            return
+        assert malformed == expected_malformed
+        assert_tables_identical(table, expected)
+
+
+def test_ingest_cert_peak_memory_is_below_half_the_oracles(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(11)
+    stamps = np.sort(rng.integers(1_262_304_000, 1_293_840_000, n)).astype("datetime64[s]")
+    users, hosts = rng.integers(0, 1000, n).tolist(), rng.integers(0, 1500, n).tolist()
+    rows = [f"{d[5:7]}/{d[8:10]}/{d[:4]} {d[11:]},U{u:04d},PC-{h},{('Logon', 'Logoff')[h % 2]}"
+            for d, u, h in zip(np.datetime_as_string(stamps).tolist(), users, hosts)]
+    (tmp_path / "logon.csv").write_text("date,user,pc,activity\n" + "\n".join(rows) + "\n")
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            table, malformed = read(tmp_path)
+            return tracemalloc.get_traced_memory()[1], len(table), malformed
+        finally:
+            tracemalloc.stop()
+
+    (new, rows, malformed), (old, *_) = peak(ingest_cert), peak(oracle_ingest_cert)
+    assert (rows, malformed) == (n, 0)
+    assert new < old / 2, (new, old)
