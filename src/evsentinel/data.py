@@ -515,12 +515,11 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
         raise ContractError(f"t_len must be at least 1, got {t_len}")
     if not (math.isfinite(window_duration) and window_duration > 0):
         raise ContractError(f"window_duration must be finite and positive, got {window_duration}")
-    if not t_len * window_duration / 3600.0 <= _MAX_HOURS:
+    if t_len > _MAX_HOURS or not t_len * window_duration / 3600.0 <= _MAX_HOURS:
         raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s "
                             f"span more hours than one array can hold")
     if not (math.isfinite(intensity_scale) and intensity_scale >= 0):
-        raise ContractError(f"intensity_scale must be finite and at least 0, "
-                            f"got {intensity_scale}")
+        raise ContractError(f"intensity_scale must be finite and >= 0, got {intensity_scale}")
 
     n_insiders = int(math.floor(insider_fraction * population))
     streams: list[EventTable] = []
@@ -1037,13 +1036,11 @@ def _cert_seconds(dates: list) -> np.ndarray:
     """Epoch seconds of each CERT date read as UTC, exactly as strptime
     reads it with _CERT_DATE_FORMAT; NaN for a date strptime rejects, or None.
 
-    The fixed-width dates are checked and converted as one (n, 19) array of
-    ASCII bytes: digits and separators in place, month 1-12, day 1 to its
-    month's length (leap years counted), year >= 1, hour < 24, minute and
-    second < 60.  The seconds are whole numbers below 2**53 from integer day
-    arithmetic, so they equal datetime's.  Every other date, and every date
-    of a list holding None or a non-ASCII one, goes to strptime one by one.
-    """
+    Fixed-width dates are checked as one (n, 19) array of ASCII bytes (digits
+    and separators in place, month 1-12, day within the month, leap years
+    counted, year >= 1, hour < 24, minute and second < 60), and their
+    seconds, integers below 2**53, are datetime's.  Other dates, and all of
+    a list holding None or a non-ASCII date, go to strptime one by one."""
     n = len(dates)
     seconds = np.full(n, np.nan)
     try:
@@ -1085,28 +1082,18 @@ def _decided(values: list, decide) -> np.ndarray:
     return np.fromiter(map(decision.__getitem__, values), bool, len(values))
 
 
-def _email_size(text: str) -> float:
-    """An email size; NaN unless it is a finite number, at least 0."""
-    try:
-        return _parse_bytes(text)
-    except DataError:
-        return math.nan
-
-
 def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     """Read CERT r6.2 CSVs into one EventTable, ordered by (timestamp, user).
 
     Rows are read as csv.DictReader reads them: blank lines are skipped, a
     name the header repeats reads its last column, a name the header lacks
     or a field past a short row's end reads None, and fields past the
-    header's end are ignored.  What csv cannot read is a DataError (see
+    header's end are ignored; what csv cannot read is a DataError (see
     csv_read_errors).  Malformed rows (no date or one that does not parse,
     an empty user, an email size that is not a finite number >= 0) are
     skipped and counted, never fatal.  Returns (events, malformed_count).
-
-    Each file is read _CHUNK_ROWS rows at a time, and each chunk becomes
-    arrays a column at a time, so memory holds the table's columns and one
-    chunk of text.
+    Each file is read _CHUNK_ROWS rows at a time, a column at a time, so
+    memory holds the table's columns and one chunk of text.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -1176,8 +1163,11 @@ def _cert_chunk(filename: str, rows: list[list[str]], width: int, at: dict,
         values = [size[i] for i in given.tolist()]
         try:
             counts = _byte_counts(values)
-        except ValueError:  # some are not sizes: those rows are malformed
-            counts = np.fromiter(map(_email_size, values), np.float64, len(values))
+        except ValueError:  # some are not sizes: NaN, and their rows are malformed
+            counts = np.full(len(values), np.nan)
+            for i, value in enumerate(values):
+                with contextlib.suppress(DataError):
+                    counts[i] = _parse_bytes(value)
         nbytes[given] = counts
         good[given] &= ~np.isnan(counts)
     keep = np.flatnonzero(good)

@@ -155,7 +155,9 @@ def test_gen_out_of_range_is_config_error(tmp_path, capsys, flag, value, setting
     # spans that fail before anything is allocated
     (["--window-duration", "1e308", "--t-len", "3"], ["t_len", "window_duration"]),
     (["--window-duration", "1e300", "--t-len", "3"], ["t_len", "window_duration"]),
-], ids=["intensity-nan", "intensity-inf", "intensity-negative", "span-1e308", "span-1e300"])
+    (["--t-len", str(10**400)], ["t_len", "window_duration"]),  # beyond a float
+], ids=["intensity-nan", "intensity-inf", "intensity-negative", "span-1e308", "span-1e300",
+        "span-t-len-1e400"])
 @pytest.mark.parametrize("insider_fraction", ["0", "0.5"], ids=["no-insiders", "insiders"])
 def test_gen_unusable_setting_is_config_error(tmp_path, capsys, flags, settings,
                                               insider_fraction):
