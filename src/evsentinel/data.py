@@ -1113,7 +1113,7 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
                 header = next(reader, [])
                 at = {name: i for i, name in enumerate(header)}  # a repeat keeps its last
                 for rows in iter(lambda: list(itertools.islice(reader, _CHUNK_ROWS)), []):
-                    columns, bad = _cert_chunk(filename, rows, len(header), at, names)
+                    columns, bad = _cert_chunk(filename, rows, at, names)
                     for part, column in zip(parts, columns):
                         part.append(column)
                     malformed += bad
@@ -1126,15 +1126,16 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     return events.take(np.lexsort((events.user, events.timestamp))), malformed
 
 
-def _cert_chunk(filename: str, rows: list[list[str]], width: int, at: dict,
+def _cert_chunk(filename: str, rows: list[list[str]], at: dict,
                 names: tuple[dict, dict]) -> tuple[list[np.ndarray], int]:
     """The EventTable columns of the good rows among a chunk of rows of
-    the CERT file filename, and the number of malformed rows.  The file's
-    header has width names, at the columns `at` maps them to.  User and
-    host names are coded by `names`, which gains the chunk's new names; an
-    empty host is coded as "" and an absent one as None, both no host."""
-    if min(map(len, rows)) < max(width, 1):
-        rows = [row + [None] * (width - len(row)) for row in rows if row]
+    the CERT file filename, whose header names sit at the columns `at`
+    maps them to, and the number of malformed rows.  User and host names
+    are coded by `names`, which gains the chunk's new names; an empty host
+    is coded as "" and an absent one as None, both no host."""
+    need = max(at.values(), default=0) + 1  # and at least 1, so blank rows go
+    if min(map(len, rows)) < need:
+        rows = [row + [None] * (need - len(row)) for row in rows if row]
     n = len(rows)
 
     def column(name: str) -> list:
