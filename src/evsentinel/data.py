@@ -122,9 +122,11 @@ class EventTable:
         for names, column in _NAMED:
             listed = getattr(self, names)
             distinct = sorted(set(listed) - {None})
+            setattr(self, names, distinct)
+            if listed == distinct:
+                continue  # the codes match already
             index = {name: code for code, name in enumerate(distinct)}
             recode = np.array([index.get(name, -1) for name in listed] + [-1], dtype=np.intp)
-            setattr(self, names, distinct)
             setattr(self, column, recode[getattr(self, column)])  # -1 stays -1
 
     def __len__(self) -> int:
@@ -137,6 +139,12 @@ class EventTable:
     def take(self, index: np.ndarray) -> EventTable:
         """The rows at index, in that order."""
         return replace(self, **{name: getattr(self, name)[index] for name in _COLUMNS})
+
+    def permute(self, index: np.ndarray) -> None:
+        """Put the rows in index order, in place and a column at a time, so
+        that memory holds the table, index and one more column."""
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[index])
 
 
 def _concat(tables: list[EventTable]) -> EventTable:
@@ -340,6 +348,9 @@ def _diurnal(hour: int, kind: str = "logon") -> float:
     return 0.5 + 0.5 * bump
 
 
+_DIURNAL = np.array([[_diurnal(h, kind) for kind in EVENT_KINDS] for h in range(24)])
+
+
 @dataclass
 class UserProfile:
     """Per-user benign rate parameters, sampled once and then fixed."""
@@ -403,24 +414,24 @@ def _role_of(idx: int) -> str:
 
 
 def _sample_profile(user: str, idx: int, rng: SeededRng) -> UserProfile:
+    """A user's profile from one raw(12) call: a uniform jitter per kind,
+    the host count, the command count, then the read and external shares."""
     role = _role_of(idx)
     mult = _ROLE_RATE_MULT[role]
-    rates = {}
-    for kind, base in _BASE_RATES.items():
-        jitter = 0.7 + 0.6 * rng.uniform()
-        rates[kind] = base * mult[kind] * jitter
-    h_lo, h_hi = _ROLE_HOSTS[role]
-    n_hosts = h_lo + rng.index_below(h_hi - h_lo + 1)
-    hosts = [f"pc-{idx:04d}-{j}" for j in range(n_hosts)]
-    c_lo, c_hi = _ROLE_CMDS[role]
-    n_cmds = c_lo + rng.index_below(c_hi - c_lo + 1)
-    commands = [f"cmd{(idx * 13 + j) % 200:03d}" for j in range(n_cmds)]
+    raw = rng.raw(12)
+    u = unit_floats(raw).tolist()
+    rates = {kind: base * mult[kind] * (0.7 + 0.6 * jitter)
+             for (kind, base), jitter in zip(_BASE_RATES.items(), u)}
+    (h_lo, h_hi), (c_lo, c_hi) = _ROLE_HOSTS[role], _ROLE_CMDS[role]
+    n_hosts, n_cmds = below(raw[8:10], [h_hi - h_lo + 1, c_hi - c_lo + 1]).tolist()
+    hosts = [f"pc-{idx:04d}-{j}" for j in range(h_lo + n_hosts)]
+    commands = [f"cmd{(idx * 13 + j) % 200:03d}" for j in range(c_lo + n_cmds)]
     r_lo, r_hi = _ROLE_READ_SHARE[role]
     e_lo, e_hi = _ROLE_EXTERNAL_SHARE[role]
     return UserProfile(
         user=user, day_rates=rates, hosts=hosts, commands=commands,
-        read_share=r_lo + (r_hi - r_lo) * rng.uniform(),
-        external_share=e_lo + (e_hi - e_lo) * rng.uniform(),
+        read_share=r_lo + (r_hi - r_lo) * u[10],
+        external_share=e_lo + (e_hi - e_lo) * u[11],
     )
 
 
@@ -518,6 +529,9 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
     if t_len > _MAX_HOURS or not t_len * window_duration / 3600.0 <= _MAX_HOURS:
         raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s "
                             f"span more hours than one array can hold")
+    if not math.ceil(t_len * window_duration / 3600.0) * 3600.0 / window_duration < 2.0**63:
+        raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s: "
+                            f"the window of the last hour's end is beyond an int64 index")
     if not (math.isfinite(intensity_scale) and intensity_scale >= 0):
         raise ContractError(f"intensity_scale must be finite and >= 0, got {intensity_scale}")
 
@@ -541,9 +555,10 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
             labeled.append((user, spec.scenario, spec.onset, spec.duration))
 
     records = _concat(streams)
+    del streams  # freed before the sort copies a column
     # one stable sort on (timestamp, user, kind name)
-    records = records.take(np.lexsort(
-        (_KIND_NAME_RANK[records.kind], records.user, records.timestamp)))
+    records.permute(np.lexsort((_KIND_NAME_RANK[records.kind], records.user,
+                                records.timestamp)))
     sequences = extract_features(records, window_duration, t_len, start_time=start_time)
     by_user = {s.user: s for s in sequences}
     out = []
@@ -578,10 +593,7 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
 
     hours = np.arange(total_hours)
     hod = ((start_time + hours * 3600.0) % 86400.0 // 3600.0).astype(np.int64)
-    base = np.empty((total_hours, len(EVENT_KINDS)))
-    for j, kind in enumerate(EVENT_KINDS):
-        factors = np.array([_diurnal(h, kind) for h in range(24)])
-        base[:, j] = profile.day_rates[kind] * factors[hod]
+    base = np.array([profile.day_rates[kind] for kind in EVENT_KINDS]) * _DIURNAL[hod]
     counts = benign_rng.poisson(base)
     events = _stream_events(profile, counts, hours, start_time, benign_rng, {})
 
@@ -589,12 +601,10 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
         in_attack = (hours * 3600.0 // window_duration >= spec.onset) & \
                     (hours * 3600.0 // window_duration < spec.onset + spec.duration)
         attack_hours = hours[in_attack]
-        extra = np.zeros((attack_hours.shape[0], len(EVENT_KINDS)))
-        for row, h in enumerate(attack_hours):
-            hour = int(hod[h])
-            perturbed = _scenario_rates(profile, spec, hour)
-            for j, kind in enumerate(EVENT_KINDS):
-                extra[row, j] = max(0.0, perturbed[kind] - base[h, j])
+        # the perturbed rates depend on the hour of day alone
+        table = np.array([[rates[kind] for kind in EVENT_KINDS] for rates in
+                          (_scenario_rates(profile, spec, hour) for hour in range(24))])
+        extra = np.maximum(0.0, table[hod[attack_hours]] - base[attack_hours])
         extra_counts = attack_rng.poisson(extra)
         events = _concat([events, _stream_events(profile, extra_counts, attack_hours,
                                                  start_time, attack_rng, spec.intensity)])
@@ -770,7 +780,8 @@ def _write_events_csv(events: EventTable, path: Path) -> None:
             nbytes = events.bytes[rows]
             moved = ~np.isnan(nbytes)
             text = np.full(len(nbytes), "", dtype=object)
-            text[moved] = [f";bytes={int(b)}" for b in nbytes[moved].tolist()]
+            text[moved] = list(map(";bytes={}".format,
+                                   nbytes[moved].astype(np.int64).tolist()))
             for table, codes in attributes:
                 text += table[codes[rows]]
             text = [pairs[1:] for pairs in text.tolist()]  # less the first ";"
@@ -1123,7 +1134,8 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     # each column's chunks are joined in turn, and freed as they are
     events = EventTable(list(users), [host or None for host in hosts], [],
                         *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
-    return events.take(np.lexsort((events.user, events.timestamp))), malformed
+    events.permute(np.lexsort((events.user, events.timestamp)))
+    return events, malformed
 
 
 def _cert_chunk(filename: str, rows: list[list[str]], at: dict,

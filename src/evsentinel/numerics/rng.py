@@ -20,7 +20,9 @@ in tests/test_rng.py.
 Derived quantities:
   uniform      (raw >> 11) * 2**-53, in [0, 1)
   normal       Box-Muller on uniform pairs
-  poisson      Knuth's product-of-uniforms method
+  poisson      Knuth's product-of-uniforms method; round r draws one
+               uniform per cell still live, in flat cell order, in one
+               raw() call
   index_below  the high 64 bits of raw * bound
 
 Since draw i depends on nothing but i, a caller that knows how many
@@ -139,18 +141,20 @@ class SeededRng:
         return z.reshape(shape)
 
     def poisson(self, lam) -> np.ndarray:
-        """Poisson draws for an array of rates (Knuth's method)."""
+        """Poisson draws for an array of rates (Knuth's method): a cell stays
+        live while its product of uniforms is above exp(-rate), and a rate
+        <= 0 is never live."""
         lam = np.asarray(lam, dtype=np.float64)
         flat = lam.ravel()
-        limit = np.exp(-flat)
-        prod = np.ones_like(flat)
         counts = np.zeros(flat.shape, dtype=np.int64)
-        active = flat > 0
-        while np.any(active):
-            u = self.uniform((int(active.sum()),))
-            prod[active] = prod[active] * u
-            active = active & (prod > limit)
-            counts[active] += 1
+        live = np.flatnonzero(flat > 0)
+        limit = np.exp(-flat)[live]
+        prod = np.ones(live.size)
+        while live.size:
+            prod *= unit_floats(self.raw(live.size))
+            going = prod > limit
+            live, prod, limit = live[going], prod[going], limit[going]
+            counts[live] += 1
         return counts.reshape(lam.shape)
 
     def index_below(self, bound: int) -> int:

@@ -30,13 +30,14 @@ from .errors import (
     DegenerateInputError,
     NumericError,
 )
-from .evidential import alpha_from_raw, anneal_lambda, taped_evidential_loss
+from .evidential import anneal_lambda, taped_evidential_loss
 from .model import (
     GATES,
     DropoutSpec,
     EncoderParams,
     EvidentialHeadParams,
     encode_batch,
+    head as apply_head,
     init_encoder,
     init_head,
     taped_encode,
@@ -262,9 +263,7 @@ def _adam_epoch(config: TrainConfig, params: dict[str, np.ndarray], adam: AdamSt
 def refresh_pseudo_labels(encoder: EncoderParams, head: EvidentialHeadParams,
                           features: np.ndarray) -> np.ndarray:
     """argmax expected assignment per sequence; ties go to the lowest index."""
-    z = encode_batch(encoder, features)
-    alpha = alpha_from_raw(z @ head.w + head.b)
-    return np.argmax(alpha, axis=1)
+    return np.argmax(apply_head(head, encode_batch(encoder, features)), axis=1)
 
 
 # -- warm-up -------------------------------------------------------------------

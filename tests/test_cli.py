@@ -156,8 +156,11 @@ def test_gen_out_of_range_is_config_error(tmp_path, capsys, flag, value, setting
     (["--window-duration", "1e308", "--t-len", "3"], ["t_len", "window_duration"]),
     (["--window-duration", "1e300", "--t-len", "3"], ["t_len", "window_duration"]),
     (["--t-len", str(10**400)], ["t_len", "window_duration"]),  # beyond a float
+    # one hour of events, whose windows are beyond an int64 index
+    (["--window-duration", "1e-300", "--t-len", "100"], ["t_len", "window_duration"]),
+    (["--window-duration", "1e-20", "--t-len", "3"], ["t_len", "window_duration"]),
 ], ids=["intensity-nan", "intensity-inf", "intensity-negative", "span-1e308", "span-1e300",
-        "span-t-len-1e400"])
+        "span-t-len-1e400", "windows-1e-300", "windows-1e-20"])
 @pytest.mark.parametrize("insider_fraction", ["0", "0.5"], ids=["no-insiders", "insiders"])
 def test_gen_unusable_setting_is_config_error(tmp_path, capsys, flags, settings,
                                               insider_fraction):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evsentinel.numerics import SeededRng, below, mix64
 
@@ -89,6 +92,36 @@ def test_poisson_zero_rate_and_mean():
     draws = SeededRng(17).poisson(np.full(20_000, 4.0))
     assert abs(draws.mean() - 4.0) < 0.1
     assert abs(draws.var() - 4.0) < 0.2
+
+
+def oracle_poisson(rng, lam):
+    """Knuth's method over every cell each round, live or not (the oracle)."""
+    lam = np.asarray(lam, dtype=np.float64)
+    flat = lam.ravel()
+    limit = np.exp(-flat)
+    prod = np.ones_like(flat)
+    counts = np.zeros(flat.shape, dtype=np.int64)
+    active = flat > 0
+    while np.any(active):
+        u = rng.uniform((int(active.sum()),))
+        prod[active] = prod[active] * u
+        active = active & (prod > limit)
+        counts[active] += 1
+    return counts.reshape(lam.shape)
+
+
+RATES = st.one_of(st.just(0.0), st.floats(1e-300, 1e-3), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.sampled_from([(0,), (1,), (480, 8)]), elements=RATES),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**20))
+def test_poisson_matches_knuth_oracle(lam, seed, counter):
+    rng, oracle = SeededRng(seed, 2, counter), SeededRng(seed, 2, counter)
+    got = rng.poisson(lam)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle_poisson(oracle, lam))
+    assert rng.state == oracle.state
 
 
 def test_permutation_is_permutation():
