@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -123,8 +123,6 @@ class EventTable:
             listed = getattr(self, names)
             distinct = sorted(set(listed) - {None})
             setattr(self, names, distinct)
-            if listed == distinct:
-                continue  # the codes match already
             index = {name: code for code, name in enumerate(distinct)}
             recode = np.array([index.get(name, -1) for name in listed] + [-1], dtype=np.intp)
             setattr(self, column, recode[getattr(self, column)])  # -1 stays -1
@@ -135,10 +133,6 @@ class EventTable:
     @classmethod
     def empty(cls) -> EventTable:
         return cls([], [], [], *[[]] * len(_COLUMNS))
-
-    def take(self, index: np.ndarray) -> EventTable:
-        """The rows at index, in that order."""
-        return replace(self, **{name: getattr(self, name)[index] for name in _COLUMNS})
 
     def permute(self, index: np.ndarray) -> None:
         """Put the rows in index order, in place and a column at a time, so
@@ -529,9 +523,9 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
     if t_len > _MAX_HOURS or not t_len * window_duration / 3600.0 <= _MAX_HOURS:
         raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s "
                             f"span more hours than one array can hold")
-    if not math.ceil(t_len * window_duration / 3600.0) * 3600.0 / window_duration < 2.0**63:
+    if not math.ceil(t_len * window_duration / 3600.0) * 3600.0 / window_duration < _MAX_WINDOWS:
         raise ContractError(f"t_len {t_len} windows of window_duration {window_duration} s: "
-                            f"the window of the last hour's end is beyond an int64 index")
+                            f"the hours of events span more windows than an array can hold")
     if not (math.isfinite(intensity_scale) and intensity_scale >= 0):
         raise ContractError(f"intensity_scale must be finite and >= 0, got {intensity_scale}")
 
@@ -780,8 +774,7 @@ def _write_events_csv(events: EventTable, path: Path) -> None:
             nbytes = events.bytes[rows]
             moved = ~np.isnan(nbytes)
             text = np.full(len(nbytes), "", dtype=object)
-            text[moved] = list(map(";bytes={}".format,
-                                   nbytes[moved].astype(np.int64).tolist()))
+            text[moved] = list(map(";bytes={}".format, map(int, nbytes[moved].tolist())))
             for table, codes in attributes:
                 text += table[codes[rows]]
             text = [pairs[1:] for pairs in text.tolist()]  # less the first ";"

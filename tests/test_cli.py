@@ -159,8 +159,10 @@ def test_gen_out_of_range_is_config_error(tmp_path, capsys, flag, value, setting
     # one hour of events, whose windows are beyond an int64 index
     (["--window-duration", "1e-300", "--t-len", "100"], ["t_len", "window_duration"]),
     (["--window-duration", "1e-20", "--t-len", "3"], ["t_len", "window_duration"]),
+    # one hour of events, more windows than a feature array can hold
+    (["--window-duration", "1e-15", "--t-len", "3"], ["t_len", "window_duration"]),
 ], ids=["intensity-nan", "intensity-inf", "intensity-negative", "span-1e308", "span-1e300",
-        "span-t-len-1e400", "windows-1e-300", "windows-1e-20"])
+        "span-t-len-1e400", "windows-1e-300", "windows-1e-20", "windows-1e-15"])
 @pytest.mark.parametrize("insider_fraction", ["0", "0.5"], ids=["no-insiders", "insiders"])
 def test_gen_unusable_setting_is_config_error(tmp_path, capsys, flags, settings,
                                               insider_fraction):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evsentinel.data import _COLUMNS as COLUMNS
 from evsentinel.data import FeatureScaler, generate, load_raw_log, save_corpus
 from evsentinel.detector import (
     BLOCK_USERS,
@@ -203,6 +204,11 @@ def test_detect_stream_over_corpus_replays_identically(tmp_path):
     assert read_scores_csv(tmp_path / "a.csv") == r1.window_scores
 
 
+def rows(events, kept):
+    """The rows of events where kept holds, as a new table."""
+    return replace(events, **{name: getattr(events, name)[kept] for name in COLUMNS})
+
+
 def isolation_input(case):
     """A detector input and, per user, the same input holding that user alone."""
     n_users = {"lone": 1, "four-users": 4, "full-block": BLOCK_USERS}.get(case, BLOCK_USERS + 8)
@@ -212,10 +218,9 @@ def isolation_input(case):
         events = corpus.records
         window, user = events.timestamp // 3600.0, events.user
         kept = (window >= user % 4) & ~((user % 3 == 0) & (window >= 4) & (window < 6))
-        events = events.take(np.flatnonzero(kept))
+        events = rows(events, kept)
         return corpus.sequences, events, {
-            name: events.take(np.flatnonzero(events.user == i))
-            for i, name in enumerate(events.users)}
+            name: rows(events, events.user == i) for i, name in enumerate(events.users)}
     if case == "ragged-pads":
         for i, seq in enumerate(corpus.sequences):
             seq.n_pad = i % 7
