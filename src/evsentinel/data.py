@@ -226,15 +226,16 @@ _MAX_WINDOWS = np.iinfo(np.intp).max // (N_FEATURES * np.dtype(np.float64).items
 
 
 def window_series(events: EventTable, window_duration: float,
-                  start_time: float | None = None,
+                  start_time: float | None = None, last: int | None = None,
                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-user contiguous window features spanning each user's activity.
 
     Returns {user: (features (W, d), window_end_times (W,))} in user order,
     where W covers the user's first through last active window on the
-    shared grid.  Every event lands in exactly one window; bytes are summed
-    in table order.  A window index beyond int64, or a span of windows
-    more than one array can hold, is a DataError naming the user.
+    shared grid, or only the last `last` of those windows when given.
+    Every event lands in exactly one window; bytes are summed in table
+    order.  A window index beyond int64, or a span of windows more than
+    one array can hold, is a DataError naming the user.
     """
     if window_duration <= 0:
         raise ContractError("window duration must be positive")
@@ -298,11 +299,14 @@ def window_series(events: EventTable, window_duration: float,
             continue  # no events
         windows = pairs[lo_b:hi_b, 1]
         lo, hi = int(windows[0]), int(windows[-1])
+        if last is not None and hi - lo + 1 > last:
+            lo = hi - last + 1
+            lo_b += int(np.searchsorted(windows, lo))
         if hi - lo + 1 > _MAX_WINDOWS:
             raise DataError(f"user {user!r}: its events span {hi - lo + 1} windows, more "
                             f"than an array of their features can hold ({_MAX_WINDOWS})")
         feats = np.zeros((hi - lo + 1, N_FEATURES))
-        feats[windows - lo] = features[lo_b:hi_b]
+        feats[pairs[lo_b:hi_b, 1] - lo] = features[lo_b:hi_b]
         out[user] = (feats, t0 + np.arange(lo + 1, hi + 2) * window_duration)
     return out
 
@@ -317,10 +321,11 @@ def extract_features(records: EventTable, window_duration: float,
     n_pad.  Returns sequences ordered by user id.
     """
     sequences = []
-    for user, (feats, ends) in window_series(records, window_duration, start_time).items():
-        n_pad = max(t_len - feats.shape[0], 0)
+    for user, (feats, ends) in window_series(records, window_duration, start_time,
+                                             last=t_len).items():
+        n_pad = t_len - feats.shape[0]
         sequences.append(BehaviorSequence(
-            user=user, features=np.vstack([np.zeros((n_pad, N_FEATURES)), feats[-t_len:]]),
+            user=user, features=np.vstack([np.zeros((n_pad, N_FEATURES)), feats]),
             window_duration=window_duration, window_end=float(ends[-1]), n_pad=n_pad))
     return sequences
 

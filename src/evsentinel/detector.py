@@ -6,16 +6,18 @@ first window repeated for a training length, then every window in order,
 and the final-layer state at each real window is that window's embedding
 (the trailing sequence is never re-encoded per window).  Users are
 encoded BLOCK_USERS at a time, each block one encoder call and one head
-product.  The engine assesses each embedding's concentrations and
-updates the user's EWMA baseline.  Drift is the Euclidean distance
-between the new embedding and the baseline, the anomaly score is
-uncertainty times drift, and an alert fires when either strict
-threshold is crossed:
+product.  Drift is the Euclidean distance between a window's embedding
+and the user's EWMA baseline, the anomaly score is uncertainty times
+drift, and an alert fires when either strict threshold is crossed:
 
     d = ||z - baseline_prev||        (drift)
     baseline = beta * z + (1 - beta) * baseline_prev
     s = u * d
     alert  iff  u > tau_u  or  d > tau_d
+
+A block's windows are scored as array operations (score_windows), the
+EWMA as one loop over windows, and scores.csv is written from the
+resulting columns; the bytes are those of a per-window loop.
 
 Users are fully isolated: a block always has BLOCK_USERS rows, and the
 state at step t depends only on a row's own inputs up to t, so which
@@ -27,15 +29,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, EventTable, csv_read_errors, window_series
-from .errors import ConfigError, ContractError, DataError
+from .data import Corpus, EventTable, _csv_field, csv_read_errors, window_series
+from .errors import ConfigError, ContractError, DataError, DomainError
 from .model import LatentEmbedding, encode_states, head
-from .evidential import DirichletAssessment, assess
+from .evidential import DirichletAssessment
 from .training import Checkpoint
 
 
@@ -100,37 +103,53 @@ _ALERT = {"0": False, "1": True}
 _TRIGGERS = ("", "uncertainty", "drift", "both")
 
 
+def score_windows(users: list[str], ends: list, alpha: np.ndarray, z: np.ndarray,
+                  baseline: np.ndarray | None, config: DetectorConfig):
+    """The alert rule over a block, row i the windows of users[i] that end
+    at ends[i] (later columns are padding): alpha (rows, W, K), embeddings
+    z (rows, W, k) and baseline (rows, k) before window 0, or None to seed
+    it from window 0, whose drift is then 0.  The first bad window in row
+    order is a DomainError for an alpha not positive and finite (as
+    evidential.assess raises), else a DataError for a non-finite z.
+    Returns the windows' u, d, s, trigger (an index into _TRIGGERS) and
+    cluster columns, an Alert per alert window, and the last baselines.
+    """
+    valid = np.arange(z.shape[1]) < np.array([len(e) for e in ends])[:, None]
+    bad_alpha = ~np.all((alpha > 0.0) & np.isfinite(alpha), axis=-1)
+    bad = valid & (bad_alpha | ~np.all(np.isfinite(z), axis=-1))
+    if bad.any():
+        i, w = np.argwhere(bad)[0]
+        if bad_alpha[i, w]:
+            raise DomainError("alpha entries must be positive and finite")
+        raise DataError(f"non-finite embedding for user {users[i]!r}")
+    belief = alpha.sum(axis=-1)
+    p, u = alpha / belief[..., None], alpha.shape[-1] / belief
+    d, first = np.zeros(u.shape), int(baseline is None)
+    baseline = z[:, 0].copy() if first else baseline
+    for w in range(first, z.shape[1]):
+        d[:, w] = np.sqrt(np.sum((z[:, w] - baseline) ** 2, axis=-1))
+        baseline = config.beta * z[:, w] + (1.0 - config.beta) * baseline
+    s = u * d
+    trigger = (u > config.tau_u) + 2 * (d > config.tau_d)
+    alerts = [Alert(users[i], float(ends[i][w]), float(s[i, w]), float(u[i, w]),
+                    float(d[i, w]), _TRIGGERS[trigger[i, w]], tuple(p[i, w].tolist()))
+              for i, w in np.argwhere(valid & (trigger > 0)).tolist()]
+    return [c[valid] for c in (u, d, s, trigger, np.argmax(p, axis=-1))], alerts, baseline
+
+
 def observe(state: UserState | None, z: LatentEmbedding,
             assessment: DirichletAssessment, config: DetectorConfig,
             ) -> tuple[UserState, float, Alert | None]:
-    """Fold one embedding into a user's state; maybe emit an alert.
-
-    The first window seeds the baseline and has zero drift by definition,
-    so only the uncertainty branch can fire there.  Drift is computed
-    before the EWMA update.
-    """
-    values = np.asarray(z.values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"non-finite embedding for user {z.user!r}")
-    u = assessment.uncertainty
-
-    if state is None:
-        drift = 0.0
-        baseline = values.copy()
-    else:
-        drift = float(np.sqrt(np.sum((values - state.baseline) ** 2)))
-        baseline = config.beta * values + (1.0 - config.beta) * state.baseline
-    new_state = UserState(user=z.user, baseline=baseline, last_drift=drift)
-    score = u * drift
-
-    over_u = u > config.tau_u
-    over_d = drift > config.tau_d
-    alert = None
-    if over_u or over_d:
-        trigger = "both" if (over_u and over_d) else ("uncertainty" if over_u else "drift")
-        alert = Alert(user=z.user, window_end=z.window_end, s=score, u=u,
-                      d=drift, triggered_by=trigger, p=tuple(assessment.p))
-    return new_state, score, alert
+    """Fold one embedding into a user's state; maybe emit an alert: the
+    one-window case of score_windows.  The first window (state None) seeds
+    the baseline and has zero drift, so only the uncertainty branch can
+    fire there."""
+    (_, d, s, _, _), alerts, baseline = score_windows(
+        [z.user], [[z.window_end]], assessment.alpha[None, None],
+        np.asarray(z.values, dtype=np.float64)[None, None],
+        None if state is None else state.baseline[None], config)
+    return (UserState(z.user, baseline[0], float(d[0])), float(s[0]),
+            alerts[0] if alerts else None)
 
 
 def rank_alerts(alerts) -> list[Alert]:
@@ -140,18 +159,39 @@ def rank_alerts(alerts) -> list[Alert]:
 
 @dataclass
 class DetectionResult:
-    window_scores: list[WindowScore]
+    """The scored windows as columns: the windows[i] rows of users[i], in
+    window order, follow those of users[i - 1].  trigger indexes _TRIGGERS
+    (0: no alert); alerts holds an Alert per alert row, in row order."""
+
+    users: list[str]
+    windows: np.ndarray
+    window_end: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
+    s: np.ndarray
+    trigger: np.ndarray
+    cluster: np.ndarray
     alerts: list[Alert]
 
     @property
     def windows_processed(self) -> int:
-        return len(self.window_scores)
+        return len(self.u)
 
     @property
     def mean_uncertainty(self) -> float:
-        if not self.window_scores:
-            return 0.0
-        return float(np.mean([w.u for w in self.window_scores]))
+        return float(np.mean(self.u)) if len(self.u) else 0.0
+
+    def rows(self, names: list[str]):
+        """Each row's SCORE_COLUMNS as Python values, names[i] for users[i]."""
+        return zip(np.repeat(np.array(names, dtype=object), self.windows).tolist(),
+                   self.window_end.tolist(), self.u.tolist(), self.d.tolist(),
+                   self.s.tolist(), (self.trigger > 0).tolist(),
+                   [_TRIGGERS[t] for t in self.trigger.tolist()], self.cluster.tolist())
+
+    @property
+    def window_scores(self) -> list[WindowScore]:
+        """The rows as WindowScores, built on each access."""
+        return [WindowScore(*row) for row in self.rows(self.users)]
 
 
 def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
@@ -229,53 +269,47 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
 
     Users' standardized windows are encoded by stream_embeddings, one
     block of BLOCK_USERS users at a time in sorted order, and each block's
-    concentrations are one head product.  Every window then yields an
-    assessment and an EWMA update through observe.  Emits one WindowScore
-    per (user, window) and an Alert whenever the rule fires.
+    concentrations are one head product.  score_windows then scores the
+    block's windows together.  Returns one row per (user, window) and an
+    Alert for each row where the rule fires.
     """
     series = _user_window_series(checkpoint, source)
     users = sorted(series)
-
-    scores: list[WindowScore] = []
+    # per block, its windows' end, u, d, s, trigger and cluster (an empty block first)
+    columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)] * 2]
     alerts: list[Alert] = []
     for lo in range(0, len(users), BLOCK_USERS):
         block = users[lo:lo + BLOCK_USERS]
+        ends = [series[user][1] for user in block]
         states = stream_embeddings(
             checkpoint.encoder, [checkpoint.scaler.transform(series[u][0]) for u in block],
             checkpoint.config.t_len)
         n, w_max, k = states.shape
         alphas = head(checkpoint.head, states.reshape(n * w_max, k)).reshape(n, w_max, -1)
-        for user, embeddings, alpha in zip(block, states, alphas):
-            state = None
-            for w, end in enumerate(series[user][1]):
-                z = LatentEmbedding(values=embeddings[w], user=user, window_end=float(end))
-                assessment = assess(alpha[w])
-                state, score, alert = observe(state, z, assessment, config)
-                if alert is not None:
-                    alerts.append(alert)
-                scores.append(WindowScore(
-                    user=user, window_end=float(end), u=assessment.uncertainty,
-                    d=state.last_drift, s=score, alert=alert is not None,
-                    trigger=alert.triggered_by if alert else "",
-                    cluster=assessment.argmax_cluster()))
-    return DetectionResult(window_scores=scores, alerts=alerts)
+        scored, block_alerts, _ = score_windows(
+            block, ends, alphas[:len(block)], states[:len(block)], None, config)
+        columns.append([np.concatenate(ends), *scored])
+        alerts += block_alerts
+    windows = np.array([len(series[user][1]) for user in users], dtype=np.intp)
+    return DetectionResult(users, windows, *map(np.concatenate, zip(*columns)), alerts)
 
 
 def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
+    """scores.csv from the result's columns, byte for byte as csv.writer
+    writes them: floats as repr, names quoted as csv quotes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_COLUMNS)
-        for w in result.window_scores:
-            writer.writerow([w.user, repr(w.window_end), repr(w.u), repr(w.d),
-                             repr(w.s), int(w.alert), w.trigger, w.cluster])
+        fh.write(",".join(SCORE_COLUMNS) + "\r\n")
+        fh.writelines("{},{!r},{!r},{!r},{!r},{:d},{},{:d}\r\n".format(*row)
+                      for row in result.rows([_csv_field(name) for name in result.users]))
 
 
 def read_scores_csv(path: Path | str) -> list[WindowScore]:
     """The window scores write_scores_csv wrote.  A missing column, a value
-    that does not parse, an alert other than 0 or 1, a trigger other than
-    "", uncertainty, drift or both, and a trigger set on a row without an
-    alert or missing on one with it are DataErrors naming the file and line,
-    as is what csv cannot read (see data.csv_read_errors)."""
+    that does not parse, a u outside (0, 1], a d or s that is negative or
+    not finite, an alert other than 0 or 1, a trigger other than "",
+    uncertainty, drift or both, and a trigger set on a row without an alert
+    or missing on one with it are DataErrors naming the file and line, as
+    is what csv cannot read (see data.csv_read_errors)."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -291,9 +325,14 @@ def read_scores_csv(path: Path | str) -> list[WindowScore]:
                     if trigger not in _TRIGGERS or (trigger != "") != alert:
                         raise ValueError(f"trigger {trigger!r} does not fit alert "
                                          f"{row['alert']}")
+                    u, d, s = float(row["u"]), float(row["d"]), float(row["s"])
+                    if not 0.0 < u <= 1.0:
+                        raise ValueError(f"u {row['u']!r} is not in (0, 1]")
+                    for name, value in (("d", d), ("s", s)):
+                        if not 0.0 <= value < math.inf:
+                            raise ValueError(f"{name} {row[name]!r} is negative or not finite")
                     rows.append(WindowScore(
-                        user=row["user"], window_end=float(row["window_end"]),
-                        u=float(row["u"]), d=float(row["d"]), s=float(row["s"]),
+                        user=row["user"], window_end=float(row["window_end"]), u=u, d=d, s=s,
                         alert=alert, trigger=trigger, cluster=int(row["cluster"])))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None

@@ -11,6 +11,7 @@ from evsentinel.arrayio import read_blob, write_blob
 from evsentinel.cli import (DEFAULTS, EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_NUMERIC,
                             build_parser, main)
 from evsentinel.data import generate, save_corpus
+from evsentinel.detector import SCORE_COLUMNS
 from evsentinel.numerics import SeededRng
 
 
@@ -504,6 +505,26 @@ def test_scores_csv_alert_and_trigger_are_checked(small_run, tmp_path, capsys, a
                                                   message):
     def edit(rows):
         rows[0][5:7] = [alert, trigger]
+
+    rc, scores, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
+    assert rc == EXIT_DATA
+    assert f"{scores}, line 2: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("u", "nan", "u 'nan' is not in (0, 1]"),
+    ("u", "0.0", "u '0.0' is not in (0, 1]"),
+    ("u", "1.5", "u '1.5' is not in (0, 1]"),
+    ("d", "inf", "d 'inf' is negative or not finite"),
+    ("d", "-0.5", "d '-0.5' is negative or not finite"),
+    ("s", "nan", "s 'nan' is negative or not finite"),
+    ("s", "-1e-09", "s '-1e-09' is negative or not finite"),
+], ids=["u-nan", "u-zero", "u-above-one", "d-inf", "d-negative", "s-nan", "s-negative"])
+def test_scores_csv_impossible_scores_are_checked(small_run, tmp_path, capsys, column, value,
+                                                  message):
+    def edit(rows):
+        rows[0][SCORE_COLUMNS.index(column)] = value
 
     rc, scores, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
     assert rc == EXIT_DATA

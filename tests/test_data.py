@@ -254,6 +254,36 @@ def test_extract_features_keeps_most_recent_windows():
     assert seqs[0].window_end == 30 * 3600.0
 
 
+@pytest.mark.parametrize("last", [1, 5, 40])
+def test_window_series_last_is_the_tail_of_the_full_series(last):
+    corpus = generate(6, 0.5, SeededRng(37), t_len=20, window_duration=3600.0)
+    events = corpus.records
+    # every third user has no events in windows 12-17, so a tail may begin in a gap
+    window = events.timestamp // 3600.0
+    events.permute(np.flatnonzero(~((events.user % 3 == 0) & (window >= 12) & (window < 18))))
+    full = window_series(events, 3600.0)
+    tail = window_series(events, 3600.0, last=last)
+    assert list(tail) == list(full)
+    for user, (feats, ends) in full.items():
+        assert np.array_equal(tail[user][0], feats[-last:])
+        assert np.array_equal(tail[user][1], ends[-last:])
+
+
+def test_generate_allocates_only_the_windows_it_keeps():
+    # 0.01 s windows: the hour of events spans 360,000 windows per user, of
+    # which the corpus keeps 3.  Building all of them peaked at 58 MB here;
+    # keeping 3 peaks at 17 kB after a warm-up call.
+    generate(2, 0.0, SeededRng(5), t_len=3, window_duration=1.0)
+    tracemalloc.start()
+    try:
+        corpus = generate(2, 0.0, SeededRng(5), t_len=3, window_duration=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.features.shape for s in corpus.sequences] == [(3, len(FEATURE_NAMES))] * 2
+    assert peak < 1_000_000, peak
+
+
 def test_extract_features_no_records_gives_empty():
     assert extract_features(EventTable.empty(), 3600.0, 10) == []
 

@@ -1,15 +1,26 @@
+import csv
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from evsentinel import detector as detector_mod
 from evsentinel.data import _COLUMNS as COLUMNS
-from evsentinel.data import FeatureScaler, generate, load_raw_log, save_corpus
+from evsentinel.data import (BehaviorSequence, Corpus, FeatureScaler, generate, load_raw_log,
+                             save_corpus)
 from evsentinel.detector import (
     BLOCK_USERS,
+    SCORE_COLUMNS,
     Alert,
     DetectorConfig,
     UserState,
+    WindowScore,
     detect_stream,
     observe,
     rank_alerts,
@@ -18,7 +29,7 @@ from evsentinel.detector import (
     write_alerts_jsonl,
     write_scores_csv,
 )
-from evsentinel.errors import ConfigError, DataError
+from evsentinel.errors import ConfigError, DataError, DomainError
 from evsentinel.evidential import assess
 from evsentinel.model import LatentEmbedding, head, init_encoder, init_head
 from evsentinel.numerics import SeededRng
@@ -375,3 +386,162 @@ def test_alerts_jsonl_round_trip(tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"user", "window_end", "s", "u", "d", "triggered_by", "p"}
     assert first["s"] == 0.9
+
+
+# -- the block kernel against the per-window loop -------------------------------------
+
+
+def oracle_observe(state, z, assessment, config):
+    """The alert rule one window at a time, as the detector ran it before it
+    scored a block's windows as arrays."""
+    values = np.asarray(z.values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"non-finite embedding for user {z.user!r}")
+    u = assessment.uncertainty
+    if state is None:
+        drift, baseline = 0.0, values.copy()
+    else:
+        drift = float(np.sqrt(np.sum((values - state.baseline) ** 2)))
+        baseline = config.beta * values + (1.0 - config.beta) * state.baseline
+    score = u * drift
+    over_u, over_d = u > config.tau_u, drift > config.tau_d
+    alert = None
+    if over_u or over_d:
+        trigger = "both" if over_u and over_d else "uncertainty" if over_u else "drift"
+        alert = Alert(user=z.user, window_end=z.window_end, s=score, u=u, d=drift,
+                      triggered_by=trigger, p=tuple(assessment.p))
+    return UserState(user=z.user, baseline=baseline, last_drift=drift), score, alert
+
+
+def oracle_detect(ckpt, source, config):
+    """(window scores, alerts) of a per-window loop through assess and
+    oracle_observe, over the block embeddings and concentrations that
+    detect_stream scores."""
+    series = detector_mod._user_window_series(ckpt, source)
+    users = sorted(series)
+    scores, alerts = [], []
+    for lo in range(0, len(users), BLOCK_USERS):
+        block = users[lo:lo + BLOCK_USERS]
+        states = stream_embeddings(
+            ckpt.encoder, [ckpt.scaler.transform(series[u][0]) for u in block], ckpt.config.t_len)
+        n, w_max, k = states.shape
+        alphas = detector_mod.head(ckpt.head, states.reshape(n * w_max, k)).reshape(n, w_max, -1)
+        for user, embeddings, alpha in zip(block, states, alphas):
+            state = None
+            for w, end in enumerate(series[user][1]):
+                z = LatentEmbedding(values=embeddings[w], user=user, window_end=float(end))
+                assessment = assess(alpha[w])
+                state, score, alert = oracle_observe(state, z, assessment, config)
+                if alert is not None:
+                    alerts.append(alert)
+                scores.append(WindowScore(
+                    user=user, window_end=float(end), u=assessment.uncertainty,
+                    d=state.last_drift, s=score, alert=alert is not None,
+                    trigger=alert.triggered_by if alert else "",
+                    cluster=assessment.argmax_cluster()))
+    return scores, alerts
+
+
+def oracle_write_scores(scores, path):
+    """scores.csv through csv.writer, one WindowScore a row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCORE_COLUMNS)
+        for w in scores:
+            writer.writerow([w.user, repr(w.window_end), repr(w.u), repr(w.d), repr(w.s),
+                             int(w.alert), w.trigger, w.cluster])
+
+
+def oracle_write_alerts(alerts, path):
+    """alerts.jsonl: highest s first, ties by higher u, earlier end, user."""
+    with open(path, "w") as fh:
+        for a in sorted(alerts, key=lambda a: (-a.s, -a.u, a.window_end, a.user)):
+            fh.write(json.dumps({"user": a.user, "window_end": a.window_end, "s": a.s,
+                                 "u": a.u, "d": a.d, "triggered_by": a.triggered_by,
+                                 "p": list(a.p)}, sort_keys=True) + "\n")
+
+
+# name suffixes csv must quote, and one it need not
+NAME_SUFFIXES = ("", ",", '"', "\r", "\n", ' a,"b"\r\n')
+T_LEN = 15
+
+
+def ragged_corpus(names, histories, rng):
+    """A corpus whose user names[i] has histories[i] windows; ends differ by user."""
+    return Corpus(sequences=[
+        BehaviorSequence(user=name, features=3.0 * rng.normal((T_LEN, 12)),
+                         window_duration=3600.0, window_end=3600.0 * (T_LEN + i % 4),
+                         n_pad=T_LEN - history)
+        for i, (name, history) in enumerate(zip(names, histories))],
+        t_len=T_LEN, window_duration=3600.0, seed=0)
+
+
+@st.composite
+def detector_inputs(draw):
+    """1-70 users (one to three blocks) with ragged histories, names csv may
+    quote, and thresholds that fire always, never or sometimes."""
+    n_users = draw(st.integers(1, 70))
+    names = [f"u{i:02d}{draw(st.sampled_from(NAME_SUFFIXES))}" for i in range(n_users)]
+    histories = draw(st.lists(st.integers(1, T_LEN), min_size=n_users, max_size=n_users))
+    config = DetectorConfig(tau_u=draw(st.sampled_from((0.0, 0.4, 1.0))),
+                            tau_d=draw(st.sampled_from((1e-12, 0.3, 1e12))),
+                            beta=draw(st.sampled_from((0.3, 1.0))))
+    return names, histories, draw(st.integers(0, 2**16)), config
+
+
+@settings(max_examples=60, deadline=None)
+@given(detector_inputs())
+@example(([f"u{i:02d}{NAME_SUFFIXES[i % 6]}" for i in range(70)],
+          [1 + i * 7 % T_LEN for i in range(70)], 3, DetectorConfig(tau_d=0.3)))
+def test_block_scoring_matches_the_per_window_oracle(case):
+    names, histories, seed, config = case
+    ckpt = make_checkpoint(t_len=T_LEN, hidden=4, seed=seed, n_layers=1)
+    corpus = ragged_corpus(names, histories, SeededRng(seed))
+    result = detect_stream(ckpt, corpus, config)
+    scores, alerts = oracle_detect(ckpt, corpus, config)
+    assert result.windows_processed == len(scores) == sum(histories)
+    assert result.window_scores == scores
+    assert result.alerts == alerts
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_scores_csv(result, tmp / "scores.csv")
+        oracle_write_scores(scores, tmp / "oracle.csv")
+        assert (tmp / "scores.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+        write_alerts_jsonl(result.alerts, tmp / "alerts.jsonl")
+        oracle_write_alerts(alerts, tmp / "oracle.jsonl")
+        assert (tmp / "alerts.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
+        assert read_scores_csv(tmp / "scores.csv") == scores
+
+
+def outcome(run):
+    try:
+        run()
+    except (DataError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("alphas", ["head", "constant"])
+@settings(max_examples=30, deadline=None)
+@given(n_users=st.integers(1, 40), seed=st.integers(0, 2**16), data=st.data())
+def test_bad_windows_raise_what_the_per_window_oracle_raises(alphas, n_users, seed, data):
+    # NaN features make the embedding NaN from that window on.  Through the
+    # head its alpha is NaN too, a DomainError; with constant alphas the
+    # embedding is the first bad value, a DataError naming the user.  A NaN
+    # in a dropped pad window raises nothing.
+    names = [f"u{i:02d}{NAME_SUFFIXES[i % len(NAME_SUFFIXES)]}" for i in range(n_users)]
+    histories = data.draw(st.lists(st.integers(1, T_LEN), min_size=n_users, max_size=n_users))
+    poisoned = data.draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, T_LEN - 1)),
+                                  min_size=1, max_size=3))
+    ckpt = make_checkpoint(t_len=T_LEN, hidden=4, seed=seed, n_layers=1)
+    corpus = ragged_corpus(names, histories, SeededRng(seed))
+    for i, row in poisoned:
+        corpus.sequences[i].features[row, row % 12] = np.nan
+    fake = {"head": head, "constant": lambda params, z: np.full((len(z), 3), 2.0)}[alphas]
+    with mock.patch.object(detector_mod, "head", fake):
+        got = outcome(lambda: detect_stream(ckpt, corpus, DetectorConfig()))
+        expected = outcome(lambda: oracle_detect(ckpt, corpus, DetectorConfig()))
+    assert got == expected
+    if any(row >= T_LEN - histories[i] for i, row in poisoned):
+        assert expected is not None
+        assert expected[0] is (DomainError if alphas == "head" else DataError)

@@ -48,3 +48,28 @@ def test_event_sources_report_their_event_count(tmp_path):
     events, malformed = ingest_cert(tmp_path / "cert")
     assert malformed == cert.malformed > 0
     assert len(events) == cert.records == len(load_raw_log(tmp_path / "twin.csv"))
+
+
+def test_tracer_counts_the_rows_detect_writes(tmp_path):
+    from collections import defaultdict
+
+    from evsentinel.data import FeatureScaler
+    from evsentinel.detector import (DetectorConfig, detect_stream, write_alerts_jsonl,
+                                     write_scores_csv)
+    from tests.test_detector import make_checkpoint
+
+    corpus = generate(6, 0.5, SeededRng(5), t_len=4)
+    ckpt = make_checkpoint(t_len=4, window_duration=corpus.window_duration)
+    ckpt.scaler = FeatureScaler.fit(corpus.sequences)
+    config = DetectorConfig(tau_u=0.3)
+    result = detect_stream(ckpt, corpus, config)
+    write_scores_csv(result, tmp_path / "scores.csv")
+    write_alerts_jsonl(result.alerts, tmp_path / "alerts.jsonl")
+
+    counts = defaultdict(int)
+    load_perfbench("tracer")._counts_at_return("detector.detect_stream", counts,
+                                                (ckpt, corpus, config), {}, result)
+    rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+    alerts = (tmp_path / "alerts.jsonl").read_text().splitlines()
+    assert counts["windows"] == len(result.window_scores) == len(rows) > 0
+    assert counts["alerts"] == len(result.alerts) == len(alerts) > 0
