@@ -163,9 +163,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores_csv(result, out_dir / "scores.csv")
-    write_alerts_jsonl(result.alerts, out_dir / "alerts.jsonl")
+    write_alerts_jsonl(result, out_dir / "alerts.jsonl")
     echo_config(config, out_dir)
-    print(f"detect: {result.windows_processed} windows, {len(result.alerts)} alerts, "
+    print(f"detect: {result.windows_processed} windows, {(result.trigger > 0).sum()} alerts, "
           f"mean u {result.mean_uncertainty:.4f}")
     return EXIT_OK
 
@@ -174,20 +174,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     checkpoint = Checkpoint.load(Path(args.checkpoint))
     corpus = data_mod.load_corpus(Path(args.corpus))
-    window_scores = read_scores_csv(Path(args.scores))
-
-    score_users = {w.user for w in window_scores}
-    missing = sorted(u for u in corpus.users if u not in score_users)
-    if missing:
-        raise DataError(f"scores cover {len(score_users)} users but corpus has "
-                        f"{len(corpus.users)}; missing {missing[:5]}")
-    unknown = sorted(score_users - set(corpus.users))
-    if unknown:
-        raise DataError(f"scores name {len(unknown)} user(s) the corpus lacks: {unknown[:5]}")
-
+    scores = read_scores_csv(Path(args.scores))
     z = encode_batch(checkpoint.encoder, corpus_features(corpus, checkpoint.scaler))
     embeddings = dict(zip(corpus.users, z))
-    report = evaluate_run(window_scores, corpus.sequences, embeddings,
+    report = evaluate_run(scores, corpus.sequences, embeddings,
                           n_clusters=checkpoint.config.n_clusters,
                           seed=int(config["seed"]),
                           config_digest=config_digest(config))

@@ -16,8 +16,9 @@ drift, and an alert fires when either strict threshold is crossed:
     alert  iff  u > tau_u  or  d > tau_d
 
 A block's windows are scored as array operations (score_windows), the
-EWMA as one loop over windows, and scores.csv is written from the
-resulting columns; the bytes are those of a per-window loop.
+EWMA as one loop over windows, into a DetectionResult's columns: both
+output files are written from them, eval reads scores.csv back into
+them, and the bytes are those of a per-window loop.
 
 Users are fully isolated: a block always has BLOCK_USERS rows, and the
 state at step t depends only on a row's own inputs up to t, so which
@@ -76,13 +77,6 @@ class Alert:
     triggered_by: str  # "uncertainty" | "drift" | "both"
     p: tuple[float, ...]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "user": self.user, "window_end": self.window_end,
-            "s": self.s, "u": self.u, "d": self.d,
-            "triggered_by": self.triggered_by, "p": list(self.p),
-        }, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class WindowScore:
@@ -111,8 +105,8 @@ def score_windows(users: list[str], ends: list, alpha: np.ndarray, z: np.ndarray
     it from window 0, whose drift is then 0.  The first bad window in row
     order is a DomainError for an alpha not positive and finite (as
     evidential.assess raises), else a DataError for a non-finite z.
-    Returns the windows' u, d, s, trigger (an index into _TRIGGERS) and
-    cluster columns, an Alert per alert window, and the last baselines.
+    Returns the windows' u, d, s, trigger (an index into _TRIGGERS),
+    cluster and p columns, and the last baselines.
     """
     valid = np.arange(z.shape[1]) < np.array([len(e) for e in ends])[:, None]
     bad_alpha = ~np.all((alpha > 0.0) & np.isfinite(alpha), axis=-1)
@@ -131,10 +125,7 @@ def score_windows(users: list[str], ends: list, alpha: np.ndarray, z: np.ndarray
         baseline = config.beta * z[:, w] + (1.0 - config.beta) * baseline
     s = u * d
     trigger = (u > config.tau_u) + 2 * (d > config.tau_d)
-    alerts = [Alert(users[i], float(ends[i][w]), float(s[i, w]), float(u[i, w]),
-                    float(d[i, w]), _TRIGGERS[trigger[i, w]], tuple(p[i, w].tolist()))
-              for i, w in np.argwhere(valid & (trigger > 0)).tolist()]
-    return [c[valid] for c in (u, d, s, trigger, np.argmax(p, axis=-1))], alerts, baseline
+    return [c[valid] for c in (u, d, s, trigger, np.argmax(p, axis=-1), p)], baseline
 
 
 def observe(state: UserState | None, z: LatentEmbedding,
@@ -144,24 +135,22 @@ def observe(state: UserState | None, z: LatentEmbedding,
     one-window case of score_windows.  The first window (state None) seeds
     the baseline and has zero drift, so only the uncertainty branch can
     fire there."""
-    (_, d, s, _, _), alerts, baseline = score_windows(
+    columns, baseline = score_windows(
         [z.user], [[z.window_end]], assessment.alpha[None, None],
         np.asarray(z.values, dtype=np.float64)[None, None],
         None if state is None else state.baseline[None], config)
-    return (UserState(z.user, baseline[0], float(d[0])), float(s[0]),
-            alerts[0] if alerts else None)
-
-
-def rank_alerts(alerts) -> list[Alert]:
-    """Descending score; ties by higher u, then earlier time, then user id."""
-    return sorted(alerts, key=lambda a: (-a.s, -a.u, a.window_end, a.user))
+    scored = DetectionResult([z.user], np.ones(1, dtype=np.intp),
+                             np.array([z.window_end], dtype=np.float64), *columns)
+    return (UserState(z.user, baseline[0], float(scored.d[0])), float(scored.s[0]),
+            next(iter(scored.alerts), None))
 
 
 @dataclass
 class DetectionResult:
     """The scored windows as columns: the windows[i] rows of users[i], in
-    window order, follow those of users[i - 1].  trigger indexes _TRIGGERS
-    (0: no alert); alerts holds an Alert per alert row, in row order."""
+    window order, follow those of users[i - 1] (a name may head several
+    runs).  trigger indexes _TRIGGERS (0: no alert); p holds each row's
+    cluster probabilities, None when read from scores.csv, which has none."""
 
     users: list[str]
     windows: np.ndarray
@@ -171,7 +160,7 @@ class DetectionResult:
     s: np.ndarray
     trigger: np.ndarray
     cluster: np.ndarray
-    alerts: list[Alert]
+    p: np.ndarray | None
 
     @property
     def windows_processed(self) -> int:
@@ -188,10 +177,23 @@ class DetectionResult:
                    self.s.tolist(), (self.trigger > 0).tolist(),
                    [_TRIGGERS[t] for t in self.trigger.tolist()], self.cluster.tolist())
 
+    def alert_rows(self, rows: np.ndarray):
+        """Each of the given alert rows' Alert fields as Python values, p a list."""
+        names = np.repeat(np.array(self.users, dtype=object), self.windows)[rows]
+        return zip(names.tolist(), self.window_end[rows].tolist(), self.s[rows].tolist(),
+                   self.u[rows].tolist(), self.d[rows].tolist(),
+                   [_TRIGGERS[t] for t in self.trigger[rows].tolist()], self.p[rows].tolist())
+
     @property
     def window_scores(self) -> list[WindowScore]:
         """The rows as WindowScores, built on each access."""
         return [WindowScore(*row) for row in self.rows(self.users)]
+
+    @property
+    def alerts(self) -> list[Alert]:
+        """An Alert per alert row, in row order, built on each access."""
+        return [Alert(*row[:-1], tuple(row[-1]))
+                for row in self.alert_rows(np.flatnonzero(self.trigger))]
 
 
 def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
@@ -270,14 +272,13 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
     Users' standardized windows are encoded by stream_embeddings, one
     block of BLOCK_USERS users at a time in sorted order, and each block's
     concentrations are one head product.  score_windows then scores the
-    block's windows together.  Returns one row per (user, window) and an
-    Alert for each row where the rule fires.
+    block's windows together.  Returns one row per (user, window).
     """
     series = _user_window_series(checkpoint, source)
     users = sorted(series)
-    # per block, its windows' end, u, d, s, trigger and cluster (an empty block first)
-    columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)] * 2]
-    alerts: list[Alert] = []
+    # per block, its windows' end, u, d, s, trigger, cluster and p (an empty block first)
+    columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)] * 2
+               + [np.zeros((0, checkpoint.config.n_clusters))]]
     for lo in range(0, len(users), BLOCK_USERS):
         block = users[lo:lo + BLOCK_USERS]
         ends = [series[user][1] for user in block]
@@ -286,12 +287,11 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
             checkpoint.config.t_len)
         n, w_max, k = states.shape
         alphas = head(checkpoint.head, states.reshape(n * w_max, k)).reshape(n, w_max, -1)
-        scored, block_alerts, _ = score_windows(
+        scored, _ = score_windows(
             block, ends, alphas[:len(block)], states[:len(block)], None, config)
         columns.append([np.concatenate(ends), *scored])
-        alerts += block_alerts
     windows = np.array([len(series[user][1]) for user in users], dtype=np.intp)
-    return DetectionResult(users, windows, *map(np.concatenate, zip(*columns)), alerts)
+    return DetectionResult(users, windows, *map(np.concatenate, zip(*columns)))
 
 
 def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
@@ -303,13 +303,14 @@ def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
                       for row in result.rows([_csv_field(name) for name in result.users]))
 
 
-def read_scores_csv(path: Path | str) -> list[WindowScore]:
-    """The window scores write_scores_csv wrote.  A missing column, a value
-    that does not parse, a u outside (0, 1], a d or s that is negative or
-    not finite, an alert other than 0 or 1, a trigger other than "",
-    uncertainty, drift or both, and a trigger set on a row without an alert
-    or missing on one with it are DataErrors naming the file and line, as
-    is what csv cannot read (see data.csv_read_errors)."""
+def read_scores_csv(path: Path | str) -> DetectionResult:
+    """The window scores write_scores_csv wrote, in file order, with users
+    holding each row's name.  A missing column, a value that does not
+    parse, a u outside (0, 1], a d or s that is negative or not finite, an
+    alert other than 0 or 1, a trigger other than "", uncertainty, drift or
+    both, a trigger set on a row without an alert or missing on one with
+    it, and a window_end that is not finite are DataErrors naming the file
+    and line, as is what csv cannot read (see data.csv_read_errors)."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -331,15 +332,29 @@ def read_scores_csv(path: Path | str) -> list[WindowScore]:
                     for name, value in (("d", d), ("s", s)):
                         if not 0.0 <= value < math.inf:
                             raise ValueError(f"{name} {row[name]!r} is negative or not finite")
-                    rows.append(WindowScore(
-                        user=row["user"], window_end=float(row["window_end"]), u=u, d=d, s=s,
-                        alert=alert, trigger=trigger, cluster=int(row["cluster"])))
+                    end, cluster = float(row["window_end"]), int(row["cluster"])
+                    if not math.isfinite(end):
+                        raise ValueError(f"window_end {row['window_end']!r} is not finite")
+                    rows.append((row["user"], end, u, d, s, _TRIGGERS.index(trigger), cluster))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return rows
+    users, end, u, d, s, trigger, cluster = zip(*rows) if rows else [()] * 7
+    floats = (np.array(column, dtype=np.float64) for column in (end, u, d, s))
+    # cluster, which eval does not read, keeps the ints as written, whatever their size
+    return DetectionResult(list(users), np.ones(len(users), dtype=np.intp), *floats,
+                           np.array(trigger, dtype=np.intp), np.array(cluster, dtype=object), None)
 
 
-def write_alerts_jsonl(alerts: list[Alert], path: Path | str) -> None:
+def write_alerts_jsonl(result: DetectionResult, path: Path | str) -> None:
+    """One JSON object of Alert fields per alert row, as json.dumps(...,
+    sort_keys=True) writes it: highest s first, ties by higher u, then
+    earlier window_end, then user name."""
+    keys = [f.name for f in fields(Alert)]
+    rows = np.flatnonzero(result.trigger)
+    # names as objects sort as Python sorts them; a numpy 'U' array drops trailing NULs
+    names = np.repeat(np.array(result.users, dtype=object), result.windows)[rows]
+    order = rows[np.lexsort((names, result.window_end[rows], -result.u[rows], -result.s[rows]))]
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
-        for alert in rank_alerts(alerts):
-            fh.write(alert.to_json() + "\n")
+        fh.writelines(encode(dict(zip(keys, row))) + "\n"
+                      for row in result.alert_rows(order))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DataError, DegenerateInputError
 from .numerics import SeededRng
 from .training import ClusterInit, init_clusters
 
@@ -180,22 +180,14 @@ def project_2d(embeddings: np.ndarray, max_iter: int = 1000,
 
 
 @dataclass
-class UserOutcome:
-    user: str
-    truth: bool  # insider?
-    predicted: bool  # alert per the user-level mapping
-    max_u: float
-    max_d: float
-    max_s: float
-
-
-@dataclass
 class EvaluationReport:
-    outcomes: list[UserOutcome]
+    users: list[str]  # sorted; the per-user columns below follow it
+    truth: np.ndarray  # insider?
+    predicted: np.ndarray  # alert per the user-level mapping
+    peaks: np.ndarray  # (users, 3): the highest u, d and s over the user's windows
     counts: ConfusionCounts
     metrics: dict[str, float | None]
     roc: RocCurve
-    baseline_flags: dict[str, bool]
     baseline_fpr: float | None
     projection: Projection2D
     projection_users: list[str]
@@ -203,63 +195,63 @@ class EvaluationReport:
     config_digest: str
 
 
-def evaluate_run(window_scores, sequences, embeddings: dict[str, np.ndarray],
+def evaluate_run(result, sequences, embeddings: dict[str, np.ndarray],
                  n_clusters: int, seed: int, config_digest: str) -> EvaluationReport:
     """Score a finished detection run against corpus ground truth.
 
-    window_scores: per-window detector emissions (WindowScore-like).
-    sequences: labeled BehaviorSequences establishing truth and onsets.
+    result: the detector's scored windows (a detector.DetectionResult), in
+    any row order; a user's rows may be split into several runs.
+    sequences: labeled BehaviorSequences establishing truth and onsets;
+    scores that miss one of their users, or name a user they lack, are a
+    DataError.
     embeddings: per-user full-sequence embeddings for the baseline
     detector and the latent projection.
     """
     seq_by_user = {s.user: s for s in sequences}
-    if set(seq_by_user) - {w.user for w in window_scores}:
-        missing = sorted(set(seq_by_user) - {w.user for w in window_scores})
-        raise ContractError(f"no detector output for users: {missing[:5]}")
+    users = sorted(seq_by_user)
+    score_users = set(result.users)
+    missing = [u for u in users if u not in score_users]
+    if missing:
+        raise DataError(f"scores cover {len(score_users)} users but corpus has "
+                        f"{len(users)}; missing {missing[:5]}")
+    unknown = sorted(score_users - set(users))
+    if unknown:
+        raise DataError(f"scores name {len(unknown)} user(s) the corpus lacks: {unknown[:5]}")
 
-    onset_end: dict[str, float] = {}
-    for s in sequences:
-        if s.label != "benign" and s.onset is not None:
-            # window_end timestamp of the onset window
-            onset_end[s.user] = s.window_end - (s.t_len - 1 - s.onset) * s.window_duration
+    code = {user: i for i, user in enumerate(users)}
+    row_user = np.repeat([code[name] for name in result.users], result.windows).astype(np.intp)
+    seqs = [seq_by_user[u] for u in users]
+    truth = np.array([s.label != "benign" for s in seqs], dtype=bool)
+    # window_end timestamp of each insider's onset window; NaN (never reached) otherwise
+    onset_end = np.array([s.window_end - (s.t_len - 1 - s.onset) * s.window_duration
+                          if s.label != "benign" and s.onset is not None else np.nan
+                          for s in seqs], dtype=np.float64)
+    hit = (result.trigger > 0) & (~truth[row_user]
+                                  | (result.window_end >= onset_end[row_user] - 1e-9))
+    predicted = np.zeros(len(users), dtype=bool)
+    predicted[row_user[hit]] = True
+    peaks = np.zeros((len(users), 3))
+    np.maximum.at(peaks, row_user, np.column_stack((result.u, result.d, result.s)))
+    peaks += 0.0  # a -0.0 peak reads 0.0, as a fold from 0.0 keeps it
 
-    agg: dict[str, UserOutcome] = {}
-    for user, seq in seq_by_user.items():
-        agg[user] = UserOutcome(user=user, truth=seq.label != "benign",
-                                predicted=False, max_u=0.0, max_d=0.0, max_s=0.0)
-    for w in window_scores:
-        if w.user not in agg:
-            continue
-        o = agg[w.user]
-        o.max_u = max(o.max_u, w.u)
-        o.max_d = max(o.max_d, w.d)
-        o.max_s = max(o.max_s, w.s)
-        if w.alert:
-            if not o.truth:
-                o.predicted = True
-            elif w.user in onset_end and w.window_end >= onset_end[w.user] - 1e-9:
-                o.predicted = True
-
-    predicted = {u: o.predicted for u, o in agg.items()}
-    truth = {u: o.truth for u, o in agg.items()}
-    counts, metrics = confusion(predicted, truth)
-    roc = roc_auc({u: o.max_s for u, o in agg.items()}, truth)
+    truth_of = dict(zip(users, truth.tolist()))
+    counts, metrics = confusion(dict(zip(users, predicted.tolist())), truth_of)
+    roc = roc_auc(dict(zip(users, peaks[:, 2].tolist())), truth_of)
 
     flags, _ = baseline_kmeans_detector(embeddings, n_clusters,
                                         SeededRng(seed, stream=777))
-    benign = [u for u, t in truth.items() if not t]
+    benign = [u for u, t in truth_of.items() if not t]
     baseline_fpr = (sum(flags[u] for u in benign) / len(benign)) if benign else None
 
     users_sorted = sorted(embeddings)
     projection = project_2d(np.stack([embeddings[u] for u in users_sorted]))
 
-    outcomes = [agg[u] for u in sorted(agg)]
     all_metrics = dict(metrics)
     all_metrics["auc"] = roc.auc
-    return EvaluationReport(outcomes=outcomes, counts=counts, metrics=all_metrics,
-                            roc=roc, baseline_flags=flags, baseline_fpr=baseline_fpr,
-                            projection=projection, projection_users=users_sorted,
-                            seed=seed, config_digest=config_digest)
+    return EvaluationReport(users, truth, predicted, peaks, counts=counts, metrics=all_metrics,
+                            roc=roc, baseline_fpr=baseline_fpr, projection=projection,
+                            projection_users=users_sorted, seed=seed,
+                            config_digest=config_digest)
 
 
 def export_report(report: EvaluationReport, directory: Path | str) -> dict:
@@ -276,8 +268,8 @@ def export_report(report: EvaluationReport, directory: Path | str) -> dict:
         "fpr": report.metrics["fpr"],
         "auc": report.metrics["auc"],
         "baseline_fpr": report.baseline_fpr,
-        "n_users": len(report.outcomes),
-        "n_insiders": sum(o.truth for o in report.outcomes),
+        "n_users": len(report.users),
+        "n_insiders": int(report.truth.sum()),
         "seed": report.seed,
         "config_digest": report.config_digest,
     }
@@ -292,9 +284,9 @@ def export_report(report: EvaluationReport, directory: Path | str) -> dict:
     with open(directory / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "u", "d", "s", "truth"])
-        for o in report.outcomes:
-            writer.writerow([o.user, repr(o.max_u), repr(o.max_d), repr(o.max_s),
-                             int(o.truth)])
+        for user, peaks, truth in zip(report.users, report.peaks.tolist(),
+                                      report.truth.tolist()):
+            writer.writerow([user, *map(repr, peaks), int(truth)])
 
     write_projection_csv(report.projection_users, report.projection,
                          directory / "projection.csv")

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import shutil
 from pathlib import Path
@@ -520,7 +521,11 @@ def test_scores_csv_alert_and_trigger_are_checked(small_run, tmp_path, capsys, a
     ("d", "-0.5", "d '-0.5' is negative or not finite"),
     ("s", "nan", "s 'nan' is negative or not finite"),
     ("s", "-1e-09", "s '-1e-09' is negative or not finite"),
-], ids=["u-nan", "u-zero", "u-above-one", "d-inf", "d-negative", "s-nan", "s-negative"])
+    ("window_end", "nan", "window_end 'nan' is not finite"),
+    ("window_end", "inf", "window_end 'inf' is not finite"),
+    ("window_end", "-inf", "window_end '-inf' is not finite"),
+], ids=["u-nan", "u-zero", "u-above-one", "d-inf", "d-negative", "s-nan", "s-negative",
+        "window_end-nan", "window_end-inf", "window_end-minus-inf"])
 def test_scores_csv_impossible_scores_are_checked(small_run, tmp_path, capsys, column, value,
                                                   message):
     def edit(rows):
@@ -530,6 +535,40 @@ def test_scores_csv_impossible_scores_are_checked(small_run, tmp_path, capsys, c
     assert rc == EXIT_DATA
     assert f"{scores}, line 2: {message}" in err
     assert "Traceback" not in err
+
+
+REPORT_FILES = ("metrics.json", "roc.csv", "scores.csv", "projection.csv")
+
+
+@pytest.mark.parametrize("order", ["split-run", "shuffled"])
+def test_eval_reads_scores_rows_in_any_order(small_run, tmp_path, capsys, order):
+    def edit(rows):
+        if order == "split-run":  # the first user's first row moves to the end
+            rows.append(rows.pop(0))
+        else:
+            random.Random(11).shuffle(rows)
+
+    rc, _, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
+    assert rc == 0, err
+    for name in REPORT_FILES:
+        assert (tmp_path / "report" / name).read_bytes() == \
+               (small_run["report"] / name).read_bytes()
+
+
+def test_eval_peak_of_negative_zero_scores_is_zero(small_run, tmp_path, capsys):
+    # a hand-written -0.0 passes the checks (0.0 <= -0.0); a user's peaks start
+    # at 0.0, so one whose every d and s is -0.0 peaks at 0.0
+    def edit(rows):
+        for row in rows:
+            if row[0] == rows[0][0]:
+                row[3:5] = ["-0.0", "-0.0"]
+
+    rc, scores, err = eval_edited_scores(small_run, tmp_path, capsys, edit)
+    assert rc == 0, err
+    user = scores.read_text().splitlines()[1].split(",")[0]
+    peaks = [line.split(",") for line in (tmp_path / "report" / "scores.csv").read_text()
+             .splitlines() if line.startswith(user + ",")]
+    assert len(peaks) == 1 and peaks[0][2:4] == ["0.0", "0.0"]
 
 
 def test_eval_scores_for_a_user_the_corpus_lacks_is_data_error(small_run, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -18,22 +20,24 @@ from evsentinel.detector import (
     BLOCK_USERS,
     SCORE_COLUMNS,
     Alert,
+    DetectionResult,
     DetectorConfig,
     UserState,
     WindowScore,
     detect_stream,
     observe,
-    rank_alerts,
     read_scores_csv,
     stream_embeddings,
     write_alerts_jsonl,
     write_scores_csv,
 )
 from evsentinel.errors import ConfigError, DataError, DomainError
+from evsentinel.evaluation import evaluate_run
 from evsentinel.evidential import assess
 from evsentinel.model import LatentEmbedding, head, init_encoder, init_head
 from evsentinel.numerics import SeededRng
 from evsentinel.training import Checkpoint, TrainConfig
+from tests.test_evaluation import oracle_evaluate, per_user
 
 
 def assessment_with_u(u: float, k: int = 5):
@@ -172,28 +176,47 @@ def test_non_finite_embedding_rejected_without_state_change():
 # -- ranking ------------------------------------------------------------------------
 
 
-def mk_alert(s, u=0.5, t=0.0, user="u1"):
-    return Alert(user=user, window_end=t, s=s, u=u, d=s / u if u else 0.0,
-                 triggered_by="drift", p=(1.0,))
+def alert_result(runs):
+    """A DetectionResult of runs [(user, [(s, u, window_end), ...]), ...], each
+    row a drift alert unless its u is 0.1, which marks a row without one."""
+    rows = [w for _, windows in runs for w in windows]
+    s, u, end = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    return DetectionResult([user for user, _ in runs],
+                           np.array([len(windows) for _, windows in runs], dtype=np.intp),
+                           end, u, s / u, s, np.where(u == 0.1, 0, 2),
+                           np.zeros(len(s), dtype=np.intp), np.full((len(s), 2), 0.5))
 
 
-def test_rank_alerts_descending_score():
-    ranked = rank_alerts([mk_alert(0.2), mk_alert(0.9), mk_alert(0.5)])
-    assert [a.s for a in ranked] == [0.9, 0.5, 0.2]
+def ranked(result, tmp_path):
+    """(user, s, u, window_end) of each alerts.jsonl line write_alerts_jsonl writes."""
+    write_alerts_jsonl(result, tmp_path / "alerts.jsonl")
+    lines = (tmp_path / "alerts.jsonl").read_text().splitlines()
+    return [(a["user"], a["s"], a["u"], a["window_end"]) for a in map(json.loads, lines)]
 
 
-def test_rank_alerts_tie_rules():
-    a = mk_alert(0.5, u=0.3, t=5.0, user="ub")
-    b = mk_alert(0.5, u=0.8, t=9.0, user="ua")
-    assert rank_alerts([a, b]) == [b, a]
-    c = mk_alert(0.5, u=0.3, t=1.0, user="uz")
-    assert rank_alerts([a, c]) == [c, a]
-    d = mk_alert(0.5, u=0.3, t=5.0, user="ua")
-    assert rank_alerts([a, d]) == [d, a]
+def test_write_alerts_jsonl_descending_score(tmp_path):
+    result = alert_result([("u1", [(0.2, 0.5, 0.0), (0.9, 0.5, 1.0)]),
+                           ("u0", [(0.95, 0.1, 2.0), (0.5, 0.5, 0.0)])])
+    assert [s for _, s, _, _ in ranked(result, tmp_path)] == [0.9, 0.5, 0.2]
 
 
-def test_rank_alerts_empty():
-    assert rank_alerts([]) == []
+def test_write_alerts_jsonl_tie_rules(tmp_path):
+    # runs out of name order; "b\x00" and "b" differ by a trailing NUL, which a
+    # numpy 'U' array drops, so only Python's string order puts "b" first
+    result = alert_result([("ub", [(0.5, 0.3, 5.0)]), ("uz", [(0.5, 0.3, 1.0)]),
+                           ("ua", [(0.5, 0.3, 5.0), (0.5, 0.8, 9.0), (0.9, 0.1, 10.0)]),
+                           ("b\x00", [(0.5, 0.3, 5.0)]), ("b", [(0.5, 0.3, 5.0)])])
+    assert ranked(result, tmp_path) == [
+        ("ua", 0.5, 0.8, 9.0),  # higher u first
+        ("uz", 0.5, 0.3, 1.0),  # then earlier window_end
+        ("b", 0.5, 0.3, 5.0), ("b\x00", 0.5, 0.3, 5.0),  # then user name
+        ("ua", 0.5, 0.3, 5.0), ("ub", 0.5, 0.3, 5.0)]
+
+
+def test_write_alerts_jsonl_empty(tmp_path):
+    assert ranked(alert_result([("u1", [(0.9, 0.1, 0.0)])]), tmp_path) == []
+    assert ranked(alert_result([]), tmp_path) == []
+    assert (tmp_path / "alerts.jsonl").read_bytes() == b""
 
 
 # -- full stream --------------------------------------------------------------------
@@ -212,7 +235,7 @@ def test_detect_stream_over_corpus_replays_identically(tmp_path):
     write_scores_csv(r1, tmp_path / "a.csv")
     write_scores_csv(r2, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert read_scores_csv(tmp_path / "a.csv") == r1.window_scores
+    assert read_scores_csv(tmp_path / "a.csv").window_scores == r1.window_scores
 
 
 def rows(events, kept):
@@ -377,10 +400,8 @@ def test_history_longer_than_t_len_still_emits_every_window():
 
 
 def test_alerts_jsonl_round_trip(tmp_path):
-    import json
-
-    alerts = [mk_alert(0.9, u=0.6, t=3.0), mk_alert(0.1, u=0.5, t=1.0)]
-    write_alerts_jsonl(alerts, tmp_path / "alerts.jsonl")
+    write_alerts_jsonl(alert_result([("u1", [(0.1, 0.5, 1.0), (0.9, 0.6, 3.0)])]),
+                       tmp_path / "alerts.jsonl")
     lines = (tmp_path / "alerts.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -467,11 +488,13 @@ T_LEN = 15
 
 
 def ragged_corpus(names, histories, rng):
-    """A corpus whose user names[i] has histories[i] windows; ends differ by user."""
+    """A corpus whose user names[i] has histories[i] windows; ends differ by user.
+    Every odd user is an insider, most with an onset anywhere in the sequence."""
     return Corpus(sequences=[
         BehaviorSequence(user=name, features=3.0 * rng.normal((T_LEN, 12)),
                          window_duration=3600.0, window_end=3600.0 * (T_LEN + i % 4),
-                         n_pad=T_LEN - history)
+                         n_pad=T_LEN - history, label="benign" if i % 2 == 0 else "theft",
+                         onset=None if i % 5 == 1 else (history + 3 * i) % T_LEN)
         for i, (name, history) in enumerate(zip(names, histories))],
         t_len=T_LEN, window_duration=3600.0, seed=0)
 
@@ -507,10 +530,15 @@ def test_block_scoring_matches_the_per_window_oracle(case):
         write_scores_csv(result, tmp / "scores.csv")
         oracle_write_scores(scores, tmp / "oracle.csv")
         assert (tmp / "scores.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
-        write_alerts_jsonl(result.alerts, tmp / "alerts.jsonl")
+        write_alerts_jsonl(result, tmp / "alerts.jsonl")
         oracle_write_alerts(alerts, tmp / "oracle.jsonl")
         assert (tmp / "alerts.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
-        assert read_scores_csv(tmp / "scores.csv") == scores
+        read = read_scores_csv(tmp / "scores.csv")
+    assert read.window_scores == scores
+    if len(names) >= 3:  # the 2-D projection needs three users
+        embeddings = dict(zip(names, SeededRng(seed).normal((len(names), 4))))
+        report = evaluate_run(read, corpus.sequences, embeddings, 2, seed, "")
+        assert per_user(report) == oracle_evaluate(scores, corpus.sequences)
 
 
 def outcome(run):
@@ -545,3 +573,90 @@ def test_bad_windows_raise_what_the_per_window_oracle_raises(alphas, n_users, se
     if any(row >= T_LEN - histories[i] for i, row in poisoned):
         assert expected is not None
         assert expected[0] is (DomainError if alphas == "head" else DataError)
+
+
+# -- the scores.csv reader against a row-by-row oracle ------------------------------
+
+
+def oracle_read_scores(path):
+    """scores.csv as WindowScores, one csv.DictReader row at a time, with the
+    reader's checks and messages, in its order."""
+    scores = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                if row["alert"] not in ("0", "1"):
+                    raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
+                alert, trigger = row["alert"] == "1", row["trigger"]
+                if trigger not in ("", "uncertainty", "drift", "both") or bool(trigger) != alert:
+                    raise ValueError(f"trigger {trigger!r} does not fit alert {row['alert']}")
+                u, d, s = (float(row[c]) for c in ("u", "d", "s"))
+                if not 0.0 < u <= 1.0:
+                    raise ValueError(f"u {row['u']!r} is not in (0, 1]")
+                for name, value in (("d", d), ("s", s)):
+                    if not (value >= 0.0 and math.isfinite(value)):
+                        raise ValueError(f"{name} {row[name]!r} is negative or not finite")
+                end, cluster = float(row["window_end"]), int(row["cluster"])
+                if not math.isfinite(end):
+                    raise ValueError(f"window_end {row['window_end']!r} is not finite")
+                scores.append(WindowScore(row["user"], end, u, d, s, alert, trigger, cluster))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return scores
+
+
+# per column, values the reader accepts and values it rejects
+GOOD_VALUES = {"user": ("u1", "u2", 'a,"b"\r\nc', "x\ry", ""),
+               "window_end": ("3600.0", "-7200.5", "1e300"),
+               "u": ("0.5", "1.0", "1e-300"), "d": ("0.0", "-0.0", "1.5"),
+               "s": ("0.0", "-0.0", "0.75"), "cluster": ("0", "3", "-1", "9" * 25)}
+BAD_VALUES = {"user": (), "window_end": ("nan", "-inf", "1e400", "x"),
+              "u": ("0.0", "nan", "1.5", ""), "d": ("-1", "inf", "x"), "s": ("nan", "-1e-9"),
+              "cluster": ("1.5", "x", "")}
+GOOD_ALERTS = (("0", ""), ("1", "uncertainty"), ("1", "drift"), ("1", "both"))
+BAD_ALERTS = (("2", ""), ("1", ""), ("0", "drift"), ("1", "sometimes"))
+
+
+@st.composite
+def edited_scores_csv(draw):
+    """The text of a scores.csv, maybe with bad values, short rows, extra
+    fields, a repeated column, blank lines and \\n line ends."""
+    faulty = draw(st.booleans())
+
+    def value(column):
+        return draw(st.sampled_from(GOOD_VALUES[column] + BAD_VALUES[column] * faulty))
+
+    repeated = draw(st.sampled_from(((),) + tuple((c,) for c in GOOD_VALUES)))
+    header = list(SCORE_COLUMNS) + list(repeated)
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        alert = draw(st.sampled_from(GOOD_ALERTS + BAD_ALERTS * faulty))
+        row = [value(c) for c in SCORE_COLUMNS[:5]] + list(alert) + [value("cluster")]
+        row += [value(c) for c in repeated]
+        if faulty and draw(st.booleans()):
+            row = row[:draw(st.integers(1, len(row)))] + ["extra"] * draw(st.integers(0, 2))
+        rows += [[]] * draw(st.integers(0, 1)) + [row]  # [] is a blank line
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\r\n", "\n")))).writerows(rows)
+    return out.getvalue()
+
+
+def read_or_message(read, path):
+    try:
+        return repr(read(path))
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_scores_csv())
+def test_scores_reader_matches_the_row_by_row_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        path.write_text(text, newline="")
+        assert read_or_message(lambda p: read_scores_csv(p).window_scores, path) == \
+               read_or_message(oracle_read_scores, path)

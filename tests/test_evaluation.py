@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from evsentinel import detector as detector_mod
 from evsentinel.data import generate
-from evsentinel.detector import WindowScore
+from evsentinel.detector import DetectionResult, WindowScore
 from evsentinel.errors import ContractError, DegenerateInputError
 from evsentinel.evaluation import (
     BASELINE_QUANTILE,
@@ -218,6 +219,39 @@ def test_projection_rejects_tiny_inputs():
 # -- run evaluation and export ---------------------------------------------------------
 
 
+def result_of(scores, p=None):
+    """A DetectionResult holding the WindowScores scores, one run per row."""
+    return DetectionResult(
+        [w.user for w in scores], np.ones(len(scores), dtype=np.intp),
+        *(np.array([getattr(w, c) for w in scores], dtype=np.float64)
+          for c in ("window_end", "u", "d", "s")),
+        np.array([detector_mod._TRIGGERS.index(w.trigger) for w in scores], dtype=np.intp),
+        np.array([w.cluster for w in scores], dtype=np.intp), p)
+
+
+def oracle_evaluate(window_scores, sequences):
+    """Per user, by name: (truth, predicted, max u, max d, max s), folded one
+    WindowScore at a time, as evaluate_run did before it kept columns."""
+    onset_end = {}
+    for s in sequences:
+        if s.label != "benign" and s.onset is not None:
+            onset_end[s.user] = s.window_end - (s.t_len - 1 - s.onset) * s.window_duration
+    agg = {s.user: [s.label != "benign", False, 0.0, 0.0, 0.0] for s in sequences}
+    for w in window_scores:
+        o = agg[w.user]
+        o[2:] = max(o[2], w.u), max(o[3], w.d), max(o[4], w.s)
+        if w.alert and (not o[0] or (w.user in onset_end
+                                     and w.window_end >= onset_end[w.user] - 1e-9)):
+            o[1] = True
+    return repr({user: tuple(agg[user]) for user in sorted(agg)})
+
+
+def per_user(report):
+    """The report's per-user columns in oracle_evaluate's form."""
+    return repr({user: (truth, predicted, *peaks) for user, truth, predicted, peaks in zip(
+        report.users, report.truth.tolist(), report.predicted.tolist(), report.peaks.tolist())})
+
+
 def synthetic_run(seed=91):
     corpus = generate(20, 0.1, SeededRng(seed), t_len=10, window_duration=3600.0)
     rng = SeededRng(seed + 1)
@@ -234,7 +268,7 @@ def synthetic_run(seed=91):
                                     s=u * drift, alert=drift > 1.5,
                                     trigger="drift" if drift > 1.5 else "",
                                     cluster=0))
-    return corpus, rows, embeddings
+    return corpus, result_of(rows), embeddings
 
 
 def test_evaluate_run_end_to_end(tmp_path):
@@ -296,7 +330,7 @@ def test_insider_alert_before_onset_does_not_count():
             rows.append(WindowScore(user=seq.user, window_end=end, u=0.3, d=0.1,
                                     s=0.03, alert=alert,
                                     trigger="drift" if alert else "", cluster=0))
-    report = evaluate_run(rows, corpus.sequences, embeddings, n_clusters=2,
+    report = evaluate_run(result_of(rows), corpus.sequences, embeddings, n_clusters=2,
                           seed=99, config_digest="y")
     assert report.counts.tp == 0
     assert report.counts.fn == 2

@@ -64,7 +64,7 @@ def test_tracer_counts_the_rows_detect_writes(tmp_path):
     config = DetectorConfig(tau_u=0.3)
     result = detect_stream(ckpt, corpus, config)
     write_scores_csv(result, tmp_path / "scores.csv")
-    write_alerts_jsonl(result.alerts, tmp_path / "alerts.jsonl")
+    write_alerts_jsonl(result, tmp_path / "alerts.jsonl")
 
     counts = defaultdict(int)
     load_perfbench("tracer")._counts_at_return("detector.detect_stream", counts,
