@@ -332,22 +332,15 @@ def extract_features(records: EventTable, window_duration: float,
 
 # -- synthetic generation -----------------------------------------------------
 
-# Smooth diurnal curve: a sine bump over the 07:00-23:00 span so adjacent
-# hours differ gradually instead of stepping.  Session-driven kinds
-# (logons) nearly vanish at night; background activity (automation, sync
-# jobs, queued mail) keeps a substantial night floor.
-_STRONG_KINDS = frozenset({"logon", "logoff"})
-
-
-def _diurnal(hour: int, kind: str = "logon") -> float:
-    h = hour % 24
-    bump = math.sin(math.pi * (h - 7.0) / 16.0) if 7 <= h < 23 else 0.0
-    if kind in _STRONG_KINDS:
-        return 0.06 + 0.94 * bump
-    return 0.5 + 0.5 * bump
-
-
-_DIURNAL = np.array([[_diurnal(h, kind) for kind in EVENT_KINDS] for h in range(24)])
+# Smooth diurnal curve, (hour of day, kind): a sine bump over the
+# 07:00-23:00 span so adjacent hours differ gradually instead of
+# stepping.  Session-driven kinds (logons) nearly vanish at night;
+# background activity (automation, sync jobs, queued mail) keeps a
+# substantial night floor.
+_BUMP = np.array([[math.sin(math.pi * (h - 7.0) / 16.0) if 7 <= h < 23 else 0.0]
+                  for h in range(24)])
+_DIURNAL = np.where(np.isin(EVENT_KINDS, ("logon", "logoff")),
+                    0.06 + 0.94 * _BUMP, 0.5 + 0.5 * _BUMP)
 
 
 @dataclass
@@ -355,14 +348,11 @@ class UserProfile:
     """Per-user benign rate parameters, sampled once and then fixed."""
 
     user: str
-    day_rates: dict[str, float]
+    day_rates: np.ndarray  # peak-hour rate of each kind, in EVENT_KINDS order
     hosts: list[str]
     commands: list[str]
     read_share: float
     external_share: float
-
-    def rate(self, kind: str, hour: int) -> float:
-        return self.day_rates[kind] * _diurnal(hour, kind)
 
 
 # Peak-hour event rates per hour.  Wide ranges give users distinctive
@@ -417,10 +407,9 @@ def _sample_profile(user: str, idx: int, rng: SeededRng) -> UserProfile:
     the host count, the command count, then the read and external shares."""
     role = _role_of(idx)
     mult = _ROLE_RATE_MULT[role]
+    base = np.array([_BASE_RATES[kind] * mult[kind] for kind in EVENT_KINDS])
     raw = rng.raw(12)
-    u = unit_floats(raw).tolist()
-    rates = {kind: base * mult[kind] * (0.7 + 0.6 * jitter)
-             for (kind, base), jitter in zip(_BASE_RATES.items(), u)}
+    u = unit_floats(raw)
     (h_lo, h_hi), (c_lo, c_hi) = _ROLE_HOSTS[role], _ROLE_CMDS[role]
     n_hosts, n_cmds = below(raw[8:10], [h_hi - h_lo + 1, c_hi - c_lo + 1]).tolist()
     hosts = [f"pc-{idx:04d}-{j}" for j in range(h_lo + n_hosts)]
@@ -428,9 +417,9 @@ def _sample_profile(user: str, idx: int, rng: SeededRng) -> UserProfile:
     r_lo, r_hi = _ROLE_READ_SHARE[role]
     e_lo, e_hi = _ROLE_EXTERNAL_SHARE[role]
     return UserProfile(
-        user=user, day_rates=rates, hosts=hosts, commands=commands,
-        read_share=r_lo + (r_hi - r_lo) * u[10],
-        external_share=e_lo + (e_hi - e_lo) * u[11],
+        user=user, day_rates=base * (0.7 + 0.6 * u[:8]), hosts=hosts, commands=commands,
+        read_share=r_lo + (r_hi - r_lo) * float(u[10]),
+        external_share=e_lo + (e_hi - e_lo) * float(u[11]),
     )
 
 
@@ -451,34 +440,35 @@ def default_scenario(scenario: str, t_len: int, rng: SeededRng,
                         intensity=intensity)
 
 
-def _scenario_rates(profile: UserProfile, spec: ScenarioSpec, hour: int) -> dict[str, float]:
-    """Benign rates perturbed by the active scenario for one window.
+def _scenario_rates(profile: UserProfile, spec: ScenarioSpec) -> np.ndarray:
+    """Benign rates perturbed by the active scenario: (hour of day, kind).
 
     Boosts are additive in population-base units so the anomaly is the
     same absolute size no matter how quiet the user's own role is, and
     every perturbation vanishes at intensity 1.
     """
-    rates = {kind: profile.rate(kind, hour) for kind in EVENT_KINDS}
+    rates = profile.day_rates * _DIURNAL
     intensity = spec.intensity
+    logon, files, device = _KIND["logon"], _KIND["file-access"], _KIND["removable-device"]
 
-    def boost(kind: str, key: str, scale: float = 1.0) -> None:
+    def boost(kind: str, key: str) -> None:
         gain = intensity.get(key, 1.0) - 1.0
         if gain > 0.0:
-            rates[kind] += gain * scale * _BASE_RATES[kind]
+            rates[:, _KIND[kind]] += gain * _BASE_RATES[kind]
 
     if "removable_device" in intensity:
         gain = intensity["removable_device"] - 1.0
-        rates["removable-device"] += gain * (rates["removable-device"] + 0.2)
-    if "offhours_logon" in intensity and hour < OFF_HOURS_END:
+        rates[:, device] += gain * (rates[:, device] + 0.2)
+    if "offhours_logon" in intensity:
         gain = intensity["offhours_logon"] - 1.0
-        rates["logon"] += 0.08 * gain
-        rates["file-access"] += 0.1 * gain * _BASE_RATES["file-access"]
+        rates[:OFF_HOURS_END, logon] += 0.08 * gain
+        rates[:OFF_HOURS_END, files] += 0.1 * gain * _BASE_RATES["file-access"]
     boost("file-access", "file_access")
     boost("process-exec", "process_exec")
     boost("command", "distinct_commands")
     boost("http", "http")
     if "distinct_hosts" in intensity:
-        rates["logon"] += min(intensity["distinct_hosts"] - 1.0, 2.0) * _BASE_RATES["logon"]
+        rates[:, logon] += min(intensity["distinct_hosts"] - 1.0, 2.0) * _BASE_RATES["logon"]
     return rates
 
 
@@ -592,7 +582,7 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
 
     hours = np.arange(total_hours)
     hod = ((start_time + hours * 3600.0) % 86400.0 // 3600.0).astype(np.int64)
-    base = np.array([profile.day_rates[kind] for kind in EVENT_KINDS]) * _DIURNAL[hod]
+    base = profile.day_rates * _DIURNAL[hod]
     counts = benign_rng.poisson(base)
     events = _stream_events(profile, counts, hours, start_time, benign_rng, {})
 
@@ -600,10 +590,8 @@ def _user_events(profile: UserProfile, idx: int, spec: ScenarioSpec | None,
         in_attack = (hours * 3600.0 // window_duration >= spec.onset) & \
                     (hours * 3600.0 // window_duration < spec.onset + spec.duration)
         attack_hours = hours[in_attack]
-        # the perturbed rates depend on the hour of day alone
-        table = np.array([[rates[kind] for kind in EVENT_KINDS] for rates in
-                          (_scenario_rates(profile, spec, hour) for hour in range(24))])
-        extra = np.maximum(0.0, table[hod[attack_hours]] - base[attack_hours])
+        extra = np.maximum(0.0, _scenario_rates(profile, spec)[hod[attack_hours]]
+                           - base[attack_hours])
         extra_counts = attack_rng.poisson(extra)
         events = _concat([events, _stream_events(profile, extra_counts, attack_hours,
                                                  start_time, attack_rng, spec.intensity)])
@@ -794,8 +782,9 @@ def _write_events_csv(events: EventTable, path: Path) -> None:
 def load_corpus(directory: Path | str) -> Corpus:
     """Read sequences.bin and labels.csv; events.csv is not opened.
 
-    A labels.csv that lacks one of LABEL_COLUMNS, or whose onset or
-    duration is not an integer, is a DataError naming the file and line;
+    A labels.csv that lacks one of LABEL_COLUMNS, has a row without a user
+    or a label, or whose onset or duration is not an integer, is a
+    DataError naming the file and line;
     so is one csv cannot read (see csv_read_errors).
     """
     directory = Path(directory)
@@ -814,6 +803,8 @@ def load_corpus(directory: Path | str) -> Corpus:
                                     f"missing column(s) {', '.join(missing)}")
                 for row in reader:
                     try:
+                        if row["user"] is None or row["label"] is None:
+                            raise ValueError("a row needs a user and a label")
                         onset = int(row["onset"]) if row["onset"] else None
                         duration = int(row["duration"]) if row["duration"] else None
                     except ValueError as exc:

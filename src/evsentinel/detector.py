@@ -305,8 +305,8 @@ def write_scores_csv(result: DetectionResult, path: Path | str) -> None:
 
 def read_scores_csv(path: Path | str) -> DetectionResult:
     """The window scores write_scores_csv wrote, in file order, with users
-    holding each row's name.  A missing column, a value that does not
-    parse, a u outside (0, 1], a d or s that is negative or not finite, an
+    holding each row's name.  A missing column, a row without a user, a
+    value that does not parse, a u outside (0, 1], a d or s that is negative or not finite, an
     alert other than 0 or 1, a trigger other than "", uncertainty, drift or
     both, a trigger set on a row without an alert or missing on one with
     it, and a window_end that is not finite are DataErrors naming the file
@@ -320,6 +320,8 @@ def read_scores_csv(path: Path | str) -> DetectionResult:
                 raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
             for row in reader:
                 try:
+                    if row["user"] is None:
+                        raise ValueError("no user")
                     alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
                     if alert is None:
                         raise ValueError(f"alert {row['alert']!r} is not 0 or 1")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,12 +42,8 @@ def confusion(predicted: dict[str, bool], truth: dict[str, bool],
     if set(predicted) != set(truth):
         missing = sorted(set(predicted) ^ set(truth))
         raise ContractError(f"predicted/truth key mismatch: {missing[:5]}")
-    tp = fp = tn = fn = 0
-    for user, pred in predicted.items():
-        if truth[user]:
-            tp, fn = (tp + 1, fn) if pred else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if pred else (fp, tn + 1)
+    n = Counter((bool(truth[user]), bool(pred)) for user, pred in predicted.items())
+    tp, fp, tn, fn = n[True, True], n[False, True], n[False, False], n[True, False]
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
     def ratio(num: int, den: int) -> float | None:
@@ -88,43 +85,30 @@ def roc_auc(scores: dict[str, float], truth: dict[str, bool]) -> RocCurve:
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    tp = fp = 0
-    i = 0
-    n = len(users)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i:j].sum())
-        fp += (j - i) - int(y_sorted[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(s_sorted[i]))
-        i = j
+    starts = np.flatnonzero(np.append(True, s_sorted[1:] != s_sorted[:-1]))
+    ends = np.append(starts[1:], len(users)) - 1  # the last index of each tie group
+    tp = np.cumsum(y[order])[ends]
+    points = [(0.0, 0.0), *zip(((ends + 1 - tp) / n_neg).tolist(), (tp / n_pos).tolist())]
+    thresholds = [float("inf"), *s_sorted[starts].tolist()]
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
     return RocCurve(points=tuple(points), thresholds=tuple(thresholds), auc=auc)
 
 
-def baseline_kmeans_detector(embeddings: dict[str, np.ndarray], n_clusters: int,
-                             rng: SeededRng) -> tuple[dict[str, bool], float]:
+def baseline_kmeans_detector(points: np.ndarray, n_clusters: int,
+                             rng: SeededRng) -> tuple[np.ndarray, float]:
     """Hard-clustering baseline: flag users far from every centroid.
 
-    Distances are measured to the nearest k-means centroid; the cut is
-    the BASELINE_QUANTILE of the training-set distances.  Returns the flags
-    and the cut value.
+    points holds one (k,) embedding per row.  Distances are measured to
+    the nearest k-means centroid; the cut is the BASELINE_QUANTILE of those
+    distances.  Returns one flag per row and the cut value.
     """
-    users = sorted(embeddings)
-    points = np.stack([embeddings[u] for u in users])
     clusters: ClusterInit = init_clusters(points, n_clusters, rng)
     diffs = points - clusters.centroids[clusters.assignments]
     dists = np.sqrt((diffs * diffs).sum(axis=1))
     cut = float(np.quantile(dists, BASELINE_QUANTILE))
-    flags = {u: bool(dists[i] > cut) for i, u in enumerate(users)}
-    return flags, cut
+    return dists > cut, cut
 
 
 @dataclass(frozen=True)
@@ -189,8 +173,7 @@ class EvaluationReport:
     metrics: dict[str, float | None]
     roc: RocCurve
     baseline_fpr: float | None
-    projection: Projection2D
-    projection_users: list[str]
+    projection: Projection2D  # of embeddings, one row per user
     seed: int
     config_digest: str
 
@@ -205,7 +188,7 @@ def evaluate_run(result, sequences, embeddings: dict[str, np.ndarray],
     scores that miss one of their users, or name a user they lack, are a
     DataError.
     embeddings: per-user full-sequence embeddings for the baseline
-    detector and the latent projection.
+    detector and the latent projection; it must hold every corpus user.
     """
     seq_by_user = {s.user: s for s in sequences}
     users = sorted(seq_by_user)
@@ -238,20 +221,15 @@ def evaluate_run(result, sequences, embeddings: dict[str, np.ndarray],
     counts, metrics = confusion(dict(zip(users, predicted.tolist())), truth_of)
     roc = roc_auc(dict(zip(users, peaks[:, 2].tolist())), truth_of)
 
-    flags, _ = baseline_kmeans_detector(embeddings, n_clusters,
-                                        SeededRng(seed, stream=777))
-    benign = [u for u, t in truth_of.items() if not t]
-    baseline_fpr = (sum(flags[u] for u in benign) / len(benign)) if benign else None
+    points = np.stack([embeddings[u] for u in users])
+    flags, _ = baseline_kmeans_detector(points, n_clusters, SeededRng(seed, stream=777))
+    n_benign = len(users) - int(truth.sum())
+    baseline_fpr = int(flags[~truth].sum()) / n_benign if n_benign else None
 
-    users_sorted = sorted(embeddings)
-    projection = project_2d(np.stack([embeddings[u] for u in users_sorted]))
-
-    all_metrics = dict(metrics)
-    all_metrics["auc"] = roc.auc
-    return EvaluationReport(users, truth, predicted, peaks, counts=counts, metrics=all_metrics,
-                            roc=roc, baseline_fpr=baseline_fpr, projection=projection,
-                            projection_users=users_sorted, seed=seed,
-                            config_digest=config_digest)
+    return EvaluationReport(users, truth, predicted, peaks, counts=counts,
+                            metrics={**metrics, "auc": roc.auc},
+                            roc=roc, baseline_fpr=baseline_fpr, projection=project_2d(points),
+                            seed=seed, config_digest=config_digest)
 
 
 def export_report(report: EvaluationReport, directory: Path | str) -> dict:
@@ -261,12 +239,7 @@ def export_report(report: EvaluationReport, directory: Path | str) -> dict:
 
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "accuracy": report.metrics["accuracy"],
-        "precision": report.metrics["precision"],
-        "recall": report.metrics["recall"],
-        "f1": report.metrics["f1"],
-        "fpr": report.metrics["fpr"],
-        "auc": report.metrics["auc"],
+        **report.metrics,  # accuracy, precision, recall, f1, fpr and auc
         "baseline_fpr": report.baseline_fpr,
         "n_users": len(report.users),
         "n_insiders": int(report.truth.sum()),
@@ -275,29 +248,20 @@ def export_report(report: EvaluationReport, directory: Path | str) -> dict:
     }
     (directory / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    with open(directory / "roc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for (fpr, tpr), thr in zip(report.roc.points, report.roc.thresholds):
-            writer.writerow([repr(fpr), repr(tpr), repr(thr)])
-
-    with open(directory / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "u", "d", "s", "truth"])
-        for user, peaks, truth in zip(report.users, report.peaks.tolist(),
-                                      report.truth.tolist()):
-            writer.writerow([user, *map(repr, peaks), int(truth)])
-
-    write_projection_csv(report.projection_users, report.projection,
-                         directory / "projection.csv")
+    _write_csv(directory / "roc.csv", ["fpr", "tpr", "threshold"],
+               ([repr(fpr), repr(tpr), repr(thr)]
+                for (fpr, tpr), thr in zip(report.roc.points, report.roc.thresholds)))
+    _write_csv(directory / "scores.csv", ["user", "u", "d", "s", "truth"],
+               ([user, *map(repr, peaks), int(truth)] for user, peaks, truth
+                in zip(report.users, report.peaks.tolist(), report.truth.tolist())))
+    _write_csv(directory / "projection.csv", ["user", "x", "y"],
+               ([user, repr(px), repr(py)]
+                for user, (px, py) in zip(report.users, report.projection.coords.tolist())))
     return payload
 
 
-def write_projection_csv(users: list[str], projection: Projection2D,
-                         path: Path | str) -> None:
-    """One user,x,y row per user, coordinates as repr(float)."""
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["user", "x", "y"])
-        for user, (px, py) in zip(users, projection.coords):
-            writer.writerow([user, repr(float(px)), repr(float(py))])
+        writer.writerow(header)
+        writer.writerows(rows)

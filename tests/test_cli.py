@@ -407,6 +407,26 @@ def test_non_integer_label_onset_is_data_error(small_run, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rotate", [0, 1], ids=["no-label", "no-user"])
+def test_short_labels_row_is_data_error(small_run, tmp_path, capsys, rotate):
+    """A labels.csv row cut short of its label, or of its user, stops eval;
+    it does not turn a benign user into an insider."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    rows = [line.split(",") for line in (corpus / "labels.csv").read_text().splitlines()]
+    rows = [row[rotate:] + row[:rotate] for row in rows]  # rotate 1: the user column last
+    benign = next(i for i, row in enumerate(rows) if "benign" in row)
+    rows[benign] = rows[benign][:1 + 2 * rotate]  # the user alone, or all but the user
+    (corpus / "labels.csv").write_text("\n".join(map(",".join, rows)) + "\n")
+    rc = main(["eval", "--scores", str(small_run["detect"] / "scores.csv"), "--corpus",
+               str(corpus), "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--seed", "7", "--out", str(tmp_path / "report")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'labels.csv'}, line {benign + 1}: a row needs a user and a label" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("header,missing", [
     ("user,label,start,duration", "onset"), ("name,label,onset,duration", "user"),
     ("user,label", "onset, duration"),
@@ -463,12 +483,23 @@ def test_checkpoint_array_of_wrong_shape_is_data_error(small_run, tmp_path, caps
     assert "Traceback" not in err
 
 
+def user_last_one_short(lines):
+    """scores.csv lines with the user column moved last, the first row cut
+    short of its user and the second row's user renamed zzz."""
+    rows = [line.split(",") for line in lines]  # no scores.csv field holds a comma
+    rows = [row[1:] + row[:1] for row in rows]
+    rows[1].pop()
+    rows[2][-1] = "zzz"
+    return [",".join(row) for row in rows]
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: [lines[0].replace(",u,", ",uncertainty,")] + lines[1:],
      "line 1: missing column(s) u"),
     (lambda lines: [lines[0], re.sub(r"^([^,]*,[^,]*),[^,]*,", r"\1,abc,", lines[1])]
      + lines[2:], "line 2: could not convert string to float: 'abc'"),
-], ids=["renamed-u", "u-not-a-number"])
+    (user_last_one_short, "line 2: no user"),
+], ids=["renamed-u", "u-not-a-number", "row-without-user"])
 def test_malformed_scores_csv_is_data_error(small_run, tmp_path, capsys, edit, message):
     scores = tmp_path / "scores.csv"
     lines = (small_run["detect"] / "scores.csv").read_text().splitlines()

@@ -565,7 +565,7 @@ def oracle_sample_profile(user, idx, rng):
     r_lo, r_hi = data_mod._ROLE_READ_SHARE[role]
     e_lo, e_hi = data_mod._ROLE_EXTERNAL_SHARE[role]
     return data_mod.UserProfile(
-        user=user, day_rates=rates,
+        user=user, day_rates=[rates[kind] for kind in EVENT_KINDS],
         hosts=[f"pc-{idx:04d}-{j}" for j in range(n_hosts)],
         commands=[f"cmd{(idx * 13 + j) % 200:03d}" for j in range(n_cmds)],
         read_share=r_lo + (r_hi - r_lo) * rng.uniform(),
@@ -583,16 +583,53 @@ def test_sample_profile_matches_scalar_draw_oracle(monkeypatch, idx, seed):
     assert calls == [12]
     monkeypatch.undo()
     oracle = SeededRng(seed).derive(10_000 + idx)
-    assert got == oracle_sample_profile(f"u{idx:04d}", idx, oracle)
+    expected = oracle_sample_profile(f"u{idx:04d}", idx, oracle)
+    assert np.array_equal(got.day_rates, expected.day_rates)
+    assert replace(got, day_rates=None) == replace(expected, day_rates=None)
     assert rng.state == oracle.state
+
+
+def oracle_rate(profile, kind, hour):
+    """The benign rate of kind at an hour: the peak-hour rate times a sine
+    bump over 07:00-23:00 that logons nearly vanish outside."""
+    h = hour % 24
+    bump = math.sin(math.pi * (h - 7.0) / 16.0) if 7 <= h < 23 else 0.0
+    diurnal = 0.06 + 0.94 * bump if kind in ("logon", "logoff") else 0.5 + 0.5 * bump
+    return profile.day_rates[EVENT_KINDS.index(kind)] * diurnal
+
+
+def oracle_scenario_rates(profile, spec, hour):
+    """The scenario's rates at one hour of day, as kind -> rate."""
+    base_rates, intensity = data_mod._BASE_RATES, spec.intensity
+    rates = {kind: oracle_rate(profile, kind, hour) for kind in EVENT_KINDS}
+
+    def boost(kind, key):
+        gain = intensity.get(key, 1.0) - 1.0
+        if gain > 0.0:
+            rates[kind] += gain * base_rates[kind]
+
+    if "removable_device" in intensity:
+        gain = intensity["removable_device"] - 1.0
+        rates["removable-device"] += gain * (rates["removable-device"] + 0.2)
+    if "offhours_logon" in intensity and hour < OFF_HOURS_END:
+        gain = intensity["offhours_logon"] - 1.0
+        rates["logon"] += 0.08 * gain
+        rates["file-access"] += 0.1 * gain * base_rates["file-access"]
+    boost("file-access", "file_access")
+    boost("process-exec", "process_exec")
+    boost("command", "distinct_commands")
+    boost("http", "http")
+    if "distinct_hosts" in intensity:
+        rates["logon"] += min(intensity["distinct_hosts"] - 1.0, 2.0) * base_rates["logon"]
+    return rates
 
 
 @pytest.mark.parametrize("start_time", [0.0, 1.3e9 + 5417.25], ids=["midnight", "offset-start"])
 @pytest.mark.parametrize("scale", [0.0, 1.0, 3.0])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_stream_rates_match_per_hour_oracle(monkeypatch, scenario, scale, start_time):
-    """The benign rates are profile.rate at each hour's hour of day, and the
-    attack rates max(0, _scenario_rates - benign), hour by hour."""
+    """The benign rates are oracle_rate at each hour's hour of day, and the
+    attack rates max(0, oracle_scenario_rates - benign), hour by hour."""
     idx, t_len = 3 + SCENARIOS.index(scenario), 10
     profile = _sample_profile(f"u{idx:04d}", idx, SeededRng(89).derive(10_000 + idx))
     spec = default_scenario(scenario, t_len, SeededRng(89).derive(30_000 + idx),
@@ -608,11 +645,13 @@ def test_stream_rates_match_per_hour_oracle(monkeypatch, scenario, scale, start_
     attack_hours = hours[(window >= spec.onset) & (window < spec.onset + spec.duration)]
     hod = ((start_time + hours * 3600.0) % 86400.0 // 3600.0).astype(int).tolist()
     assert {hod[h] for h in attack_hours} == set(range(24))
-    assert np.array_equal(base, [[profile.rate(kind, hod[h]) for kind in EVENT_KINDS]
+    assert np.array_equal(base, [[oracle_rate(profile, kind, hod[h]) for kind in EVENT_KINDS]
                                  for h in hours])
+    assert np.array_equal(_scenario_rates(profile, spec), [
+        list(oracle_scenario_rates(profile, spec, hour).values()) for hour in range(24)])
     expected = []
     for h in attack_hours:
-        perturbed = _scenario_rates(profile, spec, hod[h])
+        perturbed = oracle_scenario_rates(profile, spec, hod[h])
         expected.append([max(0.0, perturbed[kind] - base[h, j])
                          for j, kind in enumerate(EVENT_KINDS)])
     assert np.array_equal(extra, expected)

@@ -589,6 +589,8 @@ def oracle_read_scores(path):
             raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
             try:
+                if row["user"] is None:
+                    raise ValueError("no user")
                 if row["alert"] not in ("0", "1"):
                     raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
                 alert, trigger = row["alert"] == "1", row["trigger"]

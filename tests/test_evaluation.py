@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsentinel import detector as detector_mod
 from evsentinel.data import generate
@@ -138,6 +140,48 @@ def test_roc_monotone_points():
     assert 0.0 <= curve.auc <= 1.0
 
 
+def oracle_roc(scores, truth):
+    """roc_auc's curve, one tie group at a time."""
+    users = sorted(scores)
+    y = np.array([truth[u] for u in users], dtype=bool)
+    s = np.array([scores[u] for u in users], dtype=np.float64)
+    n_pos = int(y.sum())
+    n_neg = len(users) - n_pos
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    points, thresholds = [(0.0, 0.0)], [float("inf")]
+    tp = fp = i = 0
+    while i < len(users):
+        j = i
+        while j < len(users) and s_sorted[j] == s_sorted[i]:
+            j += 1
+        tp += int(y_sorted[i:j].sum())
+        fp += (j - i) - int(y_sorted[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(float(s_sorted[i]))
+        i = j
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return tuple(points), tuple(thresholds), auc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, 3.0)),
+                          st.booleans()), min_size=2, max_size=40)
+       .filter(lambda rows: len({label for _, label in rows}) == 2))
+def test_roc_matches_tie_group_oracle(rows):
+    """Heavy ties, signed zeros and both classes: every point, threshold
+    and the auc equal the oracle's bit for bit."""
+    scores = {f"u{i:02d}": score for i, (score, _) in enumerate(rows)}
+    truth = {f"u{i:02d}": label for i, (_, label) in enumerate(rows)}
+    curve = roc_auc(scores, truth)
+    points, thresholds, auc = oracle_roc(scores, truth)
+    assert curve.points == points
+    assert list(map(repr, curve.thresholds)) == list(map(repr, thresholds))
+    assert curve.auc == auc and repr(curve.auc) == repr(auc)
+
+
 def test_single_class_rejected():
     with pytest.raises(DegenerateInputError):
         roc_auc({"a": 1.0, "b": 0.5}, {"a": True, "b": True})
@@ -153,21 +197,19 @@ def test_baseline_flags_match_distance_definition():
     blob_a = rng.normal((15, 4)) * 0.5
     blob_b = rng.normal((15, 4)) * 0.5 + 10.0
     points = np.vstack([blob_a, blob_b])
-    embeddings = {f"u{i:02d}": points[i] for i in range(30)}
-    flags, cut = baseline_kmeans_detector(embeddings, 2, SeededRng(78))
+    flags, cut = baseline_kmeans_detector(points, 2, SeededRng(78))
 
     # independent recompute of the rule: distance to nearest centroid > cut
-    users = sorted(embeddings)
-    stacked = np.stack([embeddings[u] for u in users])
-    clusters = init_clusters(stacked, 2, SeededRng(78))
-    diffs = stacked - clusters.centroids[clusters.assignments]
+    clusters = init_clusters(points, 2, SeededRng(78))
+    diffs = points - clusters.centroids[clusters.assignments]
     dists = np.sqrt((diffs * diffs).sum(axis=1))
     assert cut == np.quantile(dists, BASELINE_QUANTILE)
-    for i, user in enumerate(users):
-        assert flags[user] == (dists[i] > cut)
+    assert flags.dtype == bool and flags.shape == (30,)
+    for row, dist in enumerate(dists):
+        assert flags[row] == (dist > cut)
     # the 95% cut of 30 distances leaves the top two above it; the nearest never is
-    assert sum(flags.values()) == 2
-    assert not flags[users[int(np.argmin(dists))]]
+    assert flags.sum() == 2
+    assert not flags[int(np.argmin(dists))]
 
 
 # -- 2-D projection -------------------------------------------------------------------
