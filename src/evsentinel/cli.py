@@ -100,9 +100,6 @@ def _detector_config(config: dict) -> DetectorConfig:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if not (0.0 <= config["insider_fraction"] <= 1.0):
-        raise ConfigError(
-            f"--insider-fraction must be in [0, 1], got {config['insider_fraction']}")
     out_dir = Path(args.out)
     corpus = data_mod.generate(
         population=int(config["population"]),
@@ -194,12 +191,37 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # -- argument wiring --------------------------------------------------------------
 
+# each subcommand's config-key flags, in help order: --key-with-dashes, typed as DEFAULTS[key]
+CONFIG_FLAGS = {
+    "gen": {"population": "number of users",
+            "insider_fraction": "fraction of users that are insiders",
+            "t_len": "windows per sequence",
+            "window_duration": "window length in seconds",
+            "intensity_scale": "attack intensity scale (1 = defaults)"},
+    "train": {"epochs": "training epochs", "learning_rate": "Adam learning rate",
+              "batch_size": "mini-batch size", "dropout_p": "dropout probability",
+              "n_clusters": "number of clusters K", "hidden": "GRU hidden size",
+              "lambda_max": "final KL weight", "anneal_epochs": "epochs to ramp the KL weight",
+              "warmup_epochs": "reconstruction warm-up epochs",
+              "refresh_period": "pseudo-label refresh period in epochs"},
+    "detect": {"tau_u": "uncertainty threshold", "tau_d": "drift threshold",
+               "beta": "EWMA smoothing"},
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="global random seed")
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat JSON config file; flags override it")
-    parser.add_argument("--out", type=str, required=True, help="output directory")
+
+def _subcommand(sub, name: str, func, text: str, **paths: str) -> argparse.ArgumentParser:
+    """Subcommand name: --seed, --config and --out, a required --path for
+    each of paths (its help text), then CONFIG_FLAGS[name]."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("--seed", type=int, help="global random seed")
+    p.add_argument("--config", help="flat JSON config file; flags override it")
+    p.add_argument("--out", required=True, help="output directory")
+    for path, path_help in paths.items():
+        p.add_argument(f"--{path}", required=True, help=path_help)
+    for key, key_help in CONFIG_FLAGS.get(name, {}).items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(DEFAULTS[key]), help=key_help)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,65 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evsentinel",
         description="Evidential clustering insider-threat detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a labeled synthetic corpus")
-    _add_common(p)
-    p.add_argument("--population", type=int, default=None, help="number of users")
-    p.add_argument("--insider-fraction", dest="insider_fraction", type=float,
-                   default=None, help="fraction of users that are insiders")
-    p.add_argument("--t-len", dest="t_len", type=int, default=None,
-                   help="windows per sequence")
-    p.add_argument("--window-duration", dest="window_duration", type=float,
-                   default=None, help="window length in seconds")
-    p.add_argument("--intensity-scale", dest="intensity_scale", type=float,
-                   default=None, help="attack intensity scale (1 = defaults)")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="train encoder and evidential head")
-    _add_common(p)
-    p.add_argument("--corpus", type=str, required=True, help="corpus directory")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None,
-                   help="Adam learning rate")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help="mini-batch size")
-    p.add_argument("--dropout-p", dest="dropout_p", type=float, default=None,
-                   help="dropout probability")
-    p.add_argument("--n-clusters", dest="n_clusters", type=int, default=None,
-                   help="number of clusters K")
-    p.add_argument("--hidden", type=int, default=None, help="GRU hidden size")
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None,
-                   help="final KL weight")
-    p.add_argument("--anneal-epochs", dest="anneal_epochs", type=int, default=None,
-                   help="epochs to ramp the KL weight")
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int, default=None,
-                   help="reconstruction warm-up epochs")
-    p.add_argument("--refresh-period", dest="refresh_period", type=int, default=None,
-                   help="pseudo-label refresh period in epochs")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("detect", help="stream detection over a corpus or log")
-    _add_common(p)
-    p.add_argument("--checkpoint", type=str, required=True, help="trained checkpoint")
-    p.add_argument("--input", type=str, required=True,
-                   help="corpus directory, raw log CSV, or CERT directory")
-    p.add_argument("--tau-u", dest="tau_u", type=float, default=None,
-                   help="uncertainty threshold")
-    p.add_argument("--tau-d", dest="tau_d", type=float, default=None,
-                   help="drift threshold")
-    p.add_argument("--beta", type=float, default=None, help="EWMA smoothing")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("eval", help="score a detection run against ground truth")
-    _add_common(p)
-    p.add_argument("--scores", type=str, required=True, help="detector scores.csv")
-    p.add_argument("--corpus", type=str, required=True,
-                   help="corpus directory with labels.csv")
-    p.add_argument("--checkpoint", type=str, required=True, help="trained checkpoint")
-    p.add_argument("--epochs-log", dest="epochs_log", type=str, default=None,
-                   help="epochs.csv from training to copy into the report")
-    p.set_defaults(func=cmd_eval)
-
+    _subcommand(sub, "gen", cmd_gen, "generate a labeled synthetic corpus")
+    _subcommand(sub, "train", cmd_train, "train encoder and evidential head",
+                corpus="corpus directory")
+    _subcommand(sub, "detect", cmd_detect, "stream detection over a corpus or log",
+                checkpoint="trained checkpoint",
+                input="corpus directory, raw log CSV, or CERT directory")
+    p = _subcommand(sub, "eval", cmd_eval, "score a detection run against ground truth",
+                    scores="detector scores.csv", corpus="corpus directory with labels.csv",
+                    checkpoint="trained checkpoint")
+    p.add_argument("--epochs-log", help="epochs.csv from training to copy into the report")
     return parser
 
 

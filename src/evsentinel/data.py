@@ -152,17 +152,6 @@ def _concat(tables: list[EventTable]) -> EventTable:
     return EventTable(**merged)
 
 
-def _parse_bytes(text: str) -> float:
-    """A bytes attribute: a finite number, at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"bytes {text!r} is not a number") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DataError(f"bytes {text!r} must be finite and at least 0")
-    return value
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     scenario: str
@@ -508,7 +497,7 @@ def generate(population: int, insider_fraction: float, rng: SeededRng,
     streams.
     """
     if not (0.0 <= insider_fraction <= 1.0):
-        raise ContractError(f"insider fraction must be in [0, 1], got {insider_fraction}")
+        raise ContractError(f"insider_fraction must be in [0, 1], got {insider_fraction}")
     if population < 1:
         raise ContractError("population must be at least 1")
     if t_len < 1:
@@ -784,8 +773,8 @@ def load_corpus(directory: Path | str) -> Corpus:
 
     A labels.csv that lacks one of LABEL_COLUMNS, has a row without a user
     or a label, or whose onset or duration is not an integer, is a
-    DataError naming the file and line;
-    so is one csv cannot read (see csv_read_errors).
+    DataError naming the file and line; so is one csv cannot read (see
+    csv_rows).
     """
     directory = Path(directory)
     header, arrays, _ = read_blob(directory / "sequences.bin")
@@ -794,23 +783,16 @@ def load_corpus(directory: Path | str) -> Corpus:
     labels: dict[str, tuple[str, int | None, int | None]] = {}
     labels_path = directory / "labels.csv"
     if labels_path.exists():
-        with open(labels_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            with csv_read_errors(labels_path, reader.reader):
-                missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
-                if missing:
-                    raise DataError(f"{labels_path}, line 1: "
-                                    f"missing column(s) {', '.join(missing)}")
-                for row in reader:
-                    try:
-                        if row["user"] is None or row["label"] is None:
-                            raise ValueError("a row needs a user and a label")
-                        onset = int(row["onset"]) if row["onset"] else None
-                        duration = int(row["duration"]) if row["duration"] else None
-                    except ValueError as exc:
-                        raise DataError(f"{labels_path}, line {reader.line_num}: "
-                                        f"{exc}") from None
-                    labels[row["user"]] = (row["label"], onset, duration)
+        with csv_rows(labels_path, LABEL_COLUMNS) as reader:
+            for row in reader:
+                try:
+                    if row["user"] is None or row["label"] is None:
+                        raise ValueError("a row needs a user and a label")
+                    onset = int(row["onset"]) if row["onset"] else None
+                    duration = int(row["duration"]) if row["duration"] else None
+                except ValueError as exc:
+                    raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
+                labels[row["user"]] = (row["label"], onset, duration)
     sequences = []
     for i, user in enumerate(header["users"]):
         label, onset, duration = labels.get(user, ("benign", None, None))
@@ -835,7 +817,7 @@ def load_raw_log(path: Path | str) -> EventTable:
     unknown kind, a timestamp that is not a finite number, a bytes value
     that is not a finite number >= 0) is a DataError naming the file and
     line; so are bytes that are not text and a field csv refuses (see
-    csv_read_errors).  One user's records going back in time are a
+    csv_rows).  One user's records going back in time are a
     DataError naming the user, and a file with no event rows one naming
     the file.
 
@@ -846,26 +828,21 @@ def load_raw_log(path: Path | str) -> EventTable:
     """
     parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
     names: tuple[dict, dict, dict] = ({}, {}, {})  # user, host, cmd: name -> code
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        with csv_read_errors(path, reader):
-            header = next(reader, [])
-            missing = [c for c in RAW_LOG_COLUMNS if c not in header]
-            if missing:
-                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-            at = [header.index(c) for c in RAW_LOG_COLUMNS]
-            while True:
-                first_line, rows = reader.line_num, []
-                try:
-                    rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-                finally:
-                    # the rows read before csv failed come first: a bad one
-                    # among them is reported in place of csv's error
-                    for part, column in zip(parts, _raw_log_chunk(path, rows, first_line,
-                                                                  at, names)):
-                        part.append(column)
-                if len(rows) < _CHUNK_ROWS:
-                    break
+    with csv_rows(path, RAW_LOG_COLUMNS) as table:
+        reader = table.reader
+        at = [table.fieldnames.index(c) for c in RAW_LOG_COLUMNS]  # a repeat reads its first
+        while True:
+            first_line, rows = reader.line_num, []
+            try:
+                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+            finally:
+                # the rows read before csv failed come first: a bad one
+                # among them is reported in place of csv's error
+                for part, column in zip(parts, _raw_log_chunk(path, rows, first_line,
+                                                              at, names)):
+                    part.append(column)
+            if len(rows) < _CHUNK_ROWS:
+                break
     if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no event rows")
     # each column's chunks are joined in turn, and freed as they are
@@ -916,11 +893,12 @@ def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],
 
     try:
         timestamp = np.fromiter(map(float, stamp), np.float64, n)
-        nbytes = attribute("bytes", np.nan, np.float64, _byte_counts)
     except ValueError:
         raise _first_bad_row(path, rows, first_line, at) from None
-    if not (np.isfinite(timestamp).all() and (kind >= 0).all()):
+    nbytes = attribute("bytes", -1.0, np.float64, _byte_counts)  # -1 where none is given
+    if not (np.isfinite(timestamp).all() and (kind >= 0).all() and not np.isnan(nbytes).any()):
         raise _first_bad_row(path, rows, first_line, at)
+    nbytes[nbytes == -1.0] = np.nan
     return [_codes(names[0], user), timestamp, kind,
             attribute("host", -1, np.intp, functools.partial(_codes, names[1])),
             attribute("cmd", -1, np.intp, functools.partial(_codes, names[2])),
@@ -930,11 +908,16 @@ def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],
 
 
 def _byte_counts(values: list[str]) -> np.ndarray:
-    """bytes attribute values as numbers; a ValueError unless every one is
-    a finite number, at least 0."""
-    counts = np.fromiter(map(float, values), np.float64, len(values))
-    if not (np.isfinite(counts) & (counts >= 0.0)).all():
-        raise ValueError("a bytes value is not a finite number >= 0")
+    """Byte counts (a raw-log bytes attribute, a CERT email size) as
+    numbers; NaN for each value that is not a finite number, at least 0."""
+    try:
+        counts = np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:  # some do not parse, so each is read alone
+        counts = np.full(len(values), np.nan)
+        for i, value in enumerate(values):
+            with contextlib.suppress(ValueError):
+                counts[i] = float(value)
+    counts[~((counts >= 0.0) & (counts < math.inf))] = np.nan
     return counts
 
 
@@ -963,26 +946,38 @@ def _first_bad_row(path, rows: list[list[str]], first_line: int, at: list[int]) 
             if not math.isfinite(ts):
                 raise DataError("timestamp must be finite")
             attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
-            if "bytes" in attrs:
-                _parse_bytes(attrs["bytes"])
+            text = attrs.get("bytes")
+            if text is not None and np.isnan(_byte_counts([text])[0]):
+                try:
+                    float(text)
+                except ValueError:
+                    raise DataError(f"bytes {text!r} is not a number") from None
+                raise DataError(f"bytes {text!r} must be finite and at least 0")
         except (ValueError, DataError) as exc:
             return DataError(f"{path}, line {line}: {exc}")
     raise AssertionError(f"{path}: no row after line {first_line} fails a check")
 
 
 @contextlib.contextmanager
-def csv_read_errors(path, reader):
-    """Turn what the csv.reader of path cannot read into a DataError naming
-    the file and line: bytes that are not text in the file's encoding, or
-    a field csv refuses, such as one over csv.field_size_limit().  A
-    DictReader's line_num lags a failed row, so pass its .reader."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}, line {_undecodable_line(path, exc.encoding)}: "
-                        f"not {exc.encoding} text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+def csv_rows(path, required):
+    """A csv.DictReader over the CSV file path, its header read; a header
+    that lacks one of the required columns is a DataError at line 1.  While
+    the block runs, what csv cannot read is a DataError naming the file and
+    line: bytes that are not text in the file's encoding, or a field csv
+    refuses, such as one over csv.field_size_limit().  Rows may be read
+    through the DictReader or its .reader."""
+    with open(path, newline="") as fh:
+        rows = csv.DictReader(fh)
+        try:
+            missing = [c for c in required if c not in (rows.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+            yield rows
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}, line {_undecodable_line(path, exc.encoding)}: "
+                            f"not {exc.encoding} text ({exc.reason})") from None
+        except csv.Error as exc:  # a DictReader's line_num lags a failed row
+            raise DataError(f"{path}, line {rows.reader.line_num}: {exc}") from None
 
 
 def _undecodable_line(path, encoding: str) -> int:
@@ -1089,7 +1084,7 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     name the header repeats reads its last column, a name the header lacks
     or a field past a short row's end reads None, and fields past the
     header's end are ignored; what csv cannot read is a DataError (see
-    csv_read_errors).  Malformed rows (no date or one that does not parse,
+    csv_rows).  Malformed rows (no date or one that does not parse,
     an empty user, an email size that is not a finite number >= 0) are
     skipped and counted, never fatal.  Returns (events, malformed_count).
     Each file is read _CHUNK_ROWS rows at a time, a column at a time, so
@@ -1106,17 +1101,13 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     names: tuple[dict, dict] = ({}, {})  # user, host: name -> code
     malformed = 0
     for filename in sources:
-        path = directory / filename
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            with csv_read_errors(path, reader):
-                header = next(reader, [])
-                at = {name: i for i, name in enumerate(header)}  # a repeat keeps its last
-                for rows in iter(lambda: list(itertools.islice(reader, _CHUNK_ROWS)), []):
-                    columns, bad = _cert_chunk(filename, rows, at, names)
-                    for part, column in zip(parts, columns):
-                        part.append(column)
-                    malformed += bad
+        with csv_rows(directory / filename, ()) as table:
+            at = {name: i for i, name in enumerate(table.fieldnames or ())}  # a repeat: its last
+            for rows in iter(lambda: list(itertools.islice(table.reader, _CHUNK_ROWS)), []):
+                columns, bad = _cert_chunk(filename, rows, at, names)
+                for part, column in zip(parts, columns):
+                    part.append(column)
+                malformed += bad
     if not sum(map(len, parts[0])):
         raise DataError(f"zero parseable rows in {directory}")
     users, hosts = names
@@ -1162,16 +1153,8 @@ def _cert_chunk(filename: str, rows: list[list[str]], at: dict,
         external = external.astype(np.int8)
         size = column("size")
         given = np.flatnonzero(np.fromiter(map(bool, size), bool, n))
-        values = [size[i] for i in given.tolist()]
-        try:
-            counts = _byte_counts(values)
-        except ValueError:  # some are not sizes: NaN, and their rows are malformed
-            counts = np.full(len(values), np.nan)
-            for i, value in enumerate(values):
-                with contextlib.suppress(DataError):
-                    counts[i] = _parse_bytes(value)
-        nbytes[given] = counts
-        good[given] &= ~np.isnan(counts)
+        nbytes[given] = _byte_counts([size[i] for i in given.tolist()])
+        good[given] &= ~np.isnan(nbytes[given])  # a size that is not a byte count
     keep = np.flatnonzero(good)
     host = column("pc")
     if keep.size < n:

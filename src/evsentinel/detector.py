@@ -28,7 +28,6 @@ change any per-user output.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, EventTable, _csv_field, csv_read_errors, window_series
+from .data import Corpus, EventTable, _csv_field, csv_rows, window_series
 from .errors import ConfigError, ContractError, DataError, DomainError
 from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment
@@ -310,36 +309,30 @@ def read_scores_csv(path: Path | str) -> DetectionResult:
     alert other than 0 or 1, a trigger other than "", uncertainty, drift or
     both, a trigger set on a row without an alert or missing on one with
     it, and a window_end that is not finite are DataErrors naming the file
-    and line, as is what csv cannot read (see data.csv_read_errors)."""
+    and line, as is what csv cannot read (see data.csv_rows)."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        with csv_read_errors(path, reader.reader):
-            missing = [c for c in SCORE_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                try:
-                    if row["user"] is None:
-                        raise ValueError("no user")
-                    alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
-                    if alert is None:
-                        raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
-                    if trigger not in _TRIGGERS or (trigger != "") != alert:
-                        raise ValueError(f"trigger {trigger!r} does not fit alert "
-                                         f"{row['alert']}")
-                    u, d, s = float(row["u"]), float(row["d"]), float(row["s"])
-                    if not 0.0 < u <= 1.0:
-                        raise ValueError(f"u {row['u']!r} is not in (0, 1]")
-                    for name, value in (("d", d), ("s", s)):
-                        if not 0.0 <= value < math.inf:
-                            raise ValueError(f"{name} {row[name]!r} is negative or not finite")
-                    end, cluster = float(row["window_end"]), int(row["cluster"])
-                    if not math.isfinite(end):
-                        raise ValueError(f"window_end {row['window_end']!r} is not finite")
-                    rows.append((row["user"], end, u, d, s, _TRIGGERS.index(trigger), cluster))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    with csv_rows(path, SCORE_COLUMNS) as reader:
+        for row in reader:
+            try:
+                if row["user"] is None:
+                    raise ValueError("no user")
+                alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
+                if alert is None:
+                    raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
+                if trigger not in _TRIGGERS or (trigger != "") != alert:
+                    raise ValueError(f"trigger {trigger!r} does not fit alert {row['alert']}")
+                u, d, s = float(row["u"]), float(row["d"]), float(row["s"])
+                if not 0.0 < u <= 1.0:
+                    raise ValueError(f"u {row['u']!r} is not in (0, 1]")
+                for name, value in (("d", d), ("s", s)):
+                    if not 0.0 <= value < math.inf:
+                        raise ValueError(f"{name} {row[name]!r} is negative or not finite")
+                end, cluster = float(row["window_end"]), int(row["cluster"])
+                if not math.isfinite(end):
+                    raise ValueError(f"window_end {row['window_end']!r} is not finite")
+                rows.append((row["user"], end, u, d, s, _TRIGGERS.index(trigger), cluster))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     users, end, u, d, s, trigger, cluster = zip(*rows) if rows else [()] * 7
     floats = (np.array(column, dtype=np.float64) for column in (end, u, d, s))
     # cluster, which eval does not read, keeps the ints as written, whatever their size

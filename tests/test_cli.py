@@ -67,7 +67,7 @@ def test_gen_invalid_fraction_exit_code(tmp_path, capsys):
     rc = main(["gen", "--population", "10", "--insider-fraction", "1.5",
                "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
-    assert "insider-fraction" in capsys.readouterr().err
+    assert "insider_fraction" in capsys.readouterr().err
 
 
 def test_defaults_match_reference_table():
@@ -640,6 +640,18 @@ def test_every_subcommand_documents_every_flag(capsys):
                 if opt.startswith("--"):
                     assert opt in text, f"{name}: {opt} missing from help"
             assert action.help, f"{name}: {action.option_strings} lacks help text"
+
+
+def test_every_flag_is_typed_as_its_config_default():
+    """A config key's flag is the key with - for _, parsed as its default's
+    type, so a flag takes what the config file takes."""
+    subparsers = next(a for a in build_parser()._actions if a.choices).choices
+    keyed = [(name, action) for name, sp in subparsers.items() for action in sp._actions
+             if action.dest in DEFAULTS]
+    assert {action.dest for _, action in keyed} == set(DEFAULTS) - {"n_layers"}
+    for name, action in keyed:
+        assert action.option_strings == ["--" + action.dest.replace("_", "-")], name
+        assert action.type is type(DEFAULTS[action.dest]), (name, action.dest)
 
 
 def test_run_directory_contains_reproduction_config(small_run):

@@ -723,6 +723,18 @@ def test_raw_log_round_trip(tmp_path):
 # -- raw-log reader and writer against the row-by-row oracles ---------------------
 
 
+def parse_bytes(text):
+    """A bytes attribute or CERT size as the row-by-row readers parsed one:
+    a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"bytes {text!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DataError(f"bytes {text!r} must be finite and at least 0")
+    return value
+
+
 def oracle_load_raw_log(path):
     """The row-by-row loop load_raw_log once ran (the oracle)."""
     columns = [[] for _ in range(8)]
@@ -742,7 +754,7 @@ def oracle_load_raw_log(path):
                     raise DataError(f"unknown event kind {kind!r}")
                 if not math.isfinite(ts):
                     raise DataError("timestamp must be finite")
-                nbytes = data_mod._parse_bytes(attrs["bytes"]) if "bytes" in attrs else math.nan
+                nbytes = parse_bytes(attrs["bytes"]) if "bytes" in attrs else math.nan
             except (ValueError, DataError) as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
             values = (user, ts, EVENT_KINDS.index(kind), attrs.get("host"), attrs.get("cmd"),
@@ -1074,7 +1086,7 @@ def oracle_ingest_cert(directory):
                     if not row["user"]:
                         raise ValueError("empty user")
                     size = row.get("size") if filename == "email.csv" else None
-                    nbytes = data_mod._parse_bytes(size) if size else math.nan
+                    nbytes = parse_bytes(size) if size else math.nan
                 except (KeyError, ValueError, TypeError, DataError):
                     malformed += 1
                     continue

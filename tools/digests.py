@@ -1,11 +1,13 @@
 """Print the sha256 of every file the CLI pipeline writes, one seed at a time.
 
-For each seed this runs gen, train, detect on the corpus directory and on
-its events.csv, then eval of each detect run, every stage as its own
-`python3 -m evsentinel.cli` process with one BLAS thread.  Each output
+For each seed this runs gen, train, then detect on the corpus directory, on
+its events.csv and on its CERT rewrite (`perfbench/inputs.write_cert`, which
+also writes the rewrite's raw-CSV twin), then eval of each detect run, every
+stage as its own `python3 -m evsentinel.cli` process with one BLAS thread.
+The `--help` text of every subcommand is saved under help/.  Each output
 file is printed as `<relative path> <sha256>` on stdout, in path order;
-each stage's own summary line (with the checkpoint digest) goes to
-stderr.  Two checkouts made the same bytes when their stdout is equal:
+each stage's own summary line (with the checkpoint digest) goes to stderr.
+Two checkouts made the same bytes when their stdout is equal:
 
     python3 tools/digests.py --root OLD_CHECKOUT 1 2 3 4 > old.txt
     python3 tools/digests.py 1 2 3 4 > new.txt
@@ -26,20 +28,30 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import write_cert  # noqa: E402
+
 BENCH = (["--population", "32", "--insider-fraction", "0.5", "--t-len", "20"],
          ["--epochs", "30", "--batch-size", "8"])
 GATE = (["--population", "200", "--insider-fraction", "0.05", "--t-len", "100"],
         ["--epochs", "50"])
+SUBCOMMANDS = ("gen", "train", "detect", "eval")
 
 
-def run_stage(src: Path, stage: str, *args: str) -> None:
+def run_cli(src: Path, *args: str) -> str:
+    """The stdout of one CLI process; its stderr is passed on to ours."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "evsentinel.cli", stage, *args],
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "evsentinel.cli", *args],
                           env=env, capture_output=True, text=True)
-    sys.stderr.write(done.stdout + done.stderr)
+    sys.stderr.write(done.stderr)
     if done.returncode != 0:
-        sys.exit(f"{stage} {' '.join(args)}: exit {done.returncode}")
+        sys.exit(f"{' '.join(args)}: exit {done.returncode}")
+    return done.stdout
+
+
+def run_stage(src: Path, *args: str) -> None:
+    sys.stderr.write(run_cli(src, *args))
 
 
 def pipeline(src: Path, out: Path, seed: str, gen_flags: list[str],
@@ -48,7 +60,9 @@ def pipeline(src: Path, out: Path, seed: str, gen_flags: list[str],
     run_stage(src, "gen", *gen_flags, "--seed", seed, "--out", str(out / "corpus"))
     run_stage(src, "train", "--corpus", str(out / "corpus"), *train_flags,
               "--seed", seed, "--out", str(out / "train"))
-    for name, source in (("corpus", out / "corpus"), ("log", out / "corpus" / "events.csv")):
+    write_cert(out / "corpus" / "events.csv", out / "cert", out / "cert-twin.csv", int(seed))
+    for name, source in (("corpus", out / "corpus"), ("log", out / "corpus" / "events.csv"),
+                         ("cert", out / "cert")):
         run_stage(src, "detect", "--checkpoint", ckpt, "--input", str(source),
                   "--seed", seed, "--out", str(out / f"detect-{name}"))
         run_stage(src, "eval", "--scores", str(out / f"detect-{name}" / "scores.csv"),
@@ -65,11 +79,14 @@ def main() -> None:
                         help="the acceptance gate's scale instead of the benchmark's")
     args = parser.parse_args()
     gen_flags, train_flags = GATE if args.gate else BENCH
+    src = args.root.resolve() / "src"
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
         work = Path(tmp)
+        (work / "help").mkdir()
+        for stage in SUBCOMMANDS:
+            (work / "help" / f"{stage}.txt").write_text(run_cli(src, stage, "--help"))
         for seed in args.seeds:
-            pipeline(args.root.resolve() / "src", work / f"seed-{seed}", seed,
-                     gen_flags, train_flags)
+            pipeline(src, work / f"seed-{seed}", seed, gen_flags, train_flags)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(path.relative_to(work).as_posix(), digest)
