@@ -82,3 +82,12 @@ def read_blob(path: Path | str) -> tuple[dict, dict[str, np.ndarray], str]:
         arrays[name] = arr.astype(np.float64)  # own, writable copy
         off += 8 * size
     return header, arrays, hashlib.sha256(payload).hexdigest()
+
+
+def check_shapes(path, arrays: dict[str, np.ndarray], shapes) -> None:
+    """A DataError naming path and the array for the first (name, shape) of
+    shapes whose array has another shape; a KeyError for one arrays lacks."""
+    for name, shape in shapes:
+        if arrays[name].shape != shape:
+            raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                            f"expected {shape}")

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import read_blob, write_blob
+from .arrayio import check_shapes, read_blob, write_blob
 from .errors import ContractError, DataError
 from .numerics import SeededRng, below, box_muller, unit_floats
 
@@ -771,40 +771,70 @@ def _write_events_csv(events: EventTable, path: Path) -> None:
 def load_corpus(directory: Path | str) -> Corpus:
     """Read sequences.bin and labels.csv; events.csv is not opened.
 
-    A labels.csv that lacks one of LABEL_COLUMNS, has a row without a user
-    or a label, or whose onset or duration is not an integer, is a
-    DataError naming the file and line; so is one csv cannot read (see
+    A sequences.bin that lacks a header key or array, whose users are not
+    distinct strings, t_len not an int >= 1 or window_duration not finite
+    and > 0, or whose arrays are not features (users, t_len, N_FEATURES),
+    n_pad (users,) integers in [0, t_len] and window_end (users,) finite, is
+    a DataError naming the file.  A labels.csv that lacks one of
+    LABEL_COLUMNS, or has a row without a user or a label, for a user
+    sequences.bin lacks or one labeled before, with a label other than
+    benign or a scenario, or whose onset or duration is not an integer, is
+    a DataError naming the file and line; so is one csv cannot read (see
     csv_rows).
     """
     directory = Path(directory)
-    header, arrays, _ = read_blob(directory / "sequences.bin")
+    path = directory / "sequences.bin"
+    header, arrays, _ = read_blob(path)
     if header.get("schema") != "corpus":
         raise DataError(f"{directory}: sequences.bin is not a corpus file")
-    labels: dict[str, tuple[str, int | None, int | None]] = {}
+    try:
+        users, t_len, window_duration = header["users"], header["t_len"], header["window_duration"]
+        if not (isinstance(users, list) and all(isinstance(u, str) for u in users)
+                and len(set(users)) == len(users)):
+            raise DataError(f"{path}: users must be distinct strings")
+        if type(t_len) is not int or t_len < 1:
+            raise DataError(f"{path}: t_len must be an int >= 1, got {t_len!r}")
+        if type(window_duration) not in (int, float) or not 0 < window_duration < math.inf:
+            raise DataError(f"{path}: window_duration must be finite and > 0, "
+                            f"got {window_duration!r}")
+        check_shapes(path, arrays, (("features", (len(users), t_len, N_FEATURES)),
+                                    ("n_pad", (len(users),)), ("window_end", (len(users),))))
+    except KeyError as exc:
+        raise DataError(f"{path}: corpus has no {exc}") from None
+    n_pad, ends = arrays["n_pad"], arrays["window_end"]
+    if not (n_pad == np.clip(np.round(n_pad), 0, t_len)).all():
+        raise DataError(f"{path}: n_pad must be integers in [0, {t_len}]")
+    if not np.isfinite(ends).all():
+        raise DataError(f"{path}: window_end must be finite")
+    # each user's (label, onset, duration), None until its labels.csv row
+    labels: dict[str, tuple[str, int | None, int | None] | None] = dict.fromkeys(users)
     labels_path = directory / "labels.csv"
     if labels_path.exists():
         with csv_rows(labels_path, LABEL_COLUMNS) as reader:
             for row in reader:
+                user, label = row["user"], row["label"]
                 try:
-                    if row["user"] is None or row["label"] is None:
+                    if user is None or label is None:
                         raise ValueError("a row needs a user and a label")
+                    if user not in labels:
+                        raise ValueError(f"user {user!r} is not in {path.name}")
+                    if labels[user] is not None:
+                        raise ValueError(f"a second row for user {user!r}")
+                    if label != "benign" and label not in SCENARIOS:
+                        raise ValueError(f"label {label!r} is not benign or a scenario")
                     onset = int(row["onset"]) if row["onset"] else None
                     duration = int(row["duration"]) if row["duration"] else None
                 except ValueError as exc:
                     raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
-                labels[row["user"]] = (row["label"], onset, duration)
+                labels[user] = (label, onset, duration)
     sequences = []
-    for i, user in enumerate(header["users"]):
-        label, onset, duration = labels.get(user, ("benign", None, None))
+    for i, user in enumerate(users):
+        label, onset, duration = labels[user] or ("benign", None, None)
         sequences.append(BehaviorSequence(
-            user=user,
-            features=arrays["features"][i],
-            window_duration=header["window_duration"],
-            window_end=float(arrays["window_end"][i]),
-            n_pad=int(arrays["n_pad"][i]),
+            user=user, features=arrays["features"][i], window_duration=window_duration,
+            window_end=float(ends[i]), n_pad=int(n_pad[i]),
             label=label, onset=onset, duration=duration))
-    return Corpus(sequences=sequences,
-                  t_len=header["t_len"], window_duration=header["window_duration"],
+    return Corpus(sequences=sequences, t_len=t_len, window_duration=window_duration,
                   seed=header.get("seed", 0))
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import read_blob, write_blob
+from .arrayio import check_shapes, read_blob, write_blob
 from .data import Corpus, FeatureScaler
 from .errors import (
     ConfigError,
@@ -157,10 +157,7 @@ class Checkpoint:
             defaults = {f.name: f.default for f in fields(TrainConfig)}
             config = TrainConfig(**check_config(header["config"], defaults,
                                                 "checkpoint config"))
-            for name, shape in _array_shapes(config):
-                if arrays[name].shape != shape:
-                    raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
-                                    f"expected {shape}")
+            check_shapes(path, arrays, _array_shapes(config))
             encoder = EncoderParams.from_flat(arrays, config.n_layers)
             head = EvidentialHeadParams.from_flat(arrays)
             scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])

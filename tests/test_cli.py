@@ -444,6 +444,80 @@ def test_labels_missing_column_is_data_error(small_run, tmp_path, capsys, header
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("{benign},data-theft,1,2", "a second row for user '{benign}'"),
+    ("u9999,data-theft,1,2", "user 'u9999' is not in sequences.bin"),
+], ids=["second-row", "unknown-user"])
+def test_contradicting_labels_row_is_data_error(small_run, tmp_path, capsys, row, message):
+    """A labels.csv row that relabels a user or names one sequences.bin
+    lacks stops the run; it does not replace or drop a label silently."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    benign = next(line.split(",")[0] for line in lines if ",benign," in line)
+    lines.append(row.format(benign=benign))
+    (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--input", str(corpus), "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'labels.csv'}, line {len(lines)}: {message.format(benign=benign)}" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_label_is_data_error(small_run, tmp_path, capsys):
+    """A label that is neither benign nor a scenario stops eval; it does not
+    count as an insider."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    lines = (corpus / "labels.csv").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if ",benign," in line)
+    lines[at] = lines[at].replace(",benign,", ",bogus,")
+    (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--scores", str(small_run["detect"] / "scores.csv"), "--corpus",
+               str(corpus), "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
+               "--seed", "7", "--out", str(tmp_path / "report")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'labels.csv'}, line {at + 1}: label 'bogus' is not benign or a " \
+           f"scenario" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("part,key,value,message", [
+    ("header", "users", None, "corpus has no 'users'"),
+    ("header", "users", ["u0000"] * 40, "users must be distinct strings"),
+    ("header", "t_len", "x", "t_len must be an int >= 1, got 'x'"),
+    ("header", "window_duration", 0, "window_duration must be finite and > 0, got 0"),
+    ("arrays", "features", np.zeros((4, 16, 12)), "array 'features' has shape (4, 16, 12)"),
+    ("arrays", "features", None, "corpus has no 'features'"),
+    ("arrays", "n_pad", np.full(40, 17.0), "n_pad must be integers in [0, 16]"),
+    ("arrays", "n_pad", np.full(40, 0.5), "n_pad must be integers in [0, 16]"),
+    ("arrays", "window_end", np.full(40, math.nan), "window_end must be finite"),
+], ids=["no-users", "repeated-user", "t_len-text", "zero-window-duration", "short-features",
+        "no-features", "n_pad-beyond-t_len", "n_pad-fraction", "window_end-nan"])
+def test_malformed_corpus_file_is_data_error(small_run, tmp_path, capsys, part, key, value,
+                                             message):
+    """A digest-valid sequences.bin whose header or arrays do not describe
+    a corpus stops train with a message, never a traceback or a run."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_run["corpus"], corpus)
+    header, arrays, _ = read_blob(corpus / "sequences.bin")
+    table = {"header": header, "arrays": arrays}[part]
+    if value is None:
+        del table[key]
+    else:
+        table[key] = value
+    write_blob(corpus / "sequences.bin", header, arrays)
+    rc = main(["train", "--corpus", str(corpus), "--epochs", "1", "--batch-size", "20",
+               "--hidden", "4", "--n-clusters", "2", "--warmup-epochs", "1",
+               "--seed", "7", "--out", str(tmp_path / "t")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus / 'sequences.bin'}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("config,message", [
     ({"hidden": "4"}, "config key 'hidden' must be a int, got '4'"),
     ({"n_layers": 2.0}, "config key 'n_layers' must be a int, got 2.0"),
