@@ -444,43 +444,31 @@ def test_labels_missing_column_is_data_error(small_run, tmp_path, capsys, header
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("row,message", [
-    ("{benign},data-theft,1,2", "a second row for user '{benign}'"),
-    ("u9999,data-theft,1,2", "user 'u9999' is not in sequences.bin"),
-], ids=["second-row", "unknown-user"])
-def test_contradicting_labels_row_is_data_error(small_run, tmp_path, capsys, row, message):
-    """A labels.csv row that relabels a user or names one sequences.bin
-    lacks stops the run; it does not replace or drop a label silently."""
+@pytest.mark.parametrize("appended,row,message", [
+    (True, "{benign},data-theft,1,2", "a second row for user '{benign}'"),
+    (True, "u9999,data-theft,1,2", "user 'u9999' is not in sequences.bin"),
+    (False, "{benign},bogus,,", "label 'bogus' is not benign or a scenario"),
+], ids=["second-row", "unknown-user", "unknown-label"])
+def test_contradicting_labels_row_is_data_error(small_run, tmp_path, capsys, appended, row,
+                                                message):
+    """A labels.csv row that relabels a user, names one sequences.bin lacks,
+    or gives a label that is not a scenario stops the run; it does not
+    replace, drop or invent an insider silently."""
     corpus = tmp_path / "corpus"
     shutil.copytree(small_run["corpus"], corpus)
     lines = (corpus / "labels.csv").read_text().splitlines()
-    benign = next(line.split(",")[0] for line in lines if ",benign," in line)
-    lines.append(row.format(benign=benign))
+    at = next(i for i, line in enumerate(lines) if ",benign," in line)
+    benign = lines[at].split(",")[0]
+    if appended:
+        at = len(lines)
+        lines.append("")
+    lines[at] = row.format(benign=benign)
     (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
     rc = main(["detect", "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
                "--input", str(corpus), "--seed", "7", "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
-    assert f"{corpus / 'labels.csv'}, line {len(lines)}: {message.format(benign=benign)}" in err
-    assert "Traceback" not in err
-
-
-def test_unknown_label_is_data_error(small_run, tmp_path, capsys):
-    """A label that is neither benign nor a scenario stops eval; it does not
-    count as an insider."""
-    corpus = tmp_path / "corpus"
-    shutil.copytree(small_run["corpus"], corpus)
-    lines = (corpus / "labels.csv").read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if ",benign," in line)
-    lines[at] = lines[at].replace(",benign,", ",bogus,")
-    (corpus / "labels.csv").write_text("\n".join(lines) + "\n")
-    rc = main(["eval", "--scores", str(small_run["detect"] / "scores.csv"), "--corpus",
-               str(corpus), "--checkpoint", str(small_run["train"] / "checkpoint.ckpt"),
-               "--seed", "7", "--out", str(tmp_path / "report")])
-    assert rc == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"{corpus / 'labels.csv'}, line {at + 1}: label 'bogus' is not benign or a " \
-           f"scenario" in err
+    assert f"{corpus / 'labels.csv'}, line {at + 1}: {message.format(benign=benign)}" in err
     assert "Traceback" not in err
 
 
