@@ -10,6 +10,10 @@ hidden state before the candidate transform:
     c = tanh(x W_c + (r * h) U_c + b_c)
     h' = (1 - z) * h + z * c
 
+Each layer keeps its gates side by side as [r | z | c] in three arrays, w
+(d, 3k), u (k, 3k) and b (3k,), named enc.l{i}.w, .u and .b in training
+and in a checkpoint (schema_version 2).
+
 One kernel, gru_layer, runs this recurrence for one layer over every
 sequence and step at once, and gru_layer_backward is its hand-derived
 backward.  Inference (encode_states, encode_batch), training
@@ -38,30 +42,22 @@ from .evidential import alpha_from_raw
 from .numerics import Node, SeededRng, Tape
 from .numerics.autodiff import sigmoid
 
-GATES = ("r", "z", "c")
-
 
 @dataclass
 class GruLayerParams:
-    """Weights for one GRU layer: input path w_*, hidden path u_*, bias b_*."""
+    """One GRU layer: input path w (d, 3k), hidden path u (k, 3k), bias b (3k,)."""
 
-    w: dict[str, np.ndarray]
-    u: dict[str, np.ndarray]
-    b: dict[str, np.ndarray]
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.w["r"].shape[0]
+        return self.w.shape[0]
 
     @property
     def hidden(self) -> int:
-        return self.w["r"].shape[1]
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[W_r | W_z | W_c], [U_r | U_z] and [b_r | b_z | b_c], gates side by side."""
-        return (np.concatenate([self.w[g] for g in GATES], axis=1),
-                np.concatenate([self.u["r"], self.u["z"]], axis=1),
-                np.concatenate([self.b[g] for g in GATES]))
+        return self.u.shape[0]
 
 
 @dataclass
@@ -77,24 +73,13 @@ class EncoderParams:
         return self.layers[-1].hidden
 
     def to_flat(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for g in GATES:
-                out[f"enc.l{i}.w_{g}"] = layer.w[g]
-                out[f"enc.l{i}.u_{g}"] = layer.u[g]
-                out[f"enc.l{i}.b_{g}"] = layer.b[g]
-        return out
+        return {f"enc.l{i}.{p}": getattr(layer, p)
+                for i, layer in enumerate(self.layers) for p in "wub"}
 
     @classmethod
     def from_flat(cls, flat: dict[str, np.ndarray], n_layers: int) -> "EncoderParams":
-        layers = []
-        for i in range(n_layers):
-            layers.append(GruLayerParams(
-                w={g: flat[f"enc.l{i}.w_{g}"] for g in GATES},
-                u={g: flat[f"enc.l{i}.u_{g}"] for g in GATES},
-                b={g: flat[f"enc.l{i}.b_{g}"] for g in GATES},
-            ))
-        return cls(layers=layers)
+        return cls(layers=[GruLayerParams(*(flat[f"enc.l{i}.{p}"] for p in "wub"))
+                           for i in range(n_layers)])
 
 
 @dataclass
@@ -148,18 +133,17 @@ def init_encoder(input_dim: int, hidden: int, n_layers: int, rng: SeededRng) -> 
     state, while large standardized deviations saturate the gate open
     and punch through.  Deeper layers keep a neutral gate so first-layer
     movement propagates to the final state instead of being absorbed.
+    Each gate's block is drawn on its own: W_r, W_z, W_c, then U_r, U_z, U_c.
     """
     layers = []
     for i in range(n_layers):
         d_in = input_dim if i == 0 else hidden
-        biases = {g: np.zeros(hidden) for g in GATES}
+        w = np.concatenate([_uniform_init(rng, (d_in, hidden)) for _ in range(3)], axis=1)
+        u = np.concatenate([_uniform_init(rng, (hidden, hidden)) for _ in range(3)], axis=1)
+        b = np.zeros(3 * hidden)
         if i == 0:
-            biases["z"] = np.full(hidden, FIRST_LAYER_UPDATE_BIAS)
-        layers.append(GruLayerParams(
-            w={g: _uniform_init(rng, (d_in, hidden)) for g in GATES},
-            u={g: _uniform_init(rng, (hidden, hidden)) for g in GATES},
-            b=biases,
-        ))
+            b[hidden:2 * hidden] = FIRST_LAYER_UPDATE_BIAS
+        layers.append(GruLayerParams(w=w, u=u, b=b))
     return EncoderParams(layers=layers)
 
 
@@ -194,14 +178,14 @@ def gru_layer(layer: GruLayerParams, x: np.ndarray,
     """
     n, t_len, d = x.shape
     k = layer.hidden
-    w, u_rz, b = layer.stacked()
-    xw = (x.reshape(n * t_len, d) @ w).reshape(n, t_len, 3 * k)
+    b, u_rz, u_cand = layer.b, layer.u[:, :2 * k], layer.u[:, 2 * k:]
+    xw = (x.reshape(n * t_len, d) @ layer.w).reshape(n, t_len, 3 * k)
     states = np.empty((n, t_len, k))
     h = np.zeros((n, k))
     for t in range(t_len):
         rz = sigmoid(xw[:, t, :2 * k] + h @ u_rz + b[:2 * k])
         r, z = rz[:, :k], rz[:, k:]
-        c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ layer.u["c"] + b[2 * k:])
+        c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ u_cand + b[2 * k:])
         h = h - z * h + z * c
         states[:, t] = h
         if gates is not None:
@@ -218,11 +202,11 @@ def gru_layer_backward(layer: GruLayerParams, x: np.ndarray, states: np.ndarray,
     d_states is the (n, T, k) adjoint of the layer's states.  The time
     loop carries only the state adjoint; the weight gradients are then
     one GEMM each over all steps.  Returns the adjoint of x and the
-    gradients keyed "w_r", "u_r", "b_r", ... as in the flat parameters.
+    gradients keyed "w", "u" and "b", stacked as the layer's arrays.
     """
     n, t_len, d = x.shape
     k = layer.hidden
-    w, u_rz, _ = layer.stacked()
+    u_rz, u_cand = layer.u[:, :2 * k], layer.u[:, 2 * k:]
     h_prev = np.concatenate([np.zeros((n, 1, k)), states[:, :-1]], axis=1)
     r, z, c = gates[..., :k], gates[..., k:2 * k], gates[..., 2 * k:]
     da = np.empty((n, t_len, 3 * k))  # pre-activation adjoints [r | z | c]
@@ -231,22 +215,17 @@ def gru_layer_backward(layer: GruLayerParams, x: np.ndarray, states: np.ndarray,
         dh = dh + d_states[:, t]
         hp, rt, zt, ct = h_prev[:, t], r[:, t], z[:, t], c[:, t]
         da_c = dh * zt * (1.0 - ct * ct)
-        d_rh = da_c @ layer.u["c"].T
+        d_rh = da_c @ u_cand.T
         da[:, t, :k] = d_rh * hp * rt * (1.0 - rt)
         da[:, t, k:2 * k] = dh * (ct - hp) * zt * (1.0 - zt)
         da[:, t, 2 * k:] = da_c
         dh = dh * (1.0 - zt) + d_rh * rt + da[:, t, :2 * k] @ u_rz.T
 
     flat_da = da.reshape(n * t_len, 3 * k)
-    dw = x.reshape(n * t_len, d).T @ flat_da
-    du_rz = h_prev.reshape(n * t_len, k).T @ flat_da[:, :2 * k]
-    db = flat_da.sum(axis=0)
-    grads = {"u_r": du_rz[:, :k], "u_z": du_rz[:, k:],
-             "u_c": (r * h_prev).reshape(n * t_len, k).T @ flat_da[:, 2 * k:]}
-    for i, g in enumerate(GATES):
-        grads[f"w_{g}"] = dw[:, i * k:(i + 1) * k]
-        grads[f"b_{g}"] = db[i * k:(i + 1) * k]
-    return (flat_da @ w.T).reshape(n, t_len, d), grads
+    du = np.concatenate([h_prev.reshape(n * t_len, k).T @ flat_da[:, :2 * k],
+                         (r * h_prev).reshape(n * t_len, k).T @ flat_da[:, 2 * k:]], axis=1)
+    grads = {"w": x.reshape(n * t_len, d).T @ flat_da, "u": du, "b": flat_da.sum(axis=0)}
+    return (flat_da @ layer.w.T).reshape(n, t_len, d), grads
 
 
 def encode_states(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -294,7 +273,7 @@ def taped_encode(tape: Tape, pnodes: dict[str, Node], features: np.ndarray,
     n, t_len, _ = features.shape
     if dropout.active and rng is None:
         raise ContractError("active dropout requires an rng")
-    names = [f"enc.l{i}.{p}_{g}" for i in range(n_layers) for p in "wub" for g in GATES]
+    names = [f"enc.l{i}.{p}" for i in range(n_layers) for p in "wub"]
     params = EncoderParams.from_flat({name: pnodes[name].value for name in names}, n_layers)
     k = params.hidden
 

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .evidential import anneal_lambda, taped_evidential_loss
 from .model import (
-    GATES,
     DropoutSpec,
     EncoderParams,
     EvidentialHeadParams,
@@ -51,6 +50,8 @@ _STREAM_WARMUP = 2
 _STREAM_SHUFFLE = 3
 _STREAM_DROPOUT = 4
 _STREAM_KMEANS = 5
+
+SCHEMA_VERSION = 2  # checkpoint layout: each GRU layer's w, u, b stacked [r | z | c]
 
 
 @dataclass
@@ -137,7 +138,7 @@ class Checkpoint:
                   "scaler.mean": self.scaler.mean, "scaler.std": self.scaler.std}
         header = {
             "schema": "checkpoint",
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "config": asdict(self.config),
             "window_duration": self.window_duration,
         }
@@ -146,13 +147,17 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path | str) -> "Checkpoint":
-        """A missing header key or array, a config that check_config or
-        TrainConfig rejects, or an array whose shape does not fit the config
-        is a DataError naming the file.
+        """A schema_version other than SCHEMA_VERSION, a missing header key
+        or array, a config that check_config or TrainConfig rejects, or an
+        array whose shape does not fit the config is a DataError naming the
+        file.
         """
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
+        if header.get("schema_version") != SCHEMA_VERSION:
+            raise DataError(f"{path}: checkpoint schema_version "
+                            f"{header.get('schema_version')!r} is not {SCHEMA_VERSION}")
         try:
             defaults = {f.name: f.default for f in fields(TrainConfig)}
             config = TrainConfig(**check_config(header["config"], defaults,
@@ -176,10 +181,8 @@ def _array_shapes(config: TrainConfig):
     yield from (("scaler.mean", (d,)), ("scaler.std", (d,)),
                 ("head.w", (k, n_clusters)), ("head.b", (n_clusters,)))
     for i in range(config.n_layers):
-        for g in GATES:
-            yield f"enc.l{i}.w_{g}", (d if i == 0 else k, k)
-            yield f"enc.l{i}.u_{g}", (k, k)
-            yield f"enc.l{i}.b_{g}", (k,)
+        yield from ((f"enc.l{i}.w", (d if i == 0 else k, 3 * k)),
+                    (f"enc.l{i}.u", (k, 3 * k)), (f"enc.l{i}.b", (3 * k,)))
 
 
 # -- cluster bootstrap ---------------------------------------------------------

@@ -528,9 +528,9 @@ def test_malformed_checkpoint_config_is_data_error(small_run, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("name,shape", [
-    ("enc.l0.w_r", (12, 5)), ("head.w", (8, 4)), ("head.b", (6,)), ("enc.l1.u_c", (3,)),
+    ("enc.l0.w", (12, 8)), ("head.w", (8, 4)), ("head.b", (6,)), ("enc.l1.u", (3,)),
     ("scaler.mean", (11,)),
-], ids=["enc.l0.w_r", "head.w", "head.b", "enc.l1.u_c", "scaler.mean"])
+], ids=["enc.l0.w", "head.w", "head.b", "enc.l1.u", "scaler.mean"])
 def test_checkpoint_array_of_wrong_shape_is_data_error(small_run, tmp_path, capsys, name,
                                                        shape):
     header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
@@ -542,6 +542,37 @@ def test_checkpoint_array_of_wrong_shape_is_data_error(small_run, tmp_path, caps
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{ckpt}: array {name!r} has shape {shape}" in err
+    assert "Traceback" not in err
+
+
+def per_gate(arrays):
+    """arrays with each GRU array split into the per-gate arrays of
+    schema_version 1: enc.l{i}.w_r, enc.l{i}.w_z, enc.l{i}.w_c and so on."""
+    out = {}
+    for name, arr in arrays.items():
+        k = arr.shape[-1] // 3
+        out.update({f"{name}_{g}": arr[..., i * k:(i + 1) * k] for i, g in enumerate("rzc")}
+                   if name.startswith("enc.") else {name: arr})
+    return out
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None],
+                         ids=["per-gate-v1", "v3", "string", "absent"])
+def test_checkpoint_of_another_schema_version_is_data_error(small_run, tmp_path, capsys,
+                                                            version):
+    header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
+    assert header["schema_version"] == 2
+    if version is None:
+        del header["schema_version"]
+    else:
+        header["schema_version"] = version
+    ckpt = tmp_path / "old.ckpt"
+    write_blob(ckpt, header, per_gate(arrays) if version == 1 else arrays)
+    rc = main(["detect", "--checkpoint", str(ckpt), "--input", str(small_run["corpus"]),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: checkpoint schema_version {version!r} is not 2" in err
     assert "Traceback" not in err
 
 
