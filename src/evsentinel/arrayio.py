@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -49,39 +50,46 @@ def write_blob(path: Path | str, header: dict, arrays: dict[str, np.ndarray]) ->
 
 
 def read_blob(path: Path | str) -> tuple[dict, dict[str, np.ndarray], str]:
-    """Read and verify a blob; returns (header, arrays, hex digest)."""
+    """Read and verify a blob; returns (header, arrays, hex digest).
+
+    Bytes that do not parse as the layout above, ending at the digest, or a
+    header that is not a JSON object, are a DataError naming path."""
     raw = Path(path).read_bytes()
     if len(raw) < 44 or raw[:4] != MAGIC:
         raise DataError(f"{path}: not an EVSN container")
     payload, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise DataError(f"{path}: content digest mismatch, file is corrupt")
-    off = 4
-    (version,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    (version, hlen) = struct.unpack_from("<II", payload, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
-    (hlen,) = struct.unpack_from("<I", payload, off)
-    off += 4
-    header = json.loads(payload[off:off + hlen].decode("utf-8"))
-    off += hlen
-    (count,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    off = 12
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", payload, off)
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(payload[off:off + hlen].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
+        off += hlen
+        (count,) = struct.unpack_from("<I", payload, off)
         off += 4
-        name = payload[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", payload, off) if ndim else ()
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=off).reshape(shape)
-        arrays[name] = arr.astype(np.float64)  # own, writable copy
-        off += 8 * size
-    return header, arrays, hashlib.sha256(payload).hexdigest()
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            name = payload[off:off + nlen].decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            shape = struct.unpack_from(f"<{ndim}I", payload, off)
+            off += 4 * ndim
+            size = math.prod(shape)
+            arr = np.frombuffer(payload, dtype="<f8", count=size, offset=off).reshape(shape)
+            arrays[name] = arr.astype(np.float64)  # own, writable copy
+            off += 8 * size
+        if off != len(payload):
+            raise ValueError(f"{len(payload) - off} bytes after the last array")
+    except (struct.error, ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: malformed EVSN container: {exc}") from None
+    return header, arrays, digest.hex()
 
 
 def check_shapes(path, arrays: dict[str, np.ndarray], shapes) -> None:

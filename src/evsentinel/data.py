@@ -768,6 +768,12 @@ def _write_events_csv(events: EventTable, path: Path) -> None:
                 kinds[events.kind[rows]].tolist(), text))) + "\r\n")
 
 
+def check_window_duration(path, value) -> None:
+    """A DataError naming path unless value, a header's window_duration, is finite and > 0."""
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise DataError(f"{path}: window_duration must be finite and > 0, got {value!r}")
+
+
 def load_corpus(directory: Path | str) -> Corpus:
     """Read sequences.bin and labels.csv; events.csv is not opened.
 
@@ -794,9 +800,7 @@ def load_corpus(directory: Path | str) -> Corpus:
             raise DataError(f"{path}: users must be distinct strings")
         if type(t_len) is not int or t_len < 1:
             raise DataError(f"{path}: t_len must be an int >= 1, got {t_len!r}")
-        if type(window_duration) not in (int, float) or not 0 < window_duration < math.inf:
-            raise DataError(f"{path}: window_duration must be finite and > 0, "
-                            f"got {window_duration!r}")
+        check_window_duration(path, window_duration)
         check_shapes(path, arrays, (("features", (len(users), t_len, N_FEATURES)),
                                     ("n_pad", (len(users),)), ("window_end", (len(users),))))
     except KeyError as exc:

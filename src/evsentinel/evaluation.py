@@ -22,6 +22,7 @@ from .training import ClusterInit, init_clusters
 
 REPORT_SCHEMA_VERSION = 1
 BASELINE_QUANTILE = 0.95  # the k-means baseline flags the farthest 5% of users
+POWER_MAX_ITER, POWER_TOL = 1000, 1e-13  # project_2d's step cap and fixpoint tolerance
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,7 @@ class Projection2D:
     variances: tuple[float, float]  # explained variance, descending
 
 
-def project_2d(embeddings: np.ndarray, max_iter: int = 1000,
-               tol: float = 1e-13) -> Projection2D:
+def project_2d(embeddings: np.ndarray) -> Projection2D:
     """Top-2 principal components by deterministic power iteration."""
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
@@ -139,7 +139,7 @@ def project_2d(embeddings: np.ndarray, max_iter: int = 1000,
             v -= (v @ prev) * prev
         norm = np.sqrt(v @ v)
         v = v / norm
-        for _ in range(max_iter):
+        for _ in range(POWER_MAX_ITER):
             w = work @ v
             for prev in components:
                 w -= (w @ prev) * prev
@@ -147,7 +147,7 @@ def project_2d(embeddings: np.ndarray, max_iter: int = 1000,
             if norm < 1e-300:
                 raise DegenerateInputError("covariance is rank deficient below 2")
             w = w / norm
-            if float(np.abs(w - v).max()) < tol or float(np.abs(w + v).max()) < tol:
+            if np.abs(w - v).max() < POWER_TOL or np.abs(w + v).max() < POWER_TOL:
                 v = w
                 break
             v = w

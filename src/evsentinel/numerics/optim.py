@@ -8,6 +8,8 @@ import numpy as np
 
 from ..errors import ContractError, ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor
+
 
 @dataclass
 class AdamState:
@@ -27,10 +29,7 @@ class AdamState:
 def adam_step(params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray],
               state: AdamState,
-              lr: float,
-              beta1: float = 0.9,
-              beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[dict[str, np.ndarray], AdamState]:
+              lr: float) -> tuple[dict[str, np.ndarray], AdamState]:
     """One Adam update; returns fresh params and state, inputs untouched."""
     if lr <= 0.0:
         raise ContractError(f"learning rate must be positive, got {lr}")
@@ -41,17 +40,17 @@ def adam_step(params: dict[str, np.ndarray],
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for '{key}'")
-        m = beta1 * state.m[key] + (1.0 - beta1) * g
-        v = beta2 * state.v[key] + (1.0 - beta2) * (g * g)
+        m = BETA1 * state.m[key] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[key] + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
         new_m[key] = m
         new_v[key] = v
     return new_params, AdamState(step=t, m=new_m, v=new_v)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import check_shapes, read_blob, write_blob
-from .data import Corpus, FeatureScaler
+from .data import Corpus, FeatureScaler, check_window_duration
 from .errors import (
     ConfigError,
     ContractError,
@@ -148,9 +148,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path: Path | str) -> "Checkpoint":
         """A schema_version other than SCHEMA_VERSION, a missing header key
-        or array, a config that check_config or TrainConfig rejects, or an
-        array whose shape does not fit the config is a DataError naming the
-        file.
+        or array, a config that check_config or TrainConfig rejects, an
+        array whose shape does not fit the config, or a window_duration that
+        is not finite and > 0 is a DataError naming the file.
         """
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
@@ -167,6 +167,7 @@ class Checkpoint:
             head = EvidentialHeadParams.from_flat(arrays)
             scaler = FeatureScaler(mean=arrays["scaler.mean"], std=arrays["scaler.std"])
             window_duration = header["window_duration"]
+            check_window_duration(path, window_duration)
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint has no {exc}") from None
         except ConfigError as exc:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import random
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +575,55 @@ def test_checkpoint_of_another_schema_version_is_data_error(small_run, tmp_path,
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{ckpt}: checkpoint schema_version {version!r} is not 2" in err
+    assert "Traceback" not in err
+
+
+def blob_body(header: bytes, count: int, rest: bytes = b"") -> bytes:
+    """What follows an EVSN container's format version: header, array count, rest."""
+    return struct.pack("<I", len(header)) + header + struct.pack("<I", count) + rest
+
+
+@pytest.mark.parametrize("body,message", [
+    (lambda real: blob_body(b"{}", 3), "unpack_from requires a buffer"),
+    (lambda real: blob_body(b"[]", 0), "header is not a JSON object"),
+    (lambda real: blob_body(b'{"a": "\xff"}', 0), "can't decode byte 0xff"),
+    (lambda real: blob_body(b'{"schema": ', 0), "Expecting value"),
+    (lambda real: blob_body(b"{}", 1, struct.pack("<I", 1) + b"a"
+                            + struct.pack("<II", 1, 1000) + bytes(8)),
+     "buffer is smaller than requested size"),
+    (lambda real: real + bytes(8), "8 bytes after the last array"),
+], ids=["count-past-payload", "header-not-an-object", "header-not-utf8",
+        "header-not-json", "array-past-payload", "bytes-after-last-array"])
+def test_malformed_container_with_a_valid_digest_is_data_error(small_run, tmp_path, capsys,
+                                                                body, message):
+    """Each container's SHA-256 is right; its contents are not an EVSN layout."""
+    real = (small_run["train"] / "checkpoint.ckpt").read_bytes()[8:-32]
+    payload = b"EVSN" + struct.pack("<I", 1) + body(real)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(payload + hashlib.sha256(payload).digest())
+    rc = main(["detect", "--checkpoint", str(ckpt), "--input", str(small_run["corpus"]),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: malformed EVSN container: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["x", math.nan, math.inf, 0, -3600.0, True],
+                         ids=["string", "nan", "inf", "zero", "negative", "bool"])
+def test_checkpoint_window_duration_not_finite_and_positive_is_data_error(
+        small_run, tmp_path, capsys, value):
+    header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")
+    header["window_duration"] = value
+    ckpt = tmp_path / "edited.ckpt"
+    write_blob(ckpt, header, arrays)
+    rc = main(["detect", "--checkpoint", str(ckpt),
+               "--input", str(small_run["corpus"] / "events.csv"),
+               "--seed", "7", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{ckpt}: window_duration must be finite and > 0, got {value!r}" in err
     assert "Traceback" not in err
 
 

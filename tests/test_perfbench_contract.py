@@ -73,3 +73,24 @@ def test_tracer_counts_the_rows_detect_writes(tmp_path):
     alerts = (tmp_path / "alerts.jsonl").read_text().splitlines()
     assert counts["windows"] == len(result.window_scores) == len(rows) > 0
     assert counts["alerts"] == len(result.alerts) == len(alerts) > 0
+
+
+def test_checks_read_what_gen_and_train_write(tmp_path, capsys):
+    """perfbench/checks.py reads a corpus and a checkpoint through the
+    program's own readers; a layout either cannot read fails here."""
+    from evsentinel.cli import main
+
+    corpus, train = tmp_path / "corpus", tmp_path / "train"
+    assert main(["gen", "--population", "12", "--insider-fraction", "0.25", "--t-len", "6",
+                 "--window-duration", "3600", "--seed", "3", "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--epochs", "3", "--batch-size", "4",
+                 "--hidden", "4", "--n-clusters", "2", "--warmup-epochs", "1",
+                 "--seed", "3", "--out", str(train)]) == 0
+    train_stdout = capsys.readouterr().out
+
+    checks = load_perfbench("checks")
+    read = checks.read_corpus(corpus)
+    assert read["features"].shape == (12, 6, 12)
+    assert set(read["labels"]) == set(read["users"])
+    checks.check_training(train, train_stdout, 3)
