@@ -60,7 +60,7 @@ def read_blob(path: Path | str) -> tuple[dict, dict[str, np.ndarray], str]:
     payload, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise DataError(f"{path}: content digest mismatch, file is corrupt")
-    (version, hlen) = struct.unpack_from("<II", payload, 4)
+    version, hlen = struct.unpack_from("<II", payload, 4)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
     off = 12
