@@ -253,7 +253,8 @@ def window_series(events: EventTable, window_duration: float,
     def distinct(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
         mask = mask & (codes >= 0)
         width = codes.max(initial=0) + 1
-        return np.bincount(np.unique(bucket[mask] * width + codes[mask]) // width,
+        cells = np.sort(bucket[mask] * width + codes[mask])  # all >= 0
+        return np.bincount(cells[np.diff(cells, prepend=-1) != 0] // width,
                            minlength=len(pairs))
 
     def ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
@@ -693,6 +694,7 @@ LABEL_COLUMNS = ("user", "label", "onset", "duration")
 _ATTRIBUTES = {key: code for code, key in enumerate(("host", "cmd", "bytes", "mode", "external"))}
 # rows of a raw event CSV read, or written, at a time
 _CHUNK_ROWS = 1 << 12
+SCHEMA_VERSION = 1  # sequences.bin layout
 
 
 def save_corpus(corpus: Corpus, directory: Path | str) -> str:
@@ -705,7 +707,7 @@ def save_corpus(corpus: Corpus, directory: Path | str) -> str:
     ends = np.array([s.window_end for s in corpus.sequences])
     header = {
         "schema": "corpus",
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "users": corpus.users,
         "t_len": t_len,
         "n_features": N_FEATURES,
@@ -777,9 +779,10 @@ def check_window_duration(path, value) -> None:
 def load_corpus(directory: Path | str) -> Corpus:
     """Read sequences.bin and labels.csv; events.csv is not opened.
 
-    A sequences.bin that lacks a header key or array, whose users are not
-    distinct strings, t_len not an int >= 1 or window_duration not finite
-    and > 0, or whose arrays are not features (users, t_len, N_FEATURES),
+    A sequences.bin of a schema_version other than SCHEMA_VERSION, that
+    lacks a header key or array, whose users are not distinct strings,
+    t_len not an int >= 1 or window_duration not finite and > 0, or whose
+    arrays are not features (users, t_len, N_FEATURES),
     n_pad (users,) integers in [0, t_len] and window_end (users,) finite, is
     a DataError naming the file.  A labels.csv that lacks one of
     LABEL_COLUMNS, or has a row without a user or a label, for a user
@@ -793,6 +796,9 @@ def load_corpus(directory: Path | str) -> Corpus:
     header, arrays, _ = read_blob(path)
     if header.get("schema") != "corpus":
         raise DataError(f"{directory}: sequences.bin is not a corpus file")
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise DataError(f"{path}: corpus schema_version "
+                        f"{header.get('schema_version')!r} is not {SCHEMA_VERSION}")
     try:
         users, t_len, window_duration = header["users"], header["t_len"], header["window_duration"]
         if not (isinstance(users, list) and all(isinstance(u, str) for u in users)

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ContractError, ShapeError
-from . import special
 
 
 class Node:
@@ -117,14 +116,6 @@ class Tape:
         return self.record(softplus(x.value), (x,),
                            lambda g: (g * sigmoid(x.value),))
 
-    def digamma(self, x: Node) -> Node:
-        return self.record(special.digamma(x.value), (x,),
-                           lambda g: (g * special.trigamma(x.value),))
-
-    def lgamma(self, x: Node) -> Node:
-        return self.record(special.lgamma(x.value), (x,),
-                           lambda g: (g * special.digamma(x.value),))
-
 
 def backward(tape: Tape, output: Node) -> dict[Node, np.ndarray]:
     """Adjoints of a scalar output w.r.t. every differentiable node.
@@ -151,10 +142,12 @@ def backward(tape: Tape, output: Node) -> dict[Node, np.ndarray]:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + t) for x >= 0 and
+    t / (1 + t) below, with t = exp(-|x|).  t is in [0, 1] or NaN, so
+    max(t, x >= 0) picks the numerator without a branch per element."""
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0, t) / (1.0 + t)
+    out = np.maximum(t, x >= 0.0) / (1.0 + t)
     return float(out) if out.ndim == 0 else out
 
 

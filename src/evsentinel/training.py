@@ -194,7 +194,10 @@ def init_clusters(embeddings: np.ndarray, n_clusters: int, rng: SeededRng,
     """k-means++ seeding followed by Lloyd iterations to a fixpoint."""
     points = np.asarray(embeddings, dtype=np.float64)
     n = points.shape[0]
-    if np.unique(points, axis=0).shape[0] < n_clusters:
+    # distinct rows as np.unique(axis=0) counts them: -0.0 equals 0.0, NaN
+    # equals nothing; sorted, a row is new when it differs from the one before
+    rows = points[np.lexsort(points.T[::-1])]
+    if (n > 0) + np.any(rows[1:] != rows[:-1], axis=1).sum() < n_clusters:
         raise DegenerateInputError(
             f"need at least {n_clusters} distinct embeddings, got fewer")
 

@@ -484,8 +484,12 @@ def test_contradicting_labels_row_is_data_error(small_run, tmp_path, capsys, app
     ("arrays", "n_pad", np.full(40, 17.0), "n_pad must be integers in [0, 16]"),
     ("arrays", "n_pad", np.full(40, 0.5), "n_pad must be integers in [0, 16]"),
     ("arrays", "window_end", np.full(40, math.nan), "window_end must be finite"),
+    ("header", "schema_version", 99, "corpus schema_version 99 is not 1"),
+    ("header", "schema_version", None, "corpus schema_version None is not 1"),
+    ("header", "schema_version", "1", "corpus schema_version '1' is not 1"),
 ], ids=["no-users", "repeated-user", "t_len-text", "zero-window-duration", "short-features",
-        "no-features", "n_pad-beyond-t_len", "n_pad-fraction", "window_end-nan"])
+        "no-features", "n_pad-beyond-t_len", "n_pad-fraction", "window_end-nan",
+        "schema_version-99", "no-schema_version", "schema_version-text"])
 def test_malformed_corpus_file_is_data_error(small_run, tmp_path, capsys, part, key, value,
                                              message):
     """A digest-valid sequences.bin whose header or arrays do not describe
@@ -845,3 +849,39 @@ def test_any_depth_trains_detects_and_evaluates(tmp_path, n_layers):
                  "--out", str(tmp_path / "report")] + common) == 0
     echoed = json.loads((train / "config.json").read_text())
     assert echoed["n_layers"] == n_layers
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    """np.unique and np.quantile import numpy.ma, about 9 ms of start-up;
+    each stage runs in a fresh process and none of them may load it."""
+    import subprocess
+    import sys
+
+    import evsentinel
+    from tests.test_perfbench_contract import load_perfbench
+
+    corpus, ckpt = tmp_path / "corpus", tmp_path / "train" / "checkpoint.ckpt"
+    probe = ("import sys\nfrom evsentinel.cli import main\nrc = main(sys.argv[1:])\n"
+             "print('numpy.ma' in sys.modules)\nsys.exit(rc)")
+    env = {"PYTHONPATH": str(Path(evsentinel.__file__).parents[1]), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def stage(*args):
+        done = subprocess.run([sys.executable, "-c", probe, *args, "--seed", "5"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False", args[0]
+
+    stage("gen", "--population", "12", "--insider-fraction", "0.25", "--t-len", "6",
+          "--window-duration", "3600", "--out", str(corpus))
+    stage("train", "--corpus", str(corpus), "--epochs", "2", "--batch-size", "4",
+          "--hidden", "4", "--n-clusters", "2", "--warmup-epochs", "1",
+          "--out", str(ckpt.parent))
+    load_perfbench("inputs").write_cert(corpus / "events.csv", tmp_path / "cert",
+                                        tmp_path / "twin.csv", seed=5)
+    for name, source in (("corpus", corpus), ("log", corpus / "events.csv"),
+                         ("cert", tmp_path / "cert")):
+        stage("detect", "--checkpoint", str(ckpt), "--input", str(source),
+              "--out", str(tmp_path / f"detect-{name}"))
+    stage("eval", "--scores", str(tmp_path / "detect-log" / "scores.csv"),
+          "--corpus", str(corpus), "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval"))

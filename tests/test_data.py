@@ -184,6 +184,34 @@ def test_empty_window_is_zero_vector():
     assert list(ends) == [3600.0, 7200.0, 10800.0]
 
 
+def test_distinct_counts_match_np_unique():
+    """distinct_hosts and distinct_commands count each (user, window)'s
+    codes as np.unique does, leaving out absent codes (-1) and, for
+    commands, events of other kinds."""
+    rng = SeededRng(41)
+    n = 3000
+    users, hosts, commands = ["u0", "u1", "u2"], [f"h{i}" for i in range(6)], ["ls", "rm", "cp"]
+    table = EventTable(
+        users=users, hosts=hosts, commands=commands,
+        user=(rng.uniform((n,)) * 3).astype(np.intp),
+        timestamp=rng.uniform((n,)) * 5 * 3600.0,
+        kind=(rng.uniform((n,)) * len(EVENT_KINDS)).astype(np.int8),
+        host=(rng.uniform((n,)) * 7).astype(np.intp) - 1,
+        cmd=(rng.uniform((n,)) * 4).astype(np.intp) - 1,
+        bytes=np.full(n, np.nan), mode=np.full(n, -1), external=np.full(n, -1))
+    window = (table.timestamp // 3600.0).astype(np.intp)
+    command = table.kind == EVENT_KINDS.index("command")
+    series = window_series(table, 3600.0, start_time=0.0)
+    for u, user in enumerate(users):
+        feats, ends = series[user]
+        for w in range(len(ends)):
+            rows = (table.user == u) & (window == int(ends[w] // 3600.0) - 1)
+            assert feats[w, F["distinct_hosts"]] == \
+                np.unique(table.host[rows & (table.host >= 0)]).size
+            assert feats[w, F["distinct_commands"]] == \
+                np.unique(table.cmd[rows & command & (table.cmd >= 0)]).size
+
+
 def test_three_am_logon_counts_as_off_hours():
     table = make_table([Event("u", 3 * 3600.0, "logon", {"host": "pc1"})])
     v = window_series(table, 86400.0)["u"][0][0]

@@ -16,6 +16,7 @@ from evsentinel.evaluation import (
     evaluate_run,
     export_report,
     project_2d,
+    quantile,
     roc_auc,
 )
 from evsentinel.numerics import SeededRng
@@ -210,6 +211,20 @@ def test_baseline_flags_match_distance_definition():
     # the 95% cut of 30 distances leaves the top two above it; the nearest never is
     assert flags.sum() == 2
     assert not flags[int(np.argmin(dists))]
+
+
+def test_quantile_matches_numpy_to_the_bit():
+    rng = SeededRng(95)
+    for case in range(5000):
+        n = 1 + rng.index_below(60)
+        values = np.abs(rng.normal((n,))) * 10.0 ** (rng.index_below(7) - 3)
+        if case % 3 == 0:
+            values = np.round(values, 1)  # ties and zeros
+        if case % 50 == 0:
+            values[rng.index_below(n)] = np.nan
+        for q in (BASELINE_QUANTILE, 0.0, 0.5, 1.0, rng.uniform()):
+            assert np.float64(quantile(values, q)).tobytes() == \
+                np.float64(np.quantile(values, q)).tobytes(), (values, q)
 
 
 # -- 2-D projection -------------------------------------------------------------------

@@ -14,7 +14,7 @@ from evsentinel.evidential import (
     dirichlet_kl_to_uniform,
     taped_evidential_loss,
 )
-from evsentinel.numerics import SeededRng, Tape, backward, digamma
+from evsentinel.numerics import SeededRng, Tape, backward, digamma, lgamma, trigamma
 
 mp.mp.dps = 40
 
@@ -221,6 +221,78 @@ def test_loss_identity_holds_exactly():
 def test_loss_negative_lambda_rejected():
     with pytest.raises(ContractError):
         evidential_loss([1.0, 1.0], [1.0, 0.0], lam=-0.1)
+
+
+# -- the loss composed of tape primitives: the fused op's bit-level oracle --------
+
+
+def taped_digamma(tape: Tape, x):
+    return tape.record(digamma(x.value), (x,), lambda g: (g * trigamma(x.value),))
+
+
+def taped_lgamma(tape: Tape, x):
+    return tape.record(lgamma(x.value), (x,), lambda g: (g * digamma(x.value),))
+
+
+def composed_evidential_loss(tape: Tape, alpha, y, lam: float):
+    """taped_evidential_loss as 26 tape primitives, each special function
+    called on its own operand; returns (total, mean_ce, mean_kl) nodes."""
+    n, k = alpha.shape
+    inv_n = 1.0 / n
+    s = tape.sum(alpha, axis=1, keepdims=True)
+    ce_terms = tape.mul(tape.const(y), tape.sub(taped_digamma(tape, s),
+                                                taped_digamma(tape, alpha)))
+    mean_ce = tape.scale(tape.sum(ce_terms), inv_n)
+
+    a_t = tape.add(tape.mul(alpha, tape.const(1.0 - y)), tape.const(y))
+    s_t = tape.sum(a_t, axis=1, keepdims=True)
+    terms = tape.mul(tape.shift(a_t, -1.0),
+                     tape.sub(taped_digamma(tape, a_t), taped_digamma(tape, s_t)))
+    kl_rows = tape.add(
+        tape.sub(taped_lgamma(tape, s_t),
+                 tape.sum(taped_lgamma(tape, a_t), axis=1, keepdims=True)),
+        tape.sum(terms, axis=1, keepdims=True),
+    )
+    kl_rows = tape.shift(kl_rows, -float(lgamma(float(k))))
+    mean_kl = tape.scale(tape.sum(kl_rows), inv_n)
+    return tape.add(mean_ce, tape.scale(mean_kl, lam)), mean_ce, mean_kl
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (8, 5), (3, 2), (8, 9), (5, 17), (32, 5)])
+def test_taped_loss_is_bit_identical_to_composed_primitives(n, k):
+    """Values and the gradient of alpha, byte for byte, for alphas near 1
+    (the shift loop runs) and large ones (it does not), any lambda."""
+    rng = SeededRng(1000 * n + k)
+    for scale in (1e-3, 0.5, 5.0, 1e3):
+        for lam in (0.0, 0.1, 0.37):
+            alpha0 = 1.0 + scale * rng.uniform((n, k))
+            y = np.eye(k)[(k * rng.uniform((n,))).astype(int)]
+            results = []
+            for loss in (composed_evidential_loss, taped_evidential_loss):
+                tape = Tape()
+                alpha = tape.leaf(alpha0)
+                total, ce, kl = loss(tape, alpha, y, lam)
+                grad = backward(tape, total)[alpha]
+                results.append([v.value.tobytes() for v in (total, ce, kl)] + [grad.tobytes()])
+            assert results[0] == results[1], (scale, lam)
+
+
+def test_taped_loss_is_one_op_with_one_call_per_special_function(monkeypatch):
+    import evsentinel.evidential as evidential
+
+    calls = {}
+    for name in ("digamma", "trigamma", "lgamma"):
+        def counted(x, _name=name, _fn=getattr(evidential, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(x)
+        monkeypatch.setattr(evidential, name, counted)
+    tape = Tape()
+    alpha = tape.leaf(1.0 + SeededRng(3).uniform((8, 5)))
+    total, ce, kl = taped_evidential_loss(tape, alpha, np.eye(5)[[0, 1, 2, 3, 4, 0, 1, 2]], 0.1)
+    assert len(tape) == 1
+    assert not ce.requires_grad and not kl.requires_grad
+    backward(tape, total)
+    assert calls == {"digamma": 1, "trigamma": 1, "lgamma": 1}
 
 
 def test_taped_loss_matches_pure_functions():

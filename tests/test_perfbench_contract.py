@@ -3,8 +3,9 @@
 perfbench/tracer.py rebinds the functions its TRACED list names and takes
 len() of what the event readers return; perfbench/checks.py takes len()
 of ingest_cert's events.  These tests load those files without running
-them: tracer.install is never called, since it would rebind the
-program's functions for the rest of the session.
+them: tracer.install is never called here, since it would rebind the
+program's functions for the rest of the session.  The tracer itself
+runs only in a child process.
 """
 
 import importlib
@@ -94,3 +95,35 @@ def test_checks_read_what_gen_and_train_write(tmp_path, capsys):
     assert read["features"].shape == (12, 6, 12)
     assert set(read["labels"]) == set(read["users"])
     checks.check_training(train, train_stdout, 3)
+
+
+def test_tracer_sees_the_layers_of_a_traced_gen_and_train(tmp_path):
+    """perfbench/tracer.py rebinds functions in the evsentinel modules that
+    are loaded once `evsentinel.cli` is imported; a layer loaded later
+    would run unseen, and its spans would vanish from the benchmark."""
+    import json
+    import subprocess
+
+    import evsentinel
+
+    env = {"PYTHONPATH": str(Path(evsentinel.__file__).parents[1]), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    corpus = tmp_path / "corpus"
+    stages = {
+        "gen": ["--population", "8", "--insider-fraction", "0.25", "--t-len", "4",
+                "--window-duration", "3600", "--seed", "3", "--out", str(corpus)],
+        "train": ["--corpus", str(corpus), "--epochs", "2", "--batch-size", "4",
+                  "--hidden", "4", "--n-clusters", "2", "--warmup-epochs", "1",
+                  "--seed", "3", "--out", str(tmp_path / "train")],
+    }
+    names, counts = set(), {}
+    for stage, args in stages.items():
+        spans = tmp_path / f"{stage}.json"
+        subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), stage, *args],
+                       env=env, check=True, capture_output=True, timeout=300)
+        doc = json.loads(spans.read_text())
+        names.update(name for name, *_ in doc["spans"])
+        counts.update(doc["counts"])
+    assert {"data.generate", "training.train", "model.taped_encode", "evidential.loss",
+            "autodiff.backward", "optim.adam_step"} <= names
+    assert counts["tape_records"] > 0

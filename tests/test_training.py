@@ -116,6 +116,23 @@ def test_too_few_distinct_points_rejected():
         init_clusters(points, 3, SeededRng(1))
 
 
+def test_distinct_row_guard_counts_rows_as_np_unique_does():
+    """init_clusters needs n_clusters rows np.unique(axis=0) tells apart:
+    -0.0 equals 0.0, and a row with NaN differs from every row."""
+    rng = SeededRng(31)
+    for case in range(300):
+        n, d = 1 + rng.index_below(12), 1 + rng.index_below(3)
+        points = np.round(rng.normal((n, d)))  # many repeats, some -0.0
+        if case % 5 == 0:
+            points[rng.index_below(n)] = np.nan
+            points[rng.index_below(n), 0] = np.nan
+        n_distinct = np.unique(points, axis=0).shape[0]
+        with pytest.raises(DegenerateInputError):
+            init_clusters(points, n_distinct + 1, SeededRng(1))
+        with np.errstate(invalid="ignore"):
+            init_clusters(points, n_distinct, SeededRng(1), max_iter=1)
+
+
 # -- pseudo-labels -----------------------------------------------------------------
 
 
