@@ -253,6 +253,7 @@ def window_series(events: EventTable, window_duration: float,
     def distinct(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
         mask = mask & (codes >= 0)
         width = codes.max(initial=0) + 1
+        # sorted and deduplicated here: numpy's unique would import numpy.ma
         cells = np.sort(bucket[mask] * width + codes[mask])  # all >= 0
         return np.bincount(cells[np.diff(cells, prepend=-1) != 0] // width,
                            minlength=len(pairs))

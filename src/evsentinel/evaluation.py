@@ -114,10 +114,10 @@ def baseline_kmeans_detector(points: np.ndarray, n_clusters: int,
 
 
 def quantile(values: np.ndarray, q: float) -> float:
-    """np.quantile(values, q) to the bit for a non-empty 1-D array of values
-    that are NaN or finite and >= +0, such as distances: numpy's default
-    (linear) rule on the sorted values, NaN if any value is.  np.quantile
-    itself imports numpy.ma, about 9 ms of a CLI stage's start."""
+    """The q-quantile of a non-empty 1-D array of values that are NaN or
+    finite and >= +0, such as distances, by numpy's default (linear) rule
+    on the sorted values, to the bit; NaN if any value is.  numpy's own
+    quantile imports numpy.ma, about 9 ms of a CLI stage's start."""
     ranked = np.sort(values)  # any NaN last
     if np.isnan(ranked[-1]):
         return math.nan

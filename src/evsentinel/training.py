@@ -194,8 +194,9 @@ def init_clusters(embeddings: np.ndarray, n_clusters: int, rng: SeededRng,
     """k-means++ seeding followed by Lloyd iterations to a fixpoint."""
     points = np.asarray(embeddings, dtype=np.float64)
     n = points.shape[0]
-    # distinct rows as np.unique(axis=0) counts them: -0.0 equals 0.0, NaN
-    # equals nothing; sorted, a row is new when it differs from the one before
+    # distinct rows as numpy's unique(axis=0) counts them, without the
+    # numpy.ma import it costs: -0.0 equals 0.0 and NaN equals nothing, so
+    # once sorted a row is new when it differs from the one before
     rows = points[np.lexsort(points.T[::-1])]
     if (n > 0) + np.any(rows[1:] != rows[:-1], axis=1).sum() < n_clusters:
         raise DegenerateInputError(

@@ -857,18 +857,15 @@ def test_no_stage_imports_numpy_ma(tmp_path):
     import subprocess
     import sys
 
-    import evsentinel
-    from tests.test_perfbench_contract import load_perfbench
+    from tests.test_perfbench_contract import child_env, load_perfbench
 
     corpus, ckpt = tmp_path / "corpus", tmp_path / "train" / "checkpoint.ckpt"
     probe = ("import sys\nfrom evsentinel.cli import main\nrc = main(sys.argv[1:])\n"
              "print('numpy.ma' in sys.modules)\nsys.exit(rc)")
-    env = {"PYTHONPATH": str(Path(evsentinel.__file__).parents[1]), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def stage(*args):
-        done = subprocess.run([sys.executable, "-c", probe, *args, "--seed", "5"], env=env,
-                              capture_output=True, text=True, timeout=300)
+        done = subprocess.run([sys.executable, "-c", probe, *args, "--seed", "5"],
+                              env=child_env(), capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False", args[0]
 

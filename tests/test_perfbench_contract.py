@@ -27,6 +27,15 @@ def load_perfbench(name: str):
     return module
 
 
+def child_env() -> dict:
+    """The environment of a child process that runs the program under test
+    with one BLAS thread."""
+    import evsentinel
+
+    return {"PYTHONPATH": str(Path(evsentinel.__file__).parents[1]), "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def test_every_traced_name_resolves():
     traced = load_perfbench("tracer").TRACED
     assert traced
@@ -104,10 +113,6 @@ def test_tracer_sees_the_layers_of_a_traced_gen_and_train(tmp_path):
     import json
     import subprocess
 
-    import evsentinel
-
-    env = {"PYTHONPATH": str(Path(evsentinel.__file__).parents[1]), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     corpus = tmp_path / "corpus"
     stages = {
         "gen": ["--population", "8", "--insider-fraction", "0.25", "--t-len", "4",
@@ -120,7 +125,7 @@ def test_tracer_sees_the_layers_of_a_traced_gen_and_train(tmp_path):
     for stage, args in stages.items():
         spans = tmp_path / f"{stage}.json"
         subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), stage, *args],
-                       env=env, check=True, capture_output=True, timeout=300)
+                       env=child_env(), check=True, capture_output=True, timeout=300)
         doc = json.loads(spans.read_text())
         names.update(name for name, *_ in doc["spans"])
         counts.update(doc["counts"])
