@@ -4,7 +4,7 @@ perfbench/tracer.py rebinds the functions its TRACED list names and takes
 len() of what the event readers return; perfbench/checks.py takes len()
 of ingest_cert's events.  These tests load those files without running
 them: tracer.install is never called here, since it would rebind the
-program's functions for the rest of the session.  The tracer itself
+program's functions for the rest of the test run.  The tracer itself
 runs only in a child process.
 """
 
