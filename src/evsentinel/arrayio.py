@@ -99,3 +99,11 @@ def check_shapes(path, arrays: dict[str, np.ndarray], shapes) -> None:
         if arrays[name].shape != shape:
             raise DataError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
                             f"expected {shape}")
+
+
+def check_schema_version(path, header: dict, schema: str, version: int) -> None:
+    """A DataError naming path unless header's schema_version is the int
+    version; a bool or a float equal to it is not."""
+    found = header.get("schema_version")
+    if type(found) is not int or found != version:
+        raise DataError(f"{path}: {schema} schema_version {found!r} is not {version}")

@@ -154,9 +154,11 @@ def _load_detect_source(path: Path):
 def cmd_detect(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     checkpoint = Checkpoint.load(Path(args.checkpoint))
-    source = _load_detect_source(Path(args.input))
+    # popped into the call, so that detect_stream can free the events once
+    # it has their windows
+    source = [_load_detect_source(Path(args.input))]
     dconf = _detector_config(config)
-    result = detect_stream(checkpoint, source, dconf)
+    result = detect_stream(checkpoint, source.pop(), dconf)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_scores_csv(result, out_dir / "scores.csv")

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import check_shapes, read_blob, write_blob
+from .arrayio import check_schema_version, check_shapes, read_blob, write_blob
 from .errors import ContractError, DataError
 from .numerics import SeededRng, below, box_muller, unit_floats
 
@@ -142,13 +142,22 @@ class EventTable:
 
 
 def _concat(tables: list[EventTable]) -> EventTable:
-    """The rows of tables, in order, as one table."""
-    merged = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS}
+    """The rows of tables, in order, as one table.  The tables give up their
+    columns, each released as it is joined, so that memory holds the result
+    and one column more."""
+    merged = {}
     for names, column in _NAMED:
-        sizes = [len(getattr(t, names)) for t in tables]
-        offset = np.repeat(np.cumsum([0] + sizes[:-1]), [len(t) for t in tables])
-        merged[column] = np.where(merged[column] < 0, -1, merged[column] + offset)
+        offset = 0
+        for t in tables:  # codes into the joined name list; -1 stays -1
+            codes = getattr(t, column)
+            setattr(t, column, np.where(codes < 0, -1, codes + offset))
+            offset += len(getattr(t, names))
         merged[names] = [name for t in tables for name in getattr(t, names)]
+    for name in _COLUMNS:
+        parts = [getattr(t, name) for t in tables]
+        for t in tables:
+            setattr(t, name, None)
+        merged[name] = np.concatenate(parts)
     return EventTable(**merged)
 
 
@@ -239,34 +248,53 @@ def window_series(events: EventTable, window_duration: float,
         i = beyond[0]
         raise DataError(f"user {events.users[events.user[i]]!r}: the window of timestamp "
                         f"{float(ts[i])!r} is beyond an int64 index")
-    # bucket b holds the events of pairs[b], the b-th (user, window) in sorted order
+    # bucket b holds the events of the b-th (user, window) pair in sorted
+    # order, pair_user[b] and pair_window[b]; the sorted columns are freed
+    # before the features are counted
     order = np.lexsort((window, events.user))
-    key = np.column_stack([events.user, window.astype(np.int64)])[order]
-    first = np.r_[True, np.any(key[1:] != key[:-1], axis=1)]
-    pairs = key[first]
+    window = window[order]
+    user = events.user[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    np.not_equal(user[1:], user[:-1], out=first[1:])
+    first[1:] |= window[1:] != window[:-1]
+    pair_user, pair_window = user[first], window[first].astype(np.int64)
+    del window, user
+    n_pairs = len(pair_user)
+    sorted_bucket = np.cumsum(first)
+    sorted_bucket -= 1
     bucket = np.empty(len(order), dtype=np.intp)
-    bucket[order] = np.cumsum(first) - 1
+    bucket[order] = sorted_bucket
+    del order, first, sorted_bucket
 
     def count(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(bucket[mask], minlength=len(pairs))
+        return np.bincount(bucket[mask], minlength=n_pairs)
 
     def distinct(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
         mask = mask & (codes >= 0)
         width = codes.max(initial=0) + 1
-        # sorted and deduplicated here: numpy's unique would import numpy.ma
-        cells = np.sort(bucket[mask] * width + codes[mask])  # all >= 0
-        return np.bincount(cells[np.diff(cells, prepend=-1) != 0] // width,
-                           minlength=len(pairs))
+        # each event's (bucket, code) cell, all >= 0, sorted and deduplicated
+        # in place: numpy's unique would import numpy.ma
+        cells = bucket[mask]
+        cells *= width
+        cells += codes[mask]
+        cells.sort()
+        keep = np.empty(len(cells), dtype=bool)
+        keep[:1] = True
+        np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+        cells = cells[keep]
+        cells //= width
+        return np.bincount(cells, minlength=n_pairs)
 
     def ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
-        return np.divide(part, whole, out=np.zeros(len(pairs)), where=whole > 0)
+        return np.divide(part, whole, out=np.zeros(n_pairs), where=whole > 0)
 
     kind, mode = events.kind, events.mode
     logon, files, emails = (kind == _KIND[k] for k in ("logon", "file-access", "email"))
     reads = count(files & (mode == _MODE["read"]))
     n_emails = count(emails)
     moved = ~np.isnan(events.bytes)
-    total_bytes = np.bincount(bucket[moved], weights=events.bytes[moved], minlength=len(pairs))
+    total_bytes = np.bincount(bucket[moved], weights=events.bytes[moved], minlength=n_pairs)
     features = np.column_stack([
         count(logon),
         count(logon & ((ts % 86400.0) // 3600.0 < OFF_HOURS_END)),
@@ -284,11 +312,11 @@ def window_series(events: EventTable, window_duration: float,
     ]).astype(np.float64)
 
     out = {}
-    edges = np.searchsorted(pairs[:, 0], np.arange(len(events.users) + 1))
+    edges = np.searchsorted(pair_user, np.arange(len(events.users) + 1))
     for user, lo_b, hi_b in zip(events.users, edges[:-1], edges[1:]):
         if lo_b == hi_b:
             continue  # no events
-        windows = pairs[lo_b:hi_b, 1]
+        windows = pair_window[lo_b:hi_b]
         lo, hi = int(windows[0]), int(windows[-1])
         if last is not None and hi - lo + 1 > last:
             lo = hi - last + 1
@@ -297,7 +325,7 @@ def window_series(events: EventTable, window_duration: float,
             raise DataError(f"user {user!r}: its events span {hi - lo + 1} windows, more "
                             f"than an array of their features can hold ({_MAX_WINDOWS})")
         feats = np.zeros((hi - lo + 1, N_FEATURES))
-        feats[pairs[lo_b:hi_b, 1] - lo] = features[lo_b:hi_b]
+        feats[pair_window[lo_b:hi_b] - lo] = features[lo_b:hi_b]
         out[user] = (feats, t0 + np.arange(lo + 1, hi + 2) * window_duration)
     return out
 
@@ -615,7 +643,8 @@ def _draw_layout() -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 _DRAW_WIDTH, _FIELD_START = _draw_layout()
 _KIND_BYTES_LOC = np.array([_BYTES_LOC.get(kind, 0.0) for kind in EVENT_KINDS])
-_KIND_NAME_RANK = np.argsort(np.argsort(EVENT_KINDS))  # kind code -> rank of its name
+# kind code -> rank of its name
+_KIND_NAME_RANK = np.argsort(np.argsort(EVENT_KINDS)).astype(np.int8)
 
 
 def _stream_events(profile: UserProfile, counts: np.ndarray, hours: np.ndarray,
@@ -694,7 +723,7 @@ LABEL_COLUMNS = ("user", "label", "onset", "duration")
 # the raw-log attributes an EventTable keeps
 _ATTRIBUTES = {key: code for code, key in enumerate(("host", "cmd", "bytes", "mode", "external"))}
 # rows of a raw event CSV read, or written, at a time
-_CHUNK_ROWS = 1 << 12
+_CHUNK_ROWS = 1 << 10
 SCHEMA_VERSION = 1  # sequences.bin layout
 
 
@@ -797,9 +826,7 @@ def load_corpus(directory: Path | str) -> Corpus:
     header, arrays, _ = read_blob(path)
     if header.get("schema") != "corpus":
         raise DataError(f"{directory}: sequences.bin is not a corpus file")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"{path}: corpus schema_version "
-                        f"{header.get('schema_version')!r} is not {SCHEMA_VERSION}")
+    check_schema_version(path, header, "corpus", SCHEMA_VERSION)
     try:
         users, t_len, window_duration = header["users"], header["t_len"], header["window_duration"]
         if not (isinstance(users, list) and all(isinstance(u, str) for u in users)
@@ -865,10 +892,13 @@ def load_raw_log(path: Path | str) -> EventTable:
     The file is read _CHUNK_ROWS rows at a time, and each chunk becomes
     arrays a column at a time, so memory holds the table's columns and one
     chunk of text.  Checks run as if row by row: the first bad row in the
-    file is reported, with the first check it fails in the order above.
+    file is reported, with the first check it fails in the order above;
+    only a file without one reports the first record out of order.
     """
     parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
     names: tuple[dict, dict, dict] = ({}, {}, {})  # user, host, cmd: name -> code
+    latest = np.zeros(0)  # each user code's last timestamp so far
+    back = None  # the first record out of order: (user code, timestamp, previous)
     with csv_rows(path, RAW_LOG_COLUMNS) as table:
         reader = table.reader
         at = [table.fieldnames.index(c) for c in RAW_LOG_COLUMNS]  # a repeat reads its first
@@ -882,21 +912,41 @@ def load_raw_log(path: Path | str) -> EventTable:
                 for part, column in zip(parts, _raw_log_chunk(path, rows, first_line,
                                                               at, names)):
                     part.append(column)
+            if back is None:
+                latest = np.r_[latest, np.full(len(names[0]) - len(latest), -np.inf)]
+                back = _first_step_back(parts[0][-1], parts[1][-1], latest)
             if len(rows) < _CHUNK_ROWS:
                 break
     if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no event rows")
+    if back is not None:
+        user, ts, previous = back
+        raise DataError(f"{path}: out-of-order record for user {list(names[0])[user]!r} at "
+                        f"{ts} (previous {previous})")
     # each column's chunks are joined in turn, and freed as they are
-    events = EventTable(*map(list, names), *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
-    # per user, no timestamp may fall below the one before it
-    order = np.argsort(events.user, kind="stable")
-    user, ts = events.user[order], events.timestamp[order]
-    back = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
-    if back.size:
-        i = back[np.argmin(order[back + 1])]  # the first such record in the file
-        raise DataError(f"{path}: out-of-order record for user {events.users[user[i]]!r} at "
-                        f"{float(ts[i + 1])} (previous {float(ts[i])})")
-    return events
+    return EventTable(*map(list, names), *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
+
+
+def _first_step_back(user: np.ndarray, ts: np.ndarray,
+                     latest: np.ndarray) -> tuple[int, float, float] | None:
+    """(user code, timestamp, previous timestamp) of the first of a chunk's
+    records whose timestamp falls below its user's one before it, or None.
+    latest holds each user code's last timestamp before the chunk (-inf
+    for none), and is brought up to the chunk's end."""
+    if not len(user):
+        return None
+    order = np.argsort(user, kind="stable")
+    user, ts = user[order], ts[order]
+    first = np.r_[True, user[1:] != user[:-1]]  # each user's first record in the chunk
+    last = np.r_[first[1:], True]
+    previous = np.r_[np.nan, ts[:-1]]
+    previous[first] = latest[user[first]]
+    latest[user[last]] = ts[last]
+    back = np.flatnonzero(ts < previous)
+    if not back.size:
+        return None
+    i = back[np.argmin(order[back])]  # the first such record in the file
+    return int(user[i]), float(ts[i]), float(previous[i])
 
 
 def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],

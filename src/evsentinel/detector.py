@@ -274,6 +274,7 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
     block's windows together.  Returns one row per (user, window).
     """
     series = _user_window_series(checkpoint, source)
+    del source  # the events are freed before encoding, unless the caller holds them
     users = sorted(series)
     # per block, its windows' end, u, d, s, trigger, cluster and p (an empty block first)
     columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)] * 2

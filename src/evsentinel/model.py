@@ -166,31 +166,44 @@ def _dropout_mask(rng: SeededRng, shape, p: float) -> np.ndarray:
     return keep / (1.0 - p)
 
 
+# Steps whose input projection gru_layer computes in one GEMM.
+PROJECTION_STEPS = 20
+
+
 def gru_layer(layer: GruLayerParams, x: np.ndarray,
               gates: np.ndarray | None = None) -> np.ndarray:
     """Run one GRU layer from a zero state over an (n, T, d) stack.
 
-    The input projections of all steps and gates are one GEMM, hoisted out
-    of the time loop (Appleyard et al. 2016); only the hidden-path
-    products stay inside it.  Returns the (n, T, k) states.  Training
-    passes an (n, T, 3k) gates buffer, which receives the gate activations
-    [r | z | c] that gru_layer_backward needs; inference passes none.
+    The input projections of all gates are hoisted out of the time loop
+    (Appleyard et al. 2016), one GEMM per PROJECTION_STEPS steps, so that
+    memory holds one chunk of them rather than all T steps; only the
+    hidden-path products stay inside the loop.  Returns the (n, T, k)
+    states.  Training passes an (n, T, 3k) gates buffer, which receives
+    the gate activations [r | z | c] that gru_layer_backward needs;
+    inference passes none.
     """
     n, t_len, d = x.shape
     k = layer.hidden
     b, u_rz, u_cand = layer.b, layer.u[:, :2 * k], layer.u[:, 2 * k:]
-    xw = (x.reshape(n * t_len, d) @ layer.w).reshape(n, t_len, 3 * k)
+    bounds = list(range(0, t_len, PROJECTION_STEPS)) + [t_len]
+    # A GEMM of 2 rows or more gives each row the bits it has in one GEMM
+    # over all steps (see detector.BLOCK_USERS), but a 1-row product takes
+    # gemv: so with n = 1 a 1-step tail joins the chunk before it.
+    if n == 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     states = np.empty((n, t_len, k))
     h = np.zeros((n, k))
-    for t in range(t_len):
-        rz = sigmoid(xw[:, t, :2 * k] + h @ u_rz + b[:2 * k])
-        r, z = rz[:, :k], rz[:, k:]
-        c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ u_cand + b[2 * k:])
-        h = h - z * h + z * c
-        states[:, t] = h
-        if gates is not None:
-            gates[:, t, :2 * k] = rz
-            gates[:, t, 2 * k:] = c
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        xw = (x[:, lo:hi].reshape(n * (hi - lo), d) @ layer.w).reshape(n, hi - lo, 3 * k)
+        for t in range(lo, hi):
+            rz = sigmoid(xw[:, t - lo, :2 * k] + h @ u_rz + b[:2 * k])
+            r, z = rz[:, :k], rz[:, k:]
+            c = np.tanh(xw[:, t - lo, 2 * k:] + (r * h) @ u_cand + b[2 * k:])
+            h = h - z * h + z * c
+            states[:, t] = h
+            if gates is not None:
+                gates[:, t, :2 * k] = rz
+                gates[:, t, 2 * k:] = c
     return states
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import check_shapes, read_blob, write_blob
+from .arrayio import check_schema_version, check_shapes, read_blob, write_blob
 from .data import Corpus, FeatureScaler, check_window_duration
 from .errors import (
     ConfigError,
@@ -155,9 +155,7 @@ class Checkpoint:
         header, arrays, digest = read_blob(path)
         if header.get("schema") != "checkpoint":
             raise DataError(f"{path}: not a checkpoint file")
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise DataError(f"{path}: checkpoint schema_version "
-                            f"{header.get('schema_version')!r} is not {SCHEMA_VERSION}")
+        check_schema_version(path, header, "checkpoint", SCHEMA_VERSION)
         try:
             defaults = {f.name: f.default for f in fields(TrainConfig)}
             config = TrainConfig(**check_config(header["config"], defaults,

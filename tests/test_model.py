@@ -391,3 +391,38 @@ def test_gru_layer_states_do_not_depend_on_a_gates_buffer():
     assert gru_layer(layer, x).tobytes() == states.tobytes()
     assert np.all((gates > 0) & (gates < 1) | (np.arange(21) >= 14))  # r and z are sigmoids
     assert np.all(np.abs(gates[..., 14:]) < 1)  # c is a tanh
+
+
+def single_gemm_gru_layer(layer, x, gates):
+    """gru_layer with the input projections of all steps as one GEMM (the oracle)."""
+    n, t_len, d = x.shape
+    k = layer.hidden
+    b, u_rz, u_cand = layer.b, layer.u[:, :2 * k], layer.u[:, 2 * k:]
+    xw = (x.reshape(n * t_len, d) @ layer.w).reshape(n, t_len, 3 * k)
+    states = np.empty((n, t_len, k))
+    h = np.zeros((n, k))
+    for t in range(t_len):
+        rz = array_sigmoid(xw[:, t, :2 * k] + h @ u_rz + b[:2 * k])
+        r, z = rz[:, :k], rz[:, k:]
+        c = np.tanh(xw[:, t, 2 * k:] + (r * h) @ u_cand + b[2 * k:])
+        h = h - z * h + z * c
+        states[:, t] = h
+        gates[:, t, :2 * k] = rz
+        gates[:, t, 2 * k:] = c
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+@pytest.mark.parametrize("t_len", [1, 2, 20, 21, 41, 100])
+def test_chunked_input_projection_keeps_the_bits_of_one_gemm(t_len, n):
+    """Each layer's states and gates are those of one input GEMM over all
+    steps, byte for byte, whatever chunks PROJECTION_STEPS cuts T into:
+    a 1-row GEMM, whose last bits differ, is never made of a longer input."""
+    params = init_encoder(12, 64, 2, SeededRng(31))
+    x = 2.0 * np.random.default_rng(t_len * 100 + n).standard_normal((n, t_len, 12))
+    for layer in params.layers:
+        gates, oracle_gates = np.empty((2, n, t_len, 3 * layer.hidden))
+        states = gru_layer(layer, x, gates)
+        assert states.tobytes() == single_gemm_gru_layer(layer, x, oracle_gates).tobytes()
+        assert gates.tobytes() == oracle_gates.tobytes()
+        x = states

@@ -6,8 +6,12 @@ also writes the rewrite's raw-CSV twin), then eval of each detect run, every
 stage as its own `python3 -m evsentinel.cli` process with one BLAS thread.
 The `--help` text of every subcommand is saved under help/.  Each output
 file is printed as `<relative path> <sha256>` on stdout, in path order;
-each stage's own summary line (with the checkpoint digest) goes to stderr.
-Two checkouts made the same bytes when their stdout is equal:
+each stage's own summary line (with the checkpoint digest) goes to stderr,
+followed by the stage's peak resident memory (`ru_maxrss` from wait4(2),
+as `perfbench/stages.py` reads it).  The CERT rewrite runs in a process
+of its own, so that no later stage starts with this tool's high-water
+mark: Linux carries it into a child's `ru_maxrss`.  Two checkouts made
+the same bytes when their stdout is equal:
 
     python3 tools/digests.py --root OLD_CHECKOUT 1 2 3 4 > old.txt
     python3 tools/digests.py 1 2 3 4 > new.txt
@@ -28,9 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import write_cert  # noqa: E402
-
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH = (["--population", "32", "--insider-fraction", "0.5", "--t-len", "20"],
          ["--epochs", "30", "--batch-size", "8"])
 GATE = (["--population", "200", "--insider-fraction", "0.05", "--t-len", "100"],
@@ -38,20 +40,37 @@ GATE = (["--population", "200", "--insider-fraction", "0.05", "--t-len", "100"],
 SUBCOMMANDS = ("gen", "train", "detect", "eval")
 
 
-def run_cli(src: Path, *args: str) -> str:
-    """The stdout of one CLI process; its stderr is passed on to ours."""
+def run_cli(src: Path, *args: str) -> tuple[str, float]:
+    """The stdout of one CLI process and its peak RSS in MB; its stderr is
+    passed on to ours."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", COLUMNS="80")
-    done = subprocess.run([sys.executable, "-m", "evsentinel.cli", *args],
-                          env=env, capture_output=True, text=True)
-    sys.stderr.write(done.stderr)
-    if done.returncode != 0:
-        sys.exit(f"{' '.join(args)}: exit {done.returncode}")
-    return done.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "evsentinel.cli", *args],
+                                env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        sys.stderr.write(err.read().decode())
+        if proc.returncode != 0:
+            sys.exit(f"{' '.join(args)}: exit {proc.returncode}")
+        return out.read().decode(), usage.ru_maxrss / 1024.0
 
 
 def run_stage(src: Path, *args: str) -> None:
-    sys.stderr.write(run_cli(src, *args))
+    stdout, peak_mb = run_cli(src, *args)
+    sys.stderr.write(stdout.rstrip("\n") + f"  [peak RSS {peak_mb:.1f} MB]\n")
+
+
+def write_cert_apart(events_csv: Path, cert_dir: Path, raw_csv: Path, seed: str) -> None:
+    """perfbench/inputs.write_cert, run in a child process."""
+    subprocess.run([sys.executable, "-c",
+                    "import sys; sys.path.insert(0, sys.argv[1]); from pathlib import Path; "
+                    "from inputs import write_cert; "
+                    "write_cert(*map(Path, sys.argv[2:5]), int(sys.argv[5]))",
+                    str(PERFBENCH), str(events_csv), str(cert_dir), str(raw_csv), seed],
+                   check=True)
 
 
 def pipeline(src: Path, out: Path, seed: str, gen_flags: list[str],
@@ -60,7 +79,7 @@ def pipeline(src: Path, out: Path, seed: str, gen_flags: list[str],
     run_stage(src, "gen", *gen_flags, "--seed", seed, "--out", str(out / "corpus"))
     run_stage(src, "train", "--corpus", str(out / "corpus"), *train_flags,
               "--seed", seed, "--out", str(out / "train"))
-    write_cert(out / "corpus" / "events.csv", out / "cert", out / "cert-twin.csv", int(seed))
+    write_cert_apart(out / "corpus" / "events.csv", out / "cert", out / "cert-twin.csv", seed)
     for name, source in (("corpus", out / "corpus"), ("log", out / "corpus" / "events.csv"),
                          ("cert", out / "cert")):
         run_stage(src, "detect", "--checkpoint", ckpt, "--input", str(source),
@@ -84,7 +103,7 @@ def main() -> None:
         work = Path(tmp)
         (work / "help").mkdir()
         for stage in SUBCOMMANDS:
-            (work / "help" / f"{stage}.txt").write_text(run_cli(src, stage, "--help"))
+            (work / "help" / f"{stage}.txt").write_text(run_cli(src, stage, "--help")[0])
         for seed in args.seeds:
             pipeline(src, work / f"seed-{seed}", seed, gen_flags, train_flags)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
