@@ -818,8 +818,9 @@ def load_corpus(directory: Path | str) -> Corpus:
     LABEL_COLUMNS, or has a row without a user or a label, for a user
     sequences.bin lacks or one labeled before, with a label other than
     benign or a scenario, or whose onset or duration is not an integer, is
-    a DataError naming the file and line; so is one csv cannot read (see
-    csv_rows).
+    a DataError naming the file and line; so is a benign row that gives an
+    onset or a duration, a scenario row without an onset in [0, t_len) and
+    a duration >= 1, and a file csv cannot read (see csv_rows).
     """
     directory = Path(directory)
     path = directory / "sequences.bin"
@@ -862,6 +863,12 @@ def load_corpus(directory: Path | str) -> Corpus:
                         raise ValueError(f"label {label!r} is not benign or a scenario")
                     onset = int(row["onset"]) if row["onset"] else None
                     duration = int(row["duration"]) if row["duration"] else None
+                    if label == "benign" and (onset, duration) != (None, None):
+                        raise ValueError("a benign row gives no onset or duration")
+                    if label != "benign" and not (onset is not None and 0 <= onset < t_len
+                                                  and duration is not None and duration >= 1):
+                        raise ValueError(f"a {label} row needs an onset in [0, {t_len}) and a "
+                                         f"duration >= 1, got {onset!r} and {duration!r}")
                 except ValueError as exc:
                     raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
                 labels[user] = (label, onset, duration)

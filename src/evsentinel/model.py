@@ -18,7 +18,8 @@ One kernel, gru_layer, runs this recurrence for one layer over every
 sequence and step at once, and gru_layer_backward is its hand-derived
 backward.  Inference (encode_states, encode_batch), training
 (taped_encode, one tape op for the whole stack) and the streaming
-detector all go through it, for any number of layers.
+detector all go through it, for any number of layers.  taped_head
+records head's expression as one tape op with its backward.
 
 Initial hidden states are zero.  All rows of the input are processed,
 including any leading zero-pad windows a short history was filled with
@@ -322,6 +323,13 @@ def taped_encode(tape: Tape, pnodes: dict[str, Node], features: np.ndarray,
 
 
 def taped_head(tape: Tape, pnodes: dict[str, Node], z: Node) -> Node:
-    """Differentiable head: alpha = softplus(z W + b) + 1."""
-    raw = tape.add(tape.matmul(z, pnodes["head.w"]), pnodes["head.b"])
-    return tape.shift(tape.softplus(raw), 1.0)
+    """head as one tape op: alpha = softplus(z W + b) + 1, whose
+    derivative in z W + b is the sigmoid."""
+    w, b = pnodes["head.w"], pnodes["head.b"]
+    raw = z.value @ w.value + b.value
+
+    def backward(g):
+        g_raw = g * sigmoid(raw)
+        return g_raw @ w.value.T, z.value.T @ g_raw, g_raw.sum(axis=0)
+
+    return tape.record(alpha_from_raw(raw), (z, w, b), backward)

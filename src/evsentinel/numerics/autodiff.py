@@ -1,15 +1,16 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-A Tape records every primitive applied during a forward pass, in order.
-Since records are appended as values are produced, the record list is a
+A Tape records every op applied during a forward pass, in order.  Since
+records are appended as values are produced, the record list is a
 topological order of the graph, and walking it backwards propagates
 adjoints in exact reverse topological order.  Gradients accumulate into
 one slot per node, so each parameter ends the backward pass with exactly
 one gradient array no matter how many times it was used.
 
-Only the primitives the model needs are provided; this is not a general
-autodiff library.  A composite with a hand-derived backward, such as the
-whole GRU stack, is recorded as one op through Tape.record.
+This is not a general autodiff library: it has no arithmetic of its own.
+Each op the model trains through (the GRU stack, the evidential head, the
+warm-up and evidential losses) computes its forward value itself and is
+recorded through Tape.record with a hand-derived backward.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ContractError, ShapeError
+from ..errors import ContractError
 
 
 class Node:
@@ -35,18 +36,8 @@ class Node:
         return self.value.shape
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum an adjoint down to the shape the operand originally had."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tape:
-    """Ordered record of primitive operations from one forward pass."""
+    """Ordered record of the ops from one forward pass."""
 
     def __init__(self):
         self._records: list[tuple[Node, tuple[Node, ...], Callable]] = []
@@ -69,52 +60,6 @@ class Tape:
         if out.requires_grad:
             self._records.append((out, inputs, backward))
         return out
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: Node, b: Node) -> Node:
-        return self.record(a.value + b.value, (a, b),
-                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-    def sub(self, a: Node, b: Node) -> Node:
-        return self.record(a.value - b.value, (a, b),
-                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        return self.record(a.value * b.value, (a, b),
-                           lambda g: (_unbroadcast(g * b.value, a.shape),
-                                      _unbroadcast(g * a.value, b.shape)))
-
-    def scale(self, x: Node, c: float) -> Node:
-        return self.record(x.value * c, (x,), lambda g: (g * c,))
-
-    def shift(self, x: Node, c: float) -> Node:
-        return self.record(x.value + c, (x,), lambda g: (g,))
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2:
-            raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return self.record(a.value @ b.value, (a, b),
-                           lambda g: (g @ b.value.T, a.value.T @ g))
-
-    def sum(self, x: Node, axis: int | None = None, keepdims: bool = False) -> Node:
-        val = x.value.sum(axis=axis, keepdims=keepdims)
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, x.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, x.shape).copy(),)
-
-        return self.record(val, (x,), bwd)
-
-    # -- nonlinearities -------------------------------------------------
-
-    def softplus(self, x: Node) -> Node:
-        return self.record(softplus(x.value), (x,),
-                           lambda g: (g * sigmoid(x.value),))
 
 
 def backward(tape: Tape, output: Node) -> dict[Node, np.ndarray]:

@@ -5,7 +5,9 @@ encoder non-degenerate embeddings, k-means++ over those embeddings seeds
 K clusters, and the argmax cluster of each sequence becomes its
 pseudo-label.  The main loop then minimizes expected cross-entropy
 against the pseudo-labels plus an annealed KL regularizer, refreshing
-the labels every refresh_period epochs.
+the labels every refresh_period epochs.  Each loss is one tape op with a
+hand-derived backward (taped_reconstruction_loss here, the evidential
+loss in evidential).
 
 Checkpoints serialize every parameter array bit-for-bit together with
 the config, feature scaler, and window duration: what detection and
@@ -42,7 +44,7 @@ from .model import (
     taped_encode,
     taped_head,
 )
-from .numerics import AdamState, SeededRng, Tape, adam_step, backward
+from .numerics import AdamState, Node, SeededRng, Tape, adam_step, backward
 
 # stream ids for the trainer's independent RNG streams
 _STREAM_INIT = 1
@@ -80,12 +82,12 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < np.inf):
+            raise ConfigError("learning_rate must be positive and finite")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ConfigError("dropout_p must be in [0, 1)")
-        if self.lambda_max < 0:
-            raise ConfigError("lambda_max must be non-negative")
+        if not (0.0 <= self.lambda_max < np.inf):
+            raise ConfigError("lambda_max must be non-negative and finite")
 
 
 def check_config(values, defaults: dict, what: str) -> dict:
@@ -272,6 +274,22 @@ def refresh_pseudo_labels(encoder: EncoderParams, head: EvidentialHeadParams,
 # -- warm-up -------------------------------------------------------------------
 
 
+def taped_reconstruction_loss(tape: Tape, pnodes: dict[str, Node], z: Node,
+                              targets: np.ndarray) -> Node:
+    """Warm-up loss, one tape op: the mean squared error of the affine
+    decoder z W + b (dec.w, dec.b) against an (n, d) stack of targets."""
+    w, b = pnodes["dec.w"], pnodes["dec.b"]
+    err = (z.value @ w.value + b.value) - targets
+    scale = 1.0 / err.size
+
+    def backward(g):
+        g_err = (g * scale) * err
+        g_pred = g_err + g_err  # d(err * err) / d(err), one adjoint per factor
+        return g_pred @ w.value.T, z.value.T @ g_pred, g_pred.sum(axis=0)
+
+    return tape.record((err * err).sum() * scale, (z, w, b), backward)
+
+
 def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: list[int],
                    encoder: EncoderParams, rng: SeededRng) -> tuple[EncoderParams, list[float]]:
     """Reconstruction warm-up; returns updated encoder and per-epoch losses."""
@@ -291,9 +309,7 @@ def _warmup_arrays(config: TrainConfig, features: np.ndarray, n_pads: list[int],
 
     def reconstruction(tape, pnodes, z, batch):
         nonlocal epoch_loss, n_batches
-        pred = tape.add(tape.matmul(z, pnodes["dec.w"]), pnodes["dec.b"])
-        err = tape.sub(pred, tape.const(targets[batch]))
-        loss = tape.scale(tape.sum(tape.mul(err, err)), 1.0 / (len(batch) * d))
+        loss = taped_reconstruction_loss(tape, pnodes, z, targets[batch])
         epoch_loss += float(loss.value)
         n_batches += 1
         return loss

@@ -88,6 +88,21 @@ def test_defaults_match_reference_table():
     assert DEFAULTS["beta"] == 0.7
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+    ("--lambda-max", "nan"), ("--lambda-max", "inf"),
+], ids=["learning-rate-nan", "learning-rate-inf", "lambda-max-nan", "lambda-max-inf"])
+def test_train_non_finite_rate_is_config_error(small_run, tmp_path, capsys, flag, value):
+    """Checked with the rest of the config, not found as a non-finite
+    loss once training has started."""
+    rc = main(["train", "--corpus", str(small_run["corpus"]), flag, value, "--seed", "7",
+               "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_corpus_distinct_exit(tmp_path):
     rc = main(["train", "--corpus", str(tmp_path / "nope"), "--epochs", "1",
                "--seed", "1", "--out", str(tmp_path / "o")])
@@ -453,12 +468,25 @@ def test_labels_missing_column_is_data_error(small_run, tmp_path, capsys, header
     (True, "{benign},data-theft,1,2", "a second row for user '{benign}'"),
     (True, "u9999,data-theft,1,2", "user 'u9999' is not in sequences.bin"),
     (False, "{benign},bogus,,", "label 'bogus' is not benign or a scenario"),
-], ids=["second-row", "unknown-user", "unknown-label"])
+    (False, "{benign},data-theft,,",
+     "a data-theft row needs an onset in [0, 16) and a duration >= 1, got None and None"),
+    (False, "{benign},data-theft,16,2",
+     "a data-theft row needs an onset in [0, 16) and a duration >= 1, got 16 and 2"),
+    (False, "{benign},data-theft,-1,2",
+     "a data-theft row needs an onset in [0, 16) and a duration >= 1, got -1 and 2"),
+    (False, "{benign},data-theft,3,0",
+     "a data-theft row needs an onset in [0, 16) and a duration >= 1, got 3 and 0"),
+    (False, "{benign},benign,-7,", "a benign row gives no onset or duration"),
+    (False, "{benign},benign,,4", "a benign row gives no onset or duration"),
+], ids=["second-row", "unknown-user", "unknown-label", "scenario-no-onset",
+        "onset-at-t_len", "onset-negative", "duration-zero", "benign-onset",
+        "benign-duration"])
 def test_contradicting_labels_row_is_data_error(small_run, tmp_path, capsys, appended, row,
                                                 message):
     """A labels.csv row that relabels a user, names one sequences.bin lacks,
-    or gives a label that is not a scenario stops the run; it does not
-    replace, drop or invent an insider silently."""
+    gives a label that is not a scenario, or an onset and duration its
+    label cannot have stops the run; it does not replace, drop or invent
+    an insider silently, nor make one that can never be detected."""
     corpus = tmp_path / "corpus"
     shutil.copytree(small_run["corpus"], corpus)
     lines = (corpus / "labels.csv").read_text().splitlines()
@@ -524,7 +552,9 @@ def test_malformed_corpus_file_is_data_error(small_run, tmp_path, capsys, part, 
     ({"learning_rate": None}, "config key 'learning_rate' must be a float, got None"),
     ({"hidden": 0}, "hidden must be at least 1"),
     ("oops", "checkpoint config is not an object"),
-], ids=["string-int", "float-int", "null-float", "out-of-range", "not-an-object"])
+    ({"learning_rate": math.nan}, "learning_rate must be positive and finite"),
+], ids=["string-int", "float-int", "null-float", "out-of-range", "not-an-object",
+        "nan-float"])
 def test_malformed_checkpoint_config_is_data_error(small_run, tmp_path, capsys, config,
                                                    message):
     header, arrays, _ = read_blob(small_run["train"] / "checkpoint.ckpt")

@@ -7,14 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evsentinel.errors import ContractError, DomainError
+from evsentinel.errors import ContractError, DomainError, ShapeError
 from evsentinel.evidential import (
     anneal_lambda,
     assess,
     dirichlet_kl_to_uniform,
     taped_evidential_loss,
 )
-from evsentinel.numerics import SeededRng, Tape, backward, digamma, lgamma, trigamma
+from evsentinel.numerics import (
+    Node,
+    SeededRng,
+    Tape,
+    backward,
+    digamma,
+    lgamma,
+    sigmoid,
+    softplus,
+    trigamma,
+)
 
 mp.mp.dps = 40
 
@@ -223,7 +233,66 @@ def test_loss_negative_lambda_rejected():
         evidential_loss([1.0, 1.0], [1.0, 0.0], lam=-0.1)
 
 
-# -- the loss composed of tape primitives: the fused op's bit-level oracle --------
+# -- tape primitives: the bit-level oracle of the fused ops -----------------------
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum an adjoint down to the shape the operand originally had."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+class PrimitiveTape(Tape):
+    """A Tape with one op per arithmetic primitive.  Each fused op
+    (taped_head, taped_reconstruction_loss, taped_evidential_loss) must
+    match its composition of these primitives byte for byte, in value and
+    in every adjoint."""
+
+    def add(self, a: Node, b: Node) -> Node:
+        return self.record(a.value + b.value, (a, b),
+                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+    def sub(self, a: Node, b: Node) -> Node:
+        return self.record(a.value - b.value, (a, b),
+                           lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+    def mul(self, a: Node, b: Node) -> Node:
+        return self.record(a.value * b.value, (a, b),
+                           lambda g: (_unbroadcast(g * b.value, a.shape),
+                                      _unbroadcast(g * a.value, b.shape)))
+
+    def scale(self, x: Node, c: float) -> Node:
+        return self.record(x.value * c, (x,), lambda g: (g * c,))
+
+    def shift(self, x: Node, c: float) -> Node:
+        return self.record(x.value + c, (x,), lambda g: (g,))
+
+    def matmul(self, a: Node, b: Node) -> Node:
+        if a.value.ndim != 2 or b.value.ndim != 2:
+            raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
+        if a.value.shape[1] != b.value.shape[0]:
+            raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+        return self.record(a.value @ b.value, (a, b),
+                           lambda g: (g @ b.value.T, a.value.T @ g))
+
+    def sum(self, x: Node, axis: int | None = None, keepdims: bool = False) -> Node:
+        val = x.value.sum(axis=axis, keepdims=keepdims)
+
+        def bwd(g):
+            if axis is None:
+                return (np.broadcast_to(g, x.shape).copy(),)
+            gg = g if keepdims else np.expand_dims(g, axis)
+            return (np.broadcast_to(gg, x.shape).copy(),)
+
+        return self.record(val, (x,), bwd)
+
+    def softplus(self, x: Node) -> Node:
+        return self.record(softplus(x.value), (x,),
+                           lambda g: (g * sigmoid(x.value),))
 
 
 def taped_digamma(tape: Tape, x):
@@ -234,7 +303,7 @@ def taped_lgamma(tape: Tape, x):
     return tape.record(lgamma(x.value), (x,), lambda g: (g * digamma(x.value),))
 
 
-def composed_evidential_loss(tape: Tape, alpha, y, lam: float):
+def composed_evidential_loss(tape: PrimitiveTape, alpha, y, lam: float):
     """taped_evidential_loss as 26 tape primitives, each special function
     called on its own operand; returns (total, mean_ce, mean_kl) nodes."""
     n, k = alpha.shape
@@ -269,7 +338,7 @@ def test_taped_loss_is_bit_identical_to_composed_primitives(n, k):
             y = np.eye(k)[(k * rng.uniform((n,))).astype(int)]
             results = []
             for loss in (composed_evidential_loss, taped_evidential_loss):
-                tape = Tape()
+                tape = PrimitiveTape()
                 alpha = tape.leaf(alpha0)
                 total, ce, kl = loss(tape, alpha, y, lam)
                 grad = backward(tape, total)[alpha]

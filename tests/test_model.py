@@ -22,6 +22,7 @@ from evsentinel.model import (
     taped_head,
 )
 from evsentinel.numerics import SeededRng, Tape, backward, sigmoid as array_sigmoid
+from tests.test_evidential import PrimitiveTape
 
 
 def leaf_params(tape, encoder, head_params=None):
@@ -327,6 +328,43 @@ def test_full_model_gradient_matches_finite_differences():
             # floor keeps central-difference noise out of vanishing gradients
             rel = abs(analytic[idx] - numeric) / max(abs(numeric), 1e-6)
             assert rel < 1e-4, f"{name}[{idx}]: {analytic[idx]} vs {numeric}"
+
+
+def composed_head(tape: PrimitiveTape, pnodes, z):
+    """taped_head as four oracle-tape primitives."""
+    raw = tape.add(tape.matmul(z, pnodes["head.w"]), pnodes["head.b"])
+    return tape.shift(tape.softplus(raw), 1.0)
+
+
+@pytest.mark.parametrize("n,k,n_clusters", [(1, 1, 1), (1, 8, 5), (8, 4, 3), (8, 64, 5),
+                                            (32, 16, 9), (5, 3, 1)])
+def test_taped_head_is_bit_identical_to_composed_primitives(n, k, n_clusters):
+    """alpha and the adjoints of z, w and b, byte for byte, for raw values
+    in softplus' middle and beyond its +-30 branches."""
+    rng = SeededRng(1000 * n + 10 * k + n_clusters)
+    for scale in (0.1, 1.0, 40.0):
+        inputs = {"z": scale * rng.normal((n, k)), "head.w": rng.normal((k, n_clusters)),
+                  "head.b": scale * rng.normal((n_clusters,))}
+        weight = rng.normal((n, n_clusters))  # the adjoint alpha receives
+        results = []
+        for op in (composed_head, taped_head):
+            tape = PrimitiveTape()
+            nodes = {name: tape.leaf(v) for name, v in inputs.items()}
+            alpha = op(tape, nodes, nodes["z"])
+            grads = backward(tape, tape.sum(tape.mul(alpha, tape.const(weight))))
+            results.append([alpha.value.tobytes()]
+                           + [grads[nodes[name]].tobytes() for name in inputs])
+        assert results[0] == results[1], scale
+
+
+def test_taped_head_matches_inference_head_and_is_one_op():
+    hd = init_head(4, 3, SeededRng(25))
+    z0 = SeededRng(26).normal((6, 4))
+    tape = Tape()
+    pnodes = {name: tape.leaf(v) for name, v in hd.to_flat().items()}
+    alpha = taped_head(tape, pnodes, tape.leaf(z0))
+    assert len(tape) == 1
+    assert alpha.value.tobytes() == head(hd, z0).tobytes()
 
 
 def test_taped_encode_matches_inference_encode():

@@ -19,16 +19,17 @@ from evsentinel.numerics import (
     softplus,
     trigamma,
 )
-from tests.test_evidential import taped_digamma, taped_lgamma
+from evsentinel.model import taped_head
+from tests.test_evidential import PrimitiveTape, taped_digamma, taped_lgamma
 
 mp.mp.dps = 40
 
 
-# -- matmul (the tape's forward value) --------------------------------------
+# -- matmul (the oracle tape's forward value) ----------------------------------
 
 
 def matmul(a, b):
-    tape = Tape()
+    tape = PrimitiveTape()
     return tape.matmul(tape.const(np.asarray(a)), tape.const(np.asarray(b))).value
 
 
@@ -198,10 +199,15 @@ def test_lgamma_domain_error():
 # -- reverse-mode tape -------------------------------------------------------
 
 
+def square(tape, x):
+    """x * x as one op with x as both of its inputs."""
+    return tape.record(x.value * x.value, (x, x), lambda g: (g * x.value, g * x.value))
+
+
 def test_backward_square():
     tape = Tape()
     x = tape.leaf(np.array([[3.0]]))
-    y = tape.mul(x, x)
+    y = square(tape, x)
     grads = backward(tape, y)
     assert grads[x][0, 0] == pytest.approx(6.0)
 
@@ -209,7 +215,7 @@ def test_backward_square():
 def test_backward_softplus_is_sigmoid():
     tape = Tape()
     x = tape.leaf(np.array([[0.0]]))
-    y = tape.softplus(x)
+    y = tape.record(softplus(x.value), (x,), lambda g: (g * sigmoid(x.value),))
     grads = backward(tape, y)
     assert grads[x][0, 0] == pytest.approx(0.5)
 
@@ -217,7 +223,7 @@ def test_backward_softplus_is_sigmoid():
 def test_backward_rejects_non_scalar():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
-    y = tape.mul(x, x)
+    y = square(tape, x)
     with pytest.raises(ContractError):
         backward(tape, y)
 
@@ -248,11 +254,11 @@ def test_primitive_gradients_match_finite_differences(name):
     x0 = np.array([[0.3, 1.1], [2.4, 0.9]])
 
     def scalar_fn(x):
-        tape = Tape()
+        tape = PrimitiveTape()
         node = tape.leaf(x)
         return float(tape.sum(op(tape, node)).value)
 
-    tape = Tape()
+    tape = PrimitiveTape()
     node = tape.leaf(x0)
     out = tape.sum(op(tape, node))
     analytic = backward(tape, out)[node]
@@ -261,37 +267,33 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def test_composed_graph_gradient_with_broadcasting():
+    """taped_head's adjoints of z, w and of the bias broadcast over the
+    batch, against central differences of sum(alpha * alpha)."""
     rng = SeededRng(5)
-    w0 = rng.normal((3, 2))
-    b0 = rng.normal((2,))
-    x0 = rng.normal((4, 3))
+    inputs = {"z": rng.normal((4, 3)), "head.w": rng.normal((3, 2)), "head.b": rng.normal((2,))}
 
-    def scalar_fn(wflat):
-        w = wflat.reshape(3, 2)
-        tape = Tape()
-        wn = tape.leaf(w)
-        bn = tape.leaf(b0)
-        h = tape.softplus(tape.add(tape.matmul(tape.const(x0), wn), bn))
-        return float(tape.sum(tape.mul(h, h)).value)
+    def scalar_fn(name, value):
+        tape = PrimitiveTape()
+        nodes = {key: tape.leaf(value if key == name else v) for key, v in inputs.items()}
+        alpha = taped_head(tape, nodes, nodes["z"])
+        return tape, nodes, tape.sum(tape.mul(alpha, alpha))
 
-    tape = Tape()
-    wn = tape.leaf(w0)
-    bn = tape.leaf(b0)
-    h = tape.softplus(tape.add(tape.matmul(tape.const(x0), wn), bn))
-    out = tape.sum(tape.mul(h, h))
+    tape, nodes, out = scalar_fn(None, None)
     grads = backward(tape, out)
-    numeric_w = central_difference(lambda w: scalar_fn(w), w0)
-    assert np.max(np.abs(grads[wn] - numeric_w)) < 1e-7
-    # bias picks up the summed adjoint across the batch axis
-    assert grads[bn].shape == b0.shape
+    for name, x0 in inputs.items():
+        numeric = central_difference(lambda x: float(scalar_fn(name, x)[2].value), x0)
+        assert grads[nodes[name]].shape == x0.shape
+        assert np.max(np.abs(grads[nodes[name]] - numeric)) < 1e-7, name
 
 
 def test_gradient_accumulates_once_across_reuse():
     # x used twice: f = x*x + 3x -> f' = 2x + 3
     tape = Tape()
     x = tape.leaf(np.array([[2.0]]))
-    f = tape.add(tape.mul(x, x), tape.scale(x, 3.0))
-    grads = backward(tape, tape.sum(f))
+    x3 = tape.record(x.value * 3.0, (x,), lambda g: (g * 3.0,))
+    sq = square(tape, x)
+    f = tape.record(sq.value + x3.value, (sq, x3), lambda g: (g, g))
+    grads = backward(tape, f)
     assert grads[x][0, 0] == pytest.approx(7.0)
 
 

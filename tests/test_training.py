@@ -6,8 +6,8 @@ import pytest
 from evsentinel.arrayio import read_blob
 from evsentinel.data import FeatureScaler, generate
 from evsentinel.errors import ConfigError, ContractError, DataError, DegenerateInputError
-from evsentinel.model import EvidentialHeadParams, init_encoder
-from evsentinel.numerics import SeededRng
+from evsentinel.model import DropoutSpec, EvidentialHeadParams, init_encoder, taped_encode
+from evsentinel.numerics import SeededRng, Tape, backward
 from evsentinel.training import (
     Checkpoint,
     TrainConfig,
@@ -15,9 +15,11 @@ from evsentinel.training import (
     corpus_features,
     init_clusters,
     refresh_pseudo_labels,
+    taped_reconstruction_loss,
     train,
     write_epoch_log,
 )
+from tests.test_evidential import PrimitiveTape
 
 
 def tiny_config(**overrides):
@@ -49,7 +51,8 @@ def test_defaults_match_reference_setup():
 @pytest.mark.parametrize("bad", [
     dict(epochs=0), dict(learning_rate=0.0), dict(dropout_p=1.0),
     dict(n_clusters=0), dict(anneal_epochs=0), dict(lambda_max=-1.0),
-    dict(warmup_epochs=-1),
+    dict(warmup_epochs=-1), dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+    dict(lambda_max=float("nan")), dict(lambda_max=float("inf")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -213,6 +216,78 @@ def test_warmup_deterministic():
     b = warmup(config, corpus, SeededRng(config.seed))
     for (na, va), (nb, vb) in zip(sorted(a.to_flat().items()), sorted(b.to_flat().items())):
         assert va.tobytes() == vb.tobytes()
+
+
+def composed_reconstruction_loss(tape: PrimitiveTape, pnodes, z, targets):
+    """taped_reconstruction_loss as seven oracle-tape primitives."""
+    n, d = targets.shape
+    pred = tape.add(tape.matmul(z, pnodes["dec.w"]), pnodes["dec.b"])
+    err = tape.sub(pred, tape.const(targets))
+    return tape.scale(tape.sum(tape.mul(err, err)), 1.0 / (n * d))
+
+
+@pytest.mark.parametrize("n,k,d", [(1, 1, 1), (1, 6, 12), (8, 6, 12), (16, 64, 12),
+                                   (5, 3, 2)])
+def test_reconstruction_loss_is_bit_identical_to_composed_primitives(n, k, d):
+    """The loss and the adjoints of z, dec.w and dec.b, byte for byte."""
+    rng = SeededRng(1000 * n + 10 * k + d)
+    for scale in (1e-3, 1.0, 1e3):
+        inputs = {"z": rng.normal((n, k)), "dec.w": rng.normal((k, d)),
+                  "dec.b": rng.normal((d,))}
+        targets = scale * rng.normal((n, d))
+        results = []
+        for loss in (composed_reconstruction_loss, taped_reconstruction_loss):
+            tape = PrimitiveTape()
+            nodes = {name: tape.leaf(v) for name, v in inputs.items()}
+            out = loss(tape, nodes, nodes["z"], targets)
+            grads = backward(tape, out)
+            results.append([out.value.tobytes()]
+                           + [grads[nodes[name]].tobytes() for name in inputs])
+        assert results[0] == results[1], scale
+
+
+def test_reconstruction_loss_gradient_matches_finite_differences():
+    """Through dec.w, dec.b and, by way of z, the encoder's arrays."""
+    rng = SeededRng(31)
+    flat = {**init_encoder(3, 4, 2, rng).to_flat(), "dec.w": rng.normal((4, 3)),
+            "dec.b": rng.normal((3,))}
+    x = SeededRng(32).normal((2, 5, 3))
+    targets = SeededRng(33).normal((2, 3))
+
+    def loss_of(arrays):
+        tape = Tape()
+        pnodes = {name: tape.leaf(v) for name, v in arrays.items()}
+        z = taped_encode(tape, pnodes, x, 2, DropoutSpec(active=False), None)
+        return tape, pnodes, taped_reconstruction_loss(tape, pnodes, z, targets)
+
+    tape, pnodes, loss = loss_of(flat)
+    grads = backward(tape, loss)
+    h = 1e-5
+    for name, idx in (("dec.w", (0, 0)), ("dec.w", (3, 2)), ("dec.b", (1,)),
+                      ("enc.l0.w", (2, 5)), ("enc.l0.b", (4,)), ("enc.l1.u", (1, 9))):
+        up = {key: v.copy() for key, v in flat.items()}
+        dn = {key: v.copy() for key, v in flat.items()}
+        up[name][idx] += h
+        dn[name][idx] -= h
+        numeric = (float(loss_of(up)[2].value) - float(loss_of(dn)[2].value)) / (2 * h)
+        analytic = grads[pnodes[name]][idx]
+        assert abs(analytic - numeric) / max(abs(numeric), 1e-6) < 1e-4, (name, idx)
+
+
+def test_each_batch_records_one_tape_op_per_stage(monkeypatch):
+    """A warm-up batch is two ops (encoder, reconstruction loss) and a
+    main-loop batch three (encoder, head, evidential loss)."""
+    import evsentinel.training as training
+
+    lengths = []
+
+    def counted(tape, output):
+        lengths.append(len(tape))
+        return backward(tape, output)
+
+    monkeypatch.setattr(training, "backward", counted)
+    train(tiny_config(epochs=1, warmup_epochs=1, batch_size=16), tiny_corpus())
+    assert lengths == [2, 2, 3, 3]
 
 
 # -- main loop ----------------------------------------------------------------------
