@@ -66,8 +66,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             merged.update(check_config(json.loads(Path(config_path).read_text()), DEFAULTS,
                                        "config file"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}")
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from None
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
     for key in DEFAULTS:

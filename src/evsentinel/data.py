@@ -820,7 +820,7 @@ def load_corpus(directory: Path | str) -> Corpus:
     benign or a scenario, or whose onset or duration is not an integer, is
     a DataError naming the file and line; so is a benign row that gives an
     onset or a duration, a scenario row without an onset in [0, t_len) and
-    a duration >= 1, and a file csv cannot read (see csv_rows).
+    a duration >= 1, and a file csv cannot read (see csv_chunks).
     """
     directory = Path(directory)
     path = directory / "sequences.bin"
@@ -849,29 +849,30 @@ def load_corpus(directory: Path | str) -> Corpus:
     labels: dict[str, tuple[str, int | None, int | None] | None] = dict.fromkeys(users)
     labels_path = directory / "labels.csv"
     if labels_path.exists():
-        with csv_rows(labels_path, LABEL_COLUMNS) as reader:
-            for row in reader:
-                user, label = row["user"], row["label"]
-                try:
-                    if user is None or label is None:
-                        raise ValueError("a row needs a user and a label")
-                    if user not in labels:
-                        raise ValueError(f"user {user!r} is not in {path.name}")
-                    if labels[user] is not None:
-                        raise ValueError(f"a second row for user {user!r}")
-                    if label != "benign" and label not in SCENARIOS:
-                        raise ValueError(f"label {label!r} is not benign or a scenario")
-                    onset = int(row["onset"]) if row["onset"] else None
-                    duration = int(row["duration"]) if row["duration"] else None
-                    if label == "benign" and (onset, duration) != (None, None):
-                        raise ValueError("a benign row gives no onset or duration")
-                    if label != "benign" and not (onset is not None and 0 <= onset < t_len
-                                                  and duration is not None and duration >= 1):
-                        raise ValueError(f"a {label} row needs an onset in [0, {t_len}) and a "
-                                         f"duration >= 1, got {onset!r} and {duration!r}")
-                except ValueError as exc:
-                    raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
-                labels[user] = (label, onset, duration)
+        for (user, label, onset, duration), error in csv_chunks(labels_path, LABEL_COLUMNS):
+            earlier: dict = {}  # each user's first row in the chunk
+            (onset, bad_onset), (duration, bad_duration) = (
+                _parsed(lambda text: int(text) if text else None, column)
+                for column in (onset, duration))
+            benign = [name == "benign" for name in label]
+            _check(error,
+                   ([None in pair for pair in zip(user, label)],
+                    lambda i: "a row needs a user and a label"),
+                   ([name not in labels for name in user],
+                    lambda i: f"user {user[i]!r} is not in {path.name}"),
+                   ([labels.get(name) is not None or earlier.setdefault(name, i) != i
+                     for i, name in enumerate(user)],
+                    lambda i: f"a second row for user {user[i]!r}"),
+                   ([name != "benign" and name not in SCENARIOS for name in label],
+                    lambda i: f"label {label[i]!r} is not benign or a scenario"),
+                   bad_onset, bad_duration,
+                   ([b and (o, d) != (None, None) for b, o, d in zip(benign, onset, duration)],
+                    lambda i: "a benign row gives no onset or duration"),
+                   ([not b and not (o is not None and 0 <= o < t_len and d is not None and d >= 1)
+                     for b, o, d in zip(benign, onset, duration)],
+                    lambda i: f"a {label[i]} row needs an onset in [0, {t_len}) and a "
+                              f"duration >= 1, got {onset[i]!r} and {duration[i]!r}"))
+            labels.update(zip(user, zip(label, onset, duration)))
     sequences = []
     for i, user in enumerate(users):
         label, onset, duration = labels[user] or ("benign", None, None)
@@ -892,11 +893,11 @@ def load_raw_log(path: Path | str) -> EventTable:
     unknown kind, a timestamp that is not a finite number, a bytes value
     that is not a finite number >= 0) is a DataError naming the file and
     line; so are bytes that are not text and a field csv refuses (see
-    csv_rows).  One user's records going back in time are a
+    csv_chunks).  One user's records going back in time are a
     DataError naming the user, and a file with no event rows one naming
     the file.
 
-    The file is read _CHUNK_ROWS rows at a time, and each chunk becomes
+    The file is read a chunk at a time (csv_chunks), and each chunk becomes
     arrays a column at a time, so memory holds the table's columns and one
     chunk of text.  Checks run as if row by row: the first bad row in the
     file is reported, with the first check it fails in the order above;
@@ -906,24 +907,12 @@ def load_raw_log(path: Path | str) -> EventTable:
     names: tuple[dict, dict, dict] = ({}, {}, {})  # user, host, cmd: name -> code
     latest = np.zeros(0)  # each user code's last timestamp so far
     back = None  # the first record out of order: (user code, timestamp, previous)
-    with csv_rows(path, RAW_LOG_COLUMNS) as table:
-        reader = table.reader
-        at = [table.fieldnames.index(c) for c in RAW_LOG_COLUMNS]  # a repeat reads its first
-        while True:
-            first_line, rows = reader.line_num, []
-            try:
-                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-            finally:
-                # the rows read before csv failed come first: a bad one
-                # among them is reported in place of csv's error
-                for part, column in zip(parts, _raw_log_chunk(path, rows, first_line,
-                                                              at, names)):
-                    part.append(column)
-            if back is None:
-                latest = np.r_[latest, np.full(len(names[0]) - len(latest), -np.inf)]
-                back = _first_step_back(parts[0][-1], parts[1][-1], latest)
-            if len(rows) < _CHUNK_ROWS:
-                break
+    for values, error in csv_chunks(path, RAW_LOG_COLUMNS, like_dict_reader=False):
+        for part, column in zip(parts, _raw_log_chunk(values, error, names)):
+            part.append(column)
+        if back is None:
+            latest = np.r_[latest, np.full(len(names[0]) - len(latest), -np.inf)]
+            back = _first_step_back(parts[0][-1], parts[1][-1], latest)
     if not sum(map(len, parts[0])):
         raise DataError(f"{path}: no event rows")
     if back is not None:
@@ -940,8 +929,6 @@ def _first_step_back(user: np.ndarray, ts: np.ndarray,
     records whose timestamp falls below its user's one before it, or None.
     latest holds each user code's last timestamp before the chunk (-inf
     for none), and is brought up to the chunk's end."""
-    if not len(user):
-        return None
     order = np.argsort(user, kind="stable")
     user, ts = user[order], ts[order]
     first = np.r_[True, user[1:] != user[:-1]]  # each user's first record in the chunk
@@ -956,22 +943,15 @@ def _first_step_back(user: np.ndarray, ts: np.ndarray,
     return int(user[i]), float(ts[i]), float(previous[i])
 
 
-def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],
-                   names: tuple[dict, dict, dict]) -> list[np.ndarray]:
-    """The EventTable columns of a chunk of raw-log rows, read after line
-    first_line from the columns at `at`, names coded by `names` (which
-    gains the chunk's new names).  Blank rows are skipped, and a short
-    row's missing fields read "".  A bad row raises _first_bad_row's error.
-    """
-    need = max(at) + 1
-    full = rows
-    if min(map(len, rows), default=need) < need:
-        full = [row + [""] * (need - len(row)) for row in rows if row]
-    n = len(full)
-    if not n:
-        return [np.empty(0, dtype=dtype) for dtype in _COLUMNS.values()]
-    user, stamp, kind, attributes = (list(map(operator.itemgetter(i), full)) for i in at)
-    kind = np.fromiter(map(_KIND.get, kind, itertools.repeat(-1)), np.int8, n)
+def _raw_log_chunk(values: list[list[str]], error, names: tuple[dict, dict, dict]
+                   ) -> list[np.ndarray]:
+    """The EventTable columns of a chunk of raw-log values (user,
+    timestamp, kind and attributes, as csv_chunks yields them), names
+    coded by `names`, which gains the chunk's new names.  A bad row raises
+    error's DataError for it."""
+    user, stamp, kind_name, attributes = values
+    n = len(user)
+    kind = np.fromiter(map(_KIND.get, kind_name, itertools.repeat(-1)), np.int8, n)
     # every key=value pair of the chunk, the row it is in, and its key's code
     pairs = [pair.partition("=") for pair in ";".join(attributes).split(";")]
     row_of = np.repeat(np.arange(n), np.fromiter(
@@ -989,34 +969,24 @@ def _raw_log_chunk(path, rows: list[list[str]], first_line: int, at: list[int],
         column[row[last]] = convert([pairs[i][2] for i in pair[last].tolist()])
         return column
 
-    try:
-        timestamp = np.fromiter(map(float, stamp), np.float64, n)
-    except ValueError:
-        raise _first_bad_row(path, rows, first_line, at) from None
-    nbytes = attribute("bytes", -1.0, np.float64, _byte_counts)  # -1 where none is given
-    if not (np.isfinite(timestamp).all() and (kind >= 0).all() and not np.isnan(nbytes).any()):
-        raise _first_bad_row(path, rows, first_line, at)
-    nbytes[nbytes == -1.0] = np.nan
+    timestamp, unparsed = _parsed(float, stamp)
+    timestamp = np.array(timestamp, np.float64)
+    text = attribute("bytes", None, object, list)  # None where a row gives no bytes
+    given = np.not_equal(text, None)
+    nbytes, not_a_number = np.full(n, np.nan), np.zeros(n, bool)
+    nbytes[given], (not_a_number[given], _) = _parsed(float, text[given].tolist())
+    _check(error, unparsed,
+           (kind < 0, lambda i: f"unknown event kind {kind_name[i]!r}"),
+           (~np.isfinite(timestamp), lambda i: "timestamp must be finite"),
+           (not_a_number, lambda i: f"bytes {text[i]!r} is not a number"),
+           (given & ~((nbytes >= 0.0) & (nbytes < math.inf)),
+            lambda i: f"bytes {text[i]!r} must be finite and at least 0"))
     return [_codes(names[0], user), timestamp, kind,
             attribute("host", -1, np.intp, functools.partial(_codes, names[1])),
             attribute("cmd", -1, np.intp, functools.partial(_codes, names[2])),
             nbytes,
             attribute("mode", -1, np.int8, lambda values: [_MODE.get(v, -1) for v in values]),
             attribute("external", -1, np.int8, lambda values: [v == "1" for v in values])]
-
-
-def _byte_counts(values: list[str]) -> np.ndarray:
-    """Byte counts (a raw-log bytes attribute, a CERT email size) as
-    numbers; NaN for each value that is not a finite number, at least 0."""
-    try:
-        counts = np.fromiter(map(float, values), np.float64, len(values))
-    except ValueError:  # some do not parse, so each is read alone
-        counts = np.full(len(values), np.nan)
-        for i, value in enumerate(values):
-            with contextlib.suppress(ValueError):
-                counts[i] = float(value)
-    counts[~((counts >= 0.0) & (counts < math.inf))] = np.nan
-    return counts
 
 
 def _codes(index: dict, names) -> np.ndarray:
@@ -1027,62 +997,102 @@ def _codes(index: dict, names) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
-def _first_bad_row(path, rows: list[list[str]], first_line: int, at: list[int]) -> DataError:
-    """The DataError of the first bad row among rows read after line
-    first_line, with the message and line the row-by-row reader gave."""
-    line = first_line
+def _parsed(convert, values: list) -> tuple[list, tuple]:
+    """convert(value) for each of values, None for each one it refuses
+    with a TypeError or ValueError, and the check of a refusal for _check:
+    a mask of the refused values, and the message each refusal gave."""
+    messages: dict[int, str] = {}
+    try:
+        parsed = list(map(convert, values))
+    except (TypeError, ValueError):  # some are refused, so each is read alone
+        parsed = []
+        for i, value in enumerate(values):
+            try:
+                parsed.append(convert(value))
+            except (TypeError, ValueError) as exc:
+                parsed.append(None)
+                messages[i] = str(exc)
+    refused = np.zeros(len(values), bool)
+    refused[list(messages)] = True
+    return parsed, (refused, messages.__getitem__)
+
+
+def _check(error, *checks) -> None:
+    """Raise error(i, message(i)) for the first row i that fails one of
+    checks, (mask, message) pairs in the order a row is checked, mask
+    marking the rows that fail; message is that of the first it fails."""
+    failed = [(np.argmax(mask), k) for k, (mask, _) in enumerate(checks)
+              if np.count_nonzero(mask)]
+    if failed:
+        i, k = min(failed)
+        raise error(i, checks[k][1](i))
+
+
+def csv_chunks(path, columns, like_dict_reader=True, required=True):
+    """Each chunk of up to _CHUNK_ROWS rows of the CSV file path that holds
+    a row, as (values, error): values holds each of columns' values in the
+    chunk's rows, and error(i, message) is the DataError naming the file
+    and the line (the last, as csv counts) of the chunk's row i.  Blank
+    rows are skipped and fields past the header's end ignored.  Like
+    csv.DictReader (the default), a repeated header name reads its last
+    column and a short row's missing field None; else its first and "".
+    A column the header lacks is a DataError at line 1 if required, else
+    None.  What csv cannot read (bytes that are not text in the file's
+    encoding, a field over csv.field_size_limit()) is a DataError naming
+    the file and line, raised after the chunk of the rows read before it,
+    so that a bad row among them is reported in its place."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _unreadable(path, reader, exc) from None
+        position = {name: i for i, name in enumerate(header)}  # a repeat: its last column
+        if not like_dict_reader:  # a repeat: its first column
+            position = {name: header.index(name) for name in position}
+        missing = [c for c in columns if c not in position]
+        if required and missing:
+            raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
+        at = [position.get(c) for c in columns]
+        need = max((i for i in at if i is not None), default=0) + 1  # >= 1, so blank rows go
+        fill = None if like_dict_reader else ""
+        while True:
+            first_line, rows, failure = reader.line_num, [], None
+            try:
+                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = _unreadable(path, reader, exc)
+            full = rows
+            if min(map(len, rows), default=need) < need:
+                full = [row + [fill] * (need - len(row)) for row in rows if row]
+            if full:
+                yield ([list(map(operator.itemgetter(i), full)) if i is not None
+                        else [None] * len(full) for i in at],
+                       functools.partial(_row_error, path, rows, first_line))
+            if failure is not None:
+                raise failure
+            if len(rows) < _CHUNK_ROWS:
+                return
+
+
+def _row_error(path, rows: list[list[str]], line: int, i: int, message: str) -> DataError:
+    """The DataError of row i, blank rows not counted, of the rows csv read
+    after line `line`, naming the row's last line."""
     for row in rows:
         # a row ends one line on, plus the line breaks inside its quoted fields
         line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-        if not row:
-            continue
-        _, stamp, kind, attributes = (row[i] if i < len(row) else "" for i in at)
-        try:
-            ts = float(stamp)
-            if kind not in _KIND:
-                raise DataError(f"unknown event kind {kind!r}")
-            if not math.isfinite(ts):
-                raise DataError("timestamp must be finite")
-            attrs = dict(pair.partition("=")[::2] for pair in attributes.split(";"))
-            text = attrs.get("bytes")
-            if text is not None and np.isnan(_byte_counts([text])[0]):
-                try:
-                    float(text)
-                except ValueError:
-                    raise DataError(f"bytes {text!r} is not a number") from None
-                raise DataError(f"bytes {text!r} must be finite and at least 0")
-        except (ValueError, DataError) as exc:
-            return DataError(f"{path}, line {line}: {exc}")
-    raise AssertionError(f"{path}: no row after line {first_line} fails a check")
+        if row and not i:
+            return DataError(f"{path}, line {line}: {message}")
+        i -= bool(row)
 
 
-@contextlib.contextmanager
-def csv_rows(path, required):
-    """A csv.DictReader over the CSV file path, its header read; a header
-    that lacks one of the required columns is a DataError at line 1.  While
-    the block runs, what csv cannot read is a DataError naming the file and
-    line: bytes that are not text in the file's encoding, or a field csv
-    refuses, such as one over csv.field_size_limit().  Rows may be read
-    through the DictReader or its .reader."""
-    with open(path, newline="") as fh:
-        rows = csv.DictReader(fh)
-        try:
-            missing = [c for c in required if c not in (rows.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
-            yield rows
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}, line {_undecodable_line(path, exc.encoding)}: "
-                            f"not {exc.encoding} text ({exc.reason})") from None
-        except csv.Error as exc:  # a DictReader's line_num lags a failed row
-            raise DataError(f"{path}, line {rows.reader.line_num}: {exc}") from None
-
-
-def _undecodable_line(path, encoding: str) -> int:
-    """The first line of path, counted as csv counts lines, that does not
-    decode as encoding.  The text file decodes a block ahead of the reader,
-    so the reader's own count can fall short of it."""
-    decoder = codecs.getincrementaldecoder(encoding)()
+def _unreadable(path, reader, exc: csv.Error | UnicodeDecodeError) -> DataError:
+    """The DataError of what csv could not read from path.  The text file
+    decodes a block ahead of the reader, whose own line count can fall
+    short of bytes that do not decode, so their line is counted anew."""
+    if not isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{path}, line {reader.line_num}: {exc}")
+    decoder = codecs.getincrementaldecoder(exc.encoding)()
     # latin-1 maps each byte to one character, and newline="" splits lines as
     # csv's source does; an ASCII-compatible encoding never has \r or \n
     # inside a character
@@ -1092,8 +1102,9 @@ def _undecodable_line(path, encoding: str) -> int:
             try:
                 decoder.decode(line.encode("latin-1"))
             except UnicodeDecodeError:
-                return number
-    return number  # the file ends inside a character
+                break
+        # with no break, the file ends inside a character, on its last line
+    return DataError(f"{path}, line {number}: not {exc.encoding} text ({exc.reason})")
 
 
 # -- CERT r6.2 ingestion ------------------------------------------------------
@@ -1109,6 +1120,8 @@ CERT_SOURCES = {
 }
 
 _INTERNAL_DOMAIN = "@dtaa.com"
+# the CERT columns read, in the order _cert_chunk takes them
+_CERT_COLUMNS = ("date", "user", "pc", "activity", "to_removable_media", "to", "size")
 
 _CERT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
 # the fixed-width form of nearly every CERT date, a 0 for each digit, and
@@ -1182,11 +1195,11 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     name the header repeats reads its last column, a name the header lacks
     or a field past a short row's end reads None, and fields past the
     header's end are ignored; what csv cannot read is a DataError (see
-    csv_rows).  Malformed rows (no date or one that does not parse,
+    csv_chunks).  Malformed rows (no date or one that does not parse,
     an empty user, an email size that is not a finite number >= 0) are
     skipped and counted, never fatal.  Returns (events, malformed_count).
-    Each file is read _CHUNK_ROWS rows at a time, a column at a time, so
-    memory holds the table's columns and one chunk of text.
+    Each file is read a chunk at a time (csv_chunks), a column at a time,
+    so memory holds the table's columns and one chunk of text.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -1199,13 +1212,11 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     names: tuple[dict, dict] = ({}, {})  # user, host: name -> code
     malformed = 0
     for filename in sources:
-        with csv_rows(directory / filename, ()) as table:
-            at = {name: i for i, name in enumerate(table.fieldnames or ())}  # a repeat: its last
-            for rows in iter(lambda: list(itertools.islice(table.reader, _CHUNK_ROWS)), []):
-                columns, bad = _cert_chunk(filename, rows, at, names)
-                for part, column in zip(parts, columns):
-                    part.append(column)
-                malformed += bad
+        for values, _ in csv_chunks(directory / filename, _CERT_COLUMNS, required=False):
+            columns, bad = _cert_chunk(filename, values, names)
+            for part, column in zip(parts, columns):
+                part.append(column)
+            malformed += bad
     if not sum(map(len, parts[0])):
         raise DataError(f"zero parseable rows in {directory}")
     users, hosts = names
@@ -1216,45 +1227,35 @@ def ingest_cert(directory: Path | str) -> tuple[EventTable, int]:
     return events, malformed
 
 
-def _cert_chunk(filename: str, rows: list[list[str]], at: dict,
-                names: tuple[dict, dict]) -> tuple[list[np.ndarray], int]:
+def _cert_chunk(filename: str, values: list[list], names: tuple[dict, dict]
+                ) -> tuple[list[np.ndarray], int]:
     """The EventTable columns of the good rows among a chunk of rows of
-    the CERT file filename, whose header names sit at the columns `at`
-    maps them to, and the number of malformed rows.  User and host names
-    are coded by `names`, which gains the chunk's new names; an empty host
-    is coded as "" and an absent one as None, both no host."""
-    need = max(at.values(), default=0) + 1  # and at least 1, so blank rows go
-    if min(map(len, rows)) < need:
-        rows = [row + [None] * (need - len(row)) for row in rows if row]
-    n = len(rows)
-
-    def column(name: str) -> list:
-        return list(map(operator.itemgetter(at[name]), rows)) if name in at else [None] * n
-
-    seconds = _cert_seconds(column("date"))
-    user = column("user")
+    the CERT file filename, given as the _CERT_COLUMNS values csv_chunks
+    yields, and the number of malformed rows.  User and host names are
+    coded by `names`, which gains the chunk's new names; an empty host is
+    coded as "" and an absent one as None, both no host."""
+    date, user, host, activity, to_removable_media, to, size = values
+    n = len(date)
+    seconds = _cert_seconds(date)
     good = ~np.isnan(seconds) & np.fromiter(map(bool, user), bool, n)
     kind = np.full(n, _KIND[CERT_SOURCES[filename]], np.int8)
     nbytes = np.full(n, np.nan)
     mode, external = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
     if filename == "logon.csv":
-        kind[_decided(column("activity"),
-                      lambda a: (a or "").strip().lower() == "logoff")] = _KIND["logoff"]
+        kind[_decided(activity, lambda a: (a or "").strip().lower() == "logoff")] = _KIND["logoff"]
     elif filename == "file.csv":
-        written = _decided(column("activity"), lambda a: any(
+        written = _decided(activity, lambda a: any(
             w in (a or "").strip().lower() for w in ("write", "copy", "delete"))) | \
-            _decided(column("to_removable_media"), lambda r: (r or "").lower() == "true")
+            _decided(to_removable_media, lambda r: (r or "").lower() == "true")
         mode = np.where(written, _MODE["write"], _MODE["read"]).astype(np.int8)
     elif filename == "email.csv":
-        external = _decided(column("to"), lambda to: any(
+        external = _decided(to, lambda to: any(
             addr and _INTERNAL_DOMAIN not in addr for addr in (to or "").split(";")))
         external = external.astype(np.int8)
-        size = column("size")
-        given = np.flatnonzero(np.fromiter(map(bool, size), bool, n))
-        nbytes[given] = _byte_counts([size[i] for i in given.tolist()])
-        good[given] &= ~np.isnan(nbytes[given])  # a size that is not a byte count
+        given = np.fromiter(map(bool, size), bool, n)
+        nbytes[given] = _parsed(float, list(itertools.compress(size, given.tolist())))[0]
+        good &= ~given | (nbytes >= 0.0) & (nbytes < math.inf)  # a size must count bytes
     keep = np.flatnonzero(good)
-    host = column("pc")
     if keep.size < n:
         user, host = (list(itertools.compress(c, good.tolist())) for c in (user, host))
     return [_codes(names[0], user), seconds[keep], kind[keep], _codes(names[1], host),

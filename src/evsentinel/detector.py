@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, EventTable, _csv_field, csv_rows, window_series
+from .data import Corpus, EventTable, _check, _csv_field, _parsed, csv_chunks, window_series
 from .errors import ConfigError, ContractError, DataError, DomainError
 from .model import LatentEmbedding, encode_states, head
 from .evidential import DirichletAssessment
@@ -310,35 +310,40 @@ def read_scores_csv(path: Path | str) -> DetectionResult:
     alert other than 0 or 1, a trigger other than "", uncertainty, drift or
     both, a trigger set on a row without an alert or missing on one with
     it, and a window_end that is not finite are DataErrors naming the file
-    and line, as is what csv cannot read (see data.csv_rows)."""
-    rows = []
-    with csv_rows(path, SCORE_COLUMNS) as reader:
-        for row in reader:
-            try:
-                if row["user"] is None:
-                    raise ValueError("no user")
-                alert, trigger = _ALERT.get(row["alert"]), row["trigger"]
-                if alert is None:
-                    raise ValueError(f"alert {row['alert']!r} is not 0 or 1")
-                if trigger not in _TRIGGERS or (trigger != "") != alert:
-                    raise ValueError(f"trigger {trigger!r} does not fit alert {row['alert']}")
-                u, d, s = float(row["u"]), float(row["d"]), float(row["s"])
-                if not 0.0 < u <= 1.0:
-                    raise ValueError(f"u {row['u']!r} is not in (0, 1]")
-                for name, value in (("d", d), ("s", s)):
-                    if not 0.0 <= value < math.inf:
-                        raise ValueError(f"{name} {row[name]!r} is negative or not finite")
-                end, cluster = float(row["window_end"]), int(row["cluster"])
-                if not math.isfinite(end):
-                    raise ValueError(f"window_end {row['window_end']!r} is not finite")
-                rows.append((row["user"], end, u, d, s, _TRIGGERS.index(trigger), cluster))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    users, end, u, d, s, trigger, cluster = zip(*rows) if rows else [()] * 7
-    floats = (np.array(column, dtype=np.float64) for column in (end, u, d, s))
+    and line, as is what csv cannot read (see data.csv_chunks)."""
+    users, clusters = [], []
+    # per chunk: window_end, u, d, s and trigger, after an empty one
+    columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)]]
+    for values, error in csv_chunks(path, SCORE_COLUMNS):
+        text = dict(zip(SCORE_COLUMNS, values))
+        user, alert, trigger = text["user"], text["alert"], text["trigger"]
+        parsed = {name: _parsed(float, text[name]) for name in ("window_end", "u", "d", "s")}
+        end, u, d, s = (np.array(column, dtype=np.float64) for column, _ in parsed.values())
+        cluster, bad_cluster = _parsed(int, text["cluster"])
+        code = np.array([_TRIGGERS.index(t) if t in _TRIGGERS else -1 for t in trigger], np.intp)
+
+        def flaw(name: str, ok: np.ndarray, words: str):
+            return ~ok, lambda i: f"{name} {text[name][i]!r} {words}"
+
+        _check(error,
+               ([name is None for name in user], lambda i: "no user"),
+               ([flag not in _ALERT for flag in alert],
+                lambda i: f"alert {alert[i]!r} is not 0 or 1"),
+               ((code < 0) | ((code > 0) != np.array([flag == "1" for flag in alert])),
+                lambda i: f"trigger {trigger[i]!r} does not fit alert {alert[i]}"),
+               parsed["u"][1], parsed["d"][1], parsed["s"][1],
+               flaw("u", (u > 0.0) & (u <= 1.0), "is not in (0, 1]"),
+               flaw("d", (d >= 0.0) & (d < math.inf), "is negative or not finite"),
+               flaw("s", (s >= 0.0) & (s < math.inf), "is negative or not finite"),
+               parsed["window_end"][1], bad_cluster,
+               flaw("window_end", np.isfinite(end), "is not finite"))
+        users += user
+        clusters += cluster
+        columns.append([end, u, d, s, code])
     # cluster, which eval does not read, keeps the ints as written, whatever their size
-    return DetectionResult(list(users), np.ones(len(users), dtype=np.intp), *floats,
-                           np.array(trigger, dtype=np.intp), np.array(cluster, dtype=object), None)
+    return DetectionResult(users, np.ones(len(users), dtype=np.intp),
+                           *map(np.concatenate, zip(*columns)),
+                           np.array(clusters, dtype=object), None)
 
 
 def write_alerts_jsonl(result: DetectionResult, path: Path | str) -> None:

@@ -31,14 +31,6 @@ class DirichletAssessment:
     belief_mass: float
     uncertainty: float
 
-    @property
-    def k(self) -> int:
-        return self.alpha.shape[0]
-
-    def argmax_cluster(self) -> int:
-        """Most likely cluster; ties resolve to the lowest index."""
-        return int(np.argmax(self.p))
-
 
 def assess(alpha) -> DirichletAssessment:
     """Expected assignment, belief mass, and uncertainty for one alpha."""

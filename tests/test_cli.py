@@ -156,6 +156,19 @@ def test_config_file_not_an_object_is_config_error(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blob", [b'{"epochs": 3', b'\xff\xfe{"epochs": 3}',
+                                  b"[" * 200_000 + b"]" * 200_000],
+                         ids=["truncated", "not-utf-8", "nested-200k-deep"])
+def test_config_file_not_readable_json_is_config_error(tmp_path, capsys, blob):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(blob)
+    rc = main(["gen", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config file {cfg} is not valid JSON" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag,value,setting", [
     ("--t-len", "-5", "t_len"), ("--t-len", "0", "t_len"),
     ("--window-duration", "nan", "window_duration"),
@@ -356,7 +369,14 @@ def test_events_too_far_apart_are_data_error(small_run, tmp_path, capsys):
 # a last line csv cannot read: bytes that are not UTF-8, or a field over csv's size limit
 UNREADABLE_LINES = {"not-utf-8": (b"u0000,\xff\xfe,x\n", "not utf-8 text"),
                     "over-field-limit": (b'u0000,"' + b"x" * 140_000 + b'"\n',
-                                         "field larger than field limit")}
+                                         "field larger than field limit"),
+                    "bad-row-then-over-field-limit": (b'u0000,x,x\nu0000,"' + b"x" * 140_000
+                                                      + b'"\n', "field larger than field limit")}
+# the message of the bad row read ahead of it, reported in place of csv's
+# error, in the same chunk; a CERT file skips the row as malformed
+BAD_ROW_MESSAGES = {"raw-log": "could not convert string to float: 'x'",
+                    "labels": "a second row for user 'u0000'",
+                    "scores": "alert None is not 0 or 1"}
 
 
 @pytest.mark.parametrize("flaw", UNREADABLE_LINES)
@@ -387,6 +407,8 @@ def test_unreadable_csv_is_data_error(small_run, tmp_path, capsys, reader, flaw)
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     last_line = path.read_bytes().count(b"\n")
+    if flaw.startswith("bad-row") and reader in BAD_ROW_MESSAGES:
+        last_line, message = last_line - 1, BAD_ROW_MESSAGES[reader]
     assert f"{path}, line {last_line}: {message}" in err
     assert "Traceback" not in err
 

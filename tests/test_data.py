@@ -37,6 +37,7 @@ from evsentinel.data import (
     save_corpus,
     window_series,
 )
+from evsentinel.arrayio import write_blob
 from evsentinel.errors import ContractError, DataError
 from evsentinel.numerics import SeededRng
 
@@ -746,6 +747,113 @@ def test_raw_log_round_trip(tmp_path):
     records = load_raw_log(tmp_path / "c" / "events.csv")
     assert len(records) == len(corpus.records) > 0
     assert events_of(records) == events_of(corpus.records)
+
+
+# -- labels.csv reader against the row-by-row oracle --------------------------------
+
+
+def oracle_read_labels(directory, users, t_len):
+    """The row-by-row labels.csv loop load_corpus once ran (the oracle):
+    each user's (label, onset, duration), None for a user without a row."""
+    path = directory / "sequences.bin"
+    labels_path = directory / "labels.csv"
+    labels = dict.fromkeys(users)
+    with open(labels_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in data_mod.LABEL_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{labels_path}, line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            user, label = row["user"], row["label"]
+            try:
+                if user is None or label is None:
+                    raise ValueError("a row needs a user and a label")
+                if user not in labels:
+                    raise ValueError(f"user {user!r} is not in {path.name}")
+                if labels[user] is not None:
+                    raise ValueError(f"a second row for user {user!r}")
+                if label != "benign" and label not in SCENARIOS:
+                    raise ValueError(f"label {label!r} is not benign or a scenario")
+                onset = int(row["onset"]) if row["onset"] else None
+                duration = int(row["duration"]) if row["duration"] else None
+                if label == "benign" and (onset, duration) != (None, None):
+                    raise ValueError("a benign row gives no onset or duration")
+                if label != "benign" and not (onset is not None and 0 <= onset < t_len
+                                              and duration is not None and duration >= 1):
+                    raise ValueError(f"a {label} row needs an onset in [0, {t_len}) and a "
+                                     f"duration >= 1, got {onset!r} and {duration!r}")
+            except ValueError as exc:
+                raise DataError(f"{labels_path}, line {reader.line_num}: {exc}") from None
+            labels[user] = (label, onset, duration)
+    return labels
+
+
+LABEL_USERS = ["u1", "u2", "a\nb", 'c,"d"\r\ne', "u3"]
+LABEL_T_LEN = 6
+GOOD_LABELS = {"user": LABEL_USERS, "label": ["benign", *SCENARIOS],
+               "onset": ["", "0", "5", " 3 ", "+2"], "duration": ["", "1", "4", "1_0"]}
+BAD_LABELS = {"user": ["nobody", "", "u1\r"], "label": ["bogus", "", "Benign"],
+              "onset": ["6", "-1", "x", "1.5"], "duration": ["0", "x", "-2"]}
+
+
+@st.composite
+def edited_labels_csv(draw):
+    """The text of a labels.csv for LABEL_USERS, with a repeated column,
+    blank lines and \\n line ends maybe; names hold quoted line breaks.
+    In about half the files a user may have a second row, and about one
+    row in four is bad: bad values, short rows and extra fields."""
+    flawed = draw(st.booleans())
+    repeated = draw(st.sampled_from(((),) + tuple((c,) for c in data_mod.LABEL_COLUMNS)))
+    rows = [list(data_mod.LABEL_COLUMNS) + list(repeated)]
+    for user in draw(st.lists(st.sampled_from(LABEL_USERS), max_size=6, unique=not flawed)):
+        bad = flawed and draw(st.integers(0, 3)) == 0
+        label = draw(st.sampled_from(GOOD_LABELS["label"] + BAD_LABELS["label"] * bad))
+        row = [draw(st.sampled_from([user] + BAD_LABELS["user"] * bad)), label]
+        for c in ("onset", "duration"):
+            given = GOOD_LABELS[c][1:]  # a good row: "" for benign, a number for a scenario
+            good = [""] if label == "benign" else given
+            row.append(draw(st.sampled_from([""] + given + BAD_LABELS[c] if bad else good)))
+        # a repeated column is read from its last copy, which a good row repeats
+        row += [draw(st.sampled_from(GOOD_LABELS[c] + BAD_LABELS[c])) if bad else
+                row[data_mod.LABEL_COLUMNS.index(c)] for c in repeated]
+        if bad and draw(st.booleans()):
+            row = row[:draw(st.integers(1, len(row)))] + ["extra"] * draw(st.integers(0, 2))
+        rows += [[]] * draw(st.integers(0, 1)) + [row]  # [] is a blank line
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\r\n", "\n")))).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def labels_corpus(tmp_path_factory):
+    """A corpus directory of LABEL_USERS without a labels.csv."""
+    directory = tmp_path_factory.mktemp("labels")
+    n = len(LABEL_USERS)
+    write_blob(directory / "sequences.bin",
+               {"schema": "corpus", "schema_version": data_mod.SCHEMA_VERSION,
+                "users": LABEL_USERS, "t_len": LABEL_T_LEN, "n_features": len(FEATURE_NAMES),
+                "window_duration": 3600.0, "seed": 0},
+               {"features": np.zeros((n, LABEL_T_LEN, len(FEATURE_NAMES))),
+                "n_pad": np.zeros(n), "window_end": np.zeros(n)})
+    return directory
+
+
+def corpus_labels(directory):
+    return [(s.user, s.label, s.onset, s.duration) for s in load_corpus(directory).sequences]
+
+
+def oracle_corpus_labels(directory):
+    labels = oracle_read_labels(directory, LABEL_USERS, LABEL_T_LEN)
+    return [(user, *(labels[user] or ("benign", None, None))) for user in LABEL_USERS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_labels_csv(), st.integers(1, 4))
+def test_labels_reader_matches_the_row_by_row_oracle(labels_corpus, text, chunk_rows):
+    (labels_corpus / "labels.csv").write_text(text, newline="")
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        assert table_or_error(corpus_labels, labels_corpus) == \
+               table_or_error(oracle_corpus_labels, labels_corpus)
 
 
 # -- raw-log reader and writer against the row-by-row oracles ---------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evsentinel import data as data_mod
 from evsentinel import detector as detector_mod
 from evsentinel.data import _COLUMNS as COLUMNS
 from evsentinel.data import (BehaviorSequence, Corpus, FeatureScaler, generate, load_raw_log,
@@ -459,7 +460,7 @@ def oracle_detect(ckpt, source, config):
                     user=user, window_end=float(end), u=assessment.uncertainty,
                     d=state.last_drift, s=score, alert=alert is not None,
                     trigger=alert.triggered_by if alert else "",
-                    cluster=assessment.argmax_cluster()))
+                    cluster=int(np.argmax(assessment.p))))
     return scores, alerts
 
 
@@ -655,9 +656,10 @@ def read_or_message(read, path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(edited_scores_csv())
-def test_scores_reader_matches_the_row_by_row_oracle(text):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(edited_scores_csv(), st.integers(1, 4))
+def test_scores_reader_matches_the_row_by_row_oracle(text, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
         path = Path(tmp) / "scores.csv"
         path.write_text(text, newline="")
         assert read_or_message(lambda p: read_scores_csv(p).window_scores, path) == \

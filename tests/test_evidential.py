@@ -118,10 +118,6 @@ def test_uncertainty_strictly_decreases_under_scaling():
         assert assess(c * alpha).uncertainty < base
 
 
-def test_argmax_cluster_tie_breaks_low():
-    assert assess([2.0, 2.0, 1.0]).argmax_cluster() == 0
-
-
 # -- expected cross-entropy ----------------------------------------------------
 
 

@@ -7,8 +7,8 @@ stage as its own `python3 -m evsentinel.cli` process with one BLAS thread.
 The `--help` text of every subcommand is saved under help/.  Each output
 file is printed as `<relative path> <sha256>` on stdout, in path order;
 each stage's own summary line (with the checkpoint digest) goes to stderr,
-followed by the stage's peak resident memory (`ru_maxrss` from wait4(2),
-as `perfbench/stages.py` reads it).  The CERT rewrite runs in a process
+followed by the stage's wall time and its peak resident memory
+(`ru_maxrss` from wait4(2), as `perfbench/stages.py` reads it).  The CERT rewrite runs in a process
 of its own, so that no later stage starts with this tool's high-water
 mark: Linux carries it into a child's `ru_maxrss`.  Two checkouts made
 the same bytes when their stdout is equal:
@@ -30,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,27 +41,29 @@ GATE = (["--population", "200", "--insider-fraction", "0.05", "--t-len", "100"],
 SUBCOMMANDS = ("gen", "train", "detect", "eval")
 
 
-def run_cli(src: Path, *args: str) -> tuple[str, float]:
-    """The stdout of one CLI process and its peak RSS in MB; its stderr is
-    passed on to ours."""
+def run_cli(src: Path, *args: str) -> tuple[str, float, float]:
+    """The stdout of one CLI process, its wall time in seconds and its peak
+    RSS in MB; its stderr is passed on to ours."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", COLUMNS="80")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "evsentinel.cli", *args],
                                 env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         sys.stderr.write(err.read().decode())
         if proc.returncode != 0:
             sys.exit(f"{' '.join(args)}: exit {proc.returncode}")
-        return out.read().decode(), usage.ru_maxrss / 1024.0
+        return out.read().decode(), wall_s, usage.ru_maxrss / 1024.0
 
 
 def run_stage(src: Path, *args: str) -> None:
-    stdout, peak_mb = run_cli(src, *args)
-    sys.stderr.write(stdout.rstrip("\n") + f"  [peak RSS {peak_mb:.1f} MB]\n")
+    stdout, wall_s, peak_mb = run_cli(src, *args)
+    sys.stderr.write(stdout.rstrip("\n") + f"  [wall {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB]\n")
 
 
 def write_cert_apart(events_csv: Path, cert_dir: Path, raw_csv: Path, seed: str) -> None:
