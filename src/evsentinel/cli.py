@@ -138,7 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_detect_source(path: Path):
+def _load_detect_source(path: Path, window_duration: float):
+    """A corpus, a CERT directory's event table, or a raw log's window series."""
     if path.is_dir():
         if (path / "sequences.bin").exists():
             return data_mod.load_corpus(path)
@@ -147,16 +148,16 @@ def _load_detect_source(path: Path):
             print(f"detect: skipped {malformed} malformed CERT rows", file=sys.stderr)
         return records
     if path.is_file():
-        return data_mod.load_raw_log(path)
+        return data_mod.raw_log_series(path, window_duration)
     raise FileNotFoundError(f"detect input not found: {path}")
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     checkpoint = Checkpoint.load(Path(args.checkpoint))
-    # popped into the call, so that detect_stream can free the events once
-    # it has their windows
-    source = [_load_detect_source(Path(args.input))]
+    # popped into the call, so that detect_stream can free a CERT table once
+    # it has its windows
+    source = [_load_detect_source(Path(args.input), checkpoint.window_duration)]
     dconf = _detector_config(config)
     result = detect_stream(checkpoint, source.pop(), dconf)
     out_dir = Path(args.out)

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,6 +94,9 @@ DEFAULT_INTENSITIES = {
 _COLUMNS = {"user": np.intp, "timestamp": np.float64, "kind": np.int8, "host": np.intp,
             "cmd": np.intp, "bytes": np.float64, "mode": np.int8, "external": np.int8}
 _NAMED = (("users", "user"), ("hosts", "host"), ("commands", "cmd"))  # name list, its column
+# rows of a table recoded, or folded into WindowCells, at a time: a fold
+# costs mostly per call
+_FOLD_ROWS = 1 << 12
 
 
 @dataclass(eq=False)
@@ -101,7 +105,9 @@ class EventTable:
 
     The name lists given may come in any order, repeat a name, and hold
     None for an absent name: the table keeps each list sorted and
-    distinct, and recodes its column to match.
+    distinct, and recodes its column to match.  A user, host or cmd
+    column given as an intp array is recoded in place, so that no second
+    copy of it lives on: the table takes it over.
     """
 
     users: list[str]
@@ -125,7 +131,10 @@ class EventTable:
             setattr(self, names, distinct)
             index = {name: code for code, name in enumerate(distinct)}
             recode = np.array([index.get(name, -1) for name in listed] + [-1], dtype=np.intp)
-            setattr(self, column, recode[getattr(self, column)])  # -1 stays -1
+            codes = getattr(self, column)
+            for lo in range(0, len(codes), _FOLD_ROWS):
+                rows = slice(lo, lo + _FOLD_ROWS)
+                codes[rows] = recode[codes[rows]]  # -1 stays -1
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -223,6 +232,214 @@ class FeatureScaler:
 _MAX_WINDOWS = np.iinfo(np.intp).max // (N_FEATURES * np.dtype(np.float64).itemsize)
 
 
+# A window cell's sums: the count of each count feature at its feature's
+# column, the reads and external emails of the two ratios at theirs, the
+# bytes moved at bytes_moved_log's, then the file writes.
+_SUMS = N_FEATURES + 1
+_READS, _EXTERNAL, _BYTES, _WRITES = (FEATURE_NAMES.index("file_read_write_ratio"),
+                                      FEATURE_NAMES.index("email_external_ratio"),
+                                      FEATURE_NAMES.index("bytes_moved_log"), N_FEATURES)
+_HOSTS, _COMMANDS, _EMAILS = (FEATURE_NAMES.index(name) for name in (
+    "distinct_hosts", "distinct_commands", "email_count"))
+# host and command codes are below 2**_CODE_BITS, and window cells below
+# 2**(62 - _CODE_BITS)
+_CODE_BITS = 31
+# the sum each event kind counts in, -1 for none
+_KIND_SUM = np.array([FEATURE_NAMES.index(feature) if feature else -1 for feature in (
+    "logon_count", "", "file_access_count", "removable_device_events", "process_exec_count", "",
+    "email_count", "http_count")])
+
+
+class WindowCells:
+    """Events folded a chunk at a time into per-(user, window) cells, then
+    closed into window_series' {user: (features, ends)}.
+
+    A cell holds its window's sums (_SUMS), each event's bytes added in the
+    order fed, and counts its distinct host codes and command codes.  The
+    codes of a user's open cell, its latest window, are kept until a later
+    window of the user opens; so memory holds the cells, the open cells'
+    codes and one chunk, whatever the number of events.  That needs each
+    user's events fed in window order: in_order turns False for good once
+    a user's window steps back, and the cells are then no longer those of
+    one (user, window) each.
+
+    With start_time, the grid starts at t0 = floor(start_time / wd) * wd
+    and an event's window is (ts - t0) // wd, as window_series computes
+    it.  Without, the window is keyed as ts // wd, and close rebases it
+    onto the grid of the least timestamp fed: the two agree whenever
+    ts - t0 and t0 are exact in float64.
+    """
+
+    def __init__(self, window_duration: float, start_time: float | None = None):
+        if window_duration <= 0:
+            raise ContractError("window duration must be positive")
+        self.window_duration = window_duration
+        self.anchored = start_time is not None
+        self.origin = (math.floor(start_time / window_duration) * window_duration
+                       if self.anchored else 0.0)
+        self.least = math.inf  # the least timestamp fed
+        self.in_order = True
+        self.open = np.zeros(0, np.intp)  # each user code's open cell, -1 before its first
+        self.n = 0  # cells; the arrays below hold room for more
+        self.user, self.key, self.first = np.zeros(0, np.intp), np.zeros(0), np.zeros(0)
+        self.sums = np.zeros((0, _SUMS))
+        # the open cells' distinct host and command codes, each as
+        # (cell * 2 + family) << _CODE_BITS | code, family 0 for a host and
+        # 1 for a command
+        self.codes = np.zeros(0, np.intp)
+
+    def feed(self, user, timestamp, kind, host, cmd, nbytes, mode, external) -> None:
+        """Fold in a chunk of events, given as EventTable columns in feed order."""
+        n = len(user)
+        if not n:
+            return
+        key = (timestamp - self.origin) // self.window_duration
+        self.least = min(self.least, float(timestamp.min()))
+        if user.max() >= len(self.open):
+            self.open = np.concatenate([self.open, np.full(user.max() + 1 - len(self.open), -1)])
+        # the chunk's (user, window) groups, each user's in chunk order; a
+        # stable sort of 16-bit codes is a radix sort
+        order = np.argsort(user.astype(np.uint16) if len(self.open) <= 1 << 16 else user,
+                           kind="stable")
+        u, k = user[order], key[order]
+        same_user = u[1:] == u[:-1]
+        start = np.ones(n, bool)
+        start[1:] = ~same_user | (k[1:] != k[:-1])
+        g_user, g_key, g_first = u[start], k[start], order[start]
+        group = np.empty(n, np.intp)
+        group[order] = np.cumsum(start) - 1
+        # a group goes on in its user's open cell, or opens a cell; cells
+        # are numbered in the order of their first event
+        cell = self.open[g_user]
+        known = np.flatnonzero(cell >= 0)
+        open_key = self.key[cell[known]]
+        self.in_order = self.in_order and not (np.any(k[1:][same_user] < k[:-1][same_user])
+                                               or np.any(g_key[known] < open_key))
+        cell[known[g_key[known] != open_key]] = -1
+        new = np.flatnonzero(cell < 0)
+        new = new[np.argsort(g_first[new], kind="stable")]
+        cell[new] = self._add_cells(g_user[new], g_key[new], timestamp[g_first[new]])
+        last = np.ones(len(g_user), bool)
+        last[:-1] = g_user[1:] != g_user[:-1]
+        self.open[g_user[last]] = cell[last]  # each user's latest window stays open
+
+        # each event counts in its kind's sum and in at most one other
+        index = np.empty(2 * n, np.intp)
+        index[:n] = _KIND_SUM[kind]
+        other = index[n:]
+        other.fill(-1)
+        files, logon = kind == _KIND["file-access"], np.flatnonzero(kind == _KIND["logon"])
+        other[logon[(timestamp[logon] % 86400.0) // 3600.0 < OFF_HOURS_END]] = \
+            FEATURE_NAMES.index("offhours_logon_count")
+        other[files & (mode == _MODE["read"])] = _READS
+        other[files & (mode == _MODE["write"])] = _WRITES
+        other[(kind == _KIND["email"]) & (external == 1)] = _EXTERNAL
+        counted = np.flatnonzero(index >= 0)
+        self.sums[cell] += np.bincount(group[counted % n] * _SUMS + index[counted],
+                                       minlength=len(cell) * _SUMS).reshape(-1, _SUMS)
+        row_cell = cell[group]
+        moved = ~np.isnan(nbytes)
+        np.add.at(self.sums[:, _BYTES], row_cell[moved], nbytes[moved])  # in feed order
+        has_host, has_cmd = host >= 0, (kind == _KIND["command"]) & (cmd >= 0)
+        hosts = (row_cell[has_host] * 2) << _CODE_BITS | host[has_host]
+        commands = (row_cell[has_cmd] * 2 + 1) << _CODE_BITS | cmd[has_cmd]
+        self._count_codes(np.concatenate([hosts, commands]))
+
+    def _add_cells(self, user, key, first) -> np.ndarray:
+        """Numbers of new cells for these users' windows, keys and first
+        timestamps, the arrays grown by half when full."""
+        n = self.n + len(user)
+        if n > len(self.user):
+            size = max(n, len(self.user) * 3 // 2)
+            self.user, self.key, self.first, self.sums = (
+                np.concatenate([a[:self.n], np.zeros((size - self.n, *a.shape[1:]), a.dtype)])
+                for a in (self.user, self.key, self.first, self.sums))
+        cells = np.arange(self.n, n)
+        self.user[cells], self.key[cells], self.first[cells] = user, key, first
+        self.n = n
+        return cells
+
+    def _count_codes(self, codes) -> None:
+        """Add the codes (see self.codes) to the open cells' distinct codes,
+        then count those of cells no longer open into their sums."""
+        codes = np.concatenate([self.codes, codes])
+        codes.sort()
+        distinct = np.ones(len(codes), bool)
+        distinct[1:] = codes[1:] != codes[:-1]
+        codes = codes[distinct]
+        family_cell = codes >> _CODE_BITS
+        cell = family_cell // 2
+        is_open = self.open[self.user[cell]] == cell
+        done = ~is_open
+        np.add.at(self.sums, (cell[done], np.where(family_cell[done] % 2, _COMMANDS, _HOSTS)), 1)
+        self.codes = codes[is_open]
+
+    def windows(self, users: list[str]) -> tuple[float, np.ndarray]:
+        """The grid's t0, and each cell's window index on it.  A cell whose
+        index is beyond int64 (or NaN, from an inf difference) is a DataError
+        naming users[c] for its user code c and the timestamp of its first
+        event: that of the first cell is the first such event fed."""
+        wd = self.window_duration
+        shift = 0.0 if self.anchored else float(math.floor(self.least / wd))
+        index = self.key[:self.n] - shift
+        beyond = np.flatnonzero(~(np.abs(index) < 2.0**63))
+        if beyond.size:
+            i = beyond[0]
+            raise DataError(f"user {users[self.user[i]]!r}: the window of timestamp "
+                            f"{float(self.first[i])!r} is beyond an int64 index")
+        return (self.origin if self.anchored else shift * wd), index.astype(np.int64)
+
+    def close(self, users: list[str], last: int | None = None,
+              ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """window_series' result from the cells, users[c] naming user code
+        c; the cells' sums become the features in place, so cells close
+        once."""
+        self.open[:] = -1
+        self._count_codes(np.zeros(0, np.intp))
+        if not self.n:
+            return {}
+        wd = self.window_duration
+        t0, index = self.windows(users)
+        features = self.sums[:self.n]
+
+        def ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+            return np.divide(part, whole, out=np.zeros(len(part)), where=whole > 0)
+
+        reads, writes = features[:, _READS], features[:, _WRITES]
+        features[:, _READS] = ratio(reads, reads + writes)
+        features[:, _EXTERNAL] = ratio(features[:, _EXTERNAL], features[:, _EMAILS])
+        # math.log1p per window: numpy's log1p need not round as libm does
+        features[:, _BYTES] = [math.log1p(b) for b in features[:, _BYTES].tolist()]
+
+        out = {}
+        order = np.lexsort((index, self.user[:self.n]))  # by user code, then window
+        edges = np.searchsorted(self.user[order], np.arange(len(users) + 1))
+        for code in sorted(range(len(users)), key=users.__getitem__):
+            cells = order[edges[code]:edges[code + 1]]
+            if not cells.size:
+                continue  # no events
+            windows = index[cells]
+            lo, hi = int(windows[0]), int(windows[-1])
+            if last is not None and hi - lo + 1 > last:
+                lo = hi - last + 1
+                cells = cells[int(np.searchsorted(windows, lo)):]
+            if hi - lo + 1 > _MAX_WINDOWS:
+                raise DataError(f"user {users[code]!r}: its events span {hi - lo + 1} windows, "
+                                f"more than an array of their features can hold ({_MAX_WINDOWS})")
+            feats = np.zeros((hi - lo + 1, N_FEATURES))
+            feats[index[cells] - lo] = features[cells, :N_FEATURES]
+            out[users[code]] = (feats, t0 + np.arange(lo + 1, hi + 2) * wd)
+        return out
+
+
+def _feed_table(cells: WindowCells, events: EventTable, rows=None) -> WindowCells:
+    """cells fed the table's rows, or the given rows of it, in order, a chunk at a time."""
+    for lo in range(0, len(events) if rows is None else len(rows), _FOLD_ROWS):
+        chunk = slice(lo, lo + _FOLD_ROWS) if rows is None else rows[lo:lo + _FOLD_ROWS]
+        cells.feed(*(getattr(events, name)[chunk] for name in _COLUMNS))
+    return cells
+
+
 def window_series(events: EventTable, window_duration: float,
                   start_time: float | None = None, last: int | None = None,
                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -230,104 +447,27 @@ def window_series(events: EventTable, window_duration: float,
 
     Returns {user: (features (W, d), window_end_times (W,))} in user order,
     where W covers the user's first through last active window on the
-    shared grid, or only the last `last` of those windows when given.
+    shared grid, or only the last `last` of those windows when given.  The
+    grid starts at t0 = floor(start / wd) * wd, start being start_time or
+    else the least timestamp, and an event's window is (ts - t0) // wd.
     Every event lands in exactly one window; bytes are summed in table
     order.  A window index beyond int64, or a span of windows more than
     one array can hold, is a DataError naming the user.
+
+    The table is fed to a WindowCells a chunk at a time and closed, so
+    memory holds the table, the cells and one chunk.  A table in which a
+    user's windows step back is fed again in (user, window) order, table
+    order kept within a window.
     """
-    if window_duration <= 0:
-        raise ContractError("window duration must be positive")
-    if not len(events):
-        return {}
-    ts = events.timestamp
-    t0 = start_time if start_time is not None else float(ts.min())
-    t0 = math.floor(t0 / window_duration) * window_duration
-    window = (ts - t0) // window_duration
-    beyond = np.flatnonzero(~(np.abs(window) < 2.0**63))  # NaN too, from an inf difference
-    if beyond.size:
-        i = beyond[0]
-        raise DataError(f"user {events.users[events.user[i]]!r}: the window of timestamp "
-                        f"{float(ts[i])!r} is beyond an int64 index")
-    # bucket b holds the events of the b-th (user, window) pair in sorted
-    # order, pair_user[b] and pair_window[b]; the sorted columns are freed
-    # before the features are counted
-    order = np.lexsort((window, events.user))
-    window = window[order]
-    user = events.user[order]
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    np.not_equal(user[1:], user[:-1], out=first[1:])
-    first[1:] |= window[1:] != window[:-1]
-    pair_user, pair_window = user[first], window[first].astype(np.int64)
-    del window, user
-    n_pairs = len(pair_user)
-    sorted_bucket = np.cumsum(first)
-    sorted_bucket -= 1
-    bucket = np.empty(len(order), dtype=np.intp)
-    bucket[order] = sorted_bucket
-    del order, first, sorted_bucket
-
-    def count(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(bucket[mask], minlength=n_pairs)
-
-    def distinct(codes: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        mask = mask & (codes >= 0)
-        width = codes.max(initial=0) + 1
-        # each event's (bucket, code) cell, all >= 0, sorted and deduplicated
-        # in place: numpy's unique would import numpy.ma
-        cells = bucket[mask]
-        cells *= width
-        cells += codes[mask]
-        cells.sort()
-        keep = np.empty(len(cells), dtype=bool)
-        keep[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=keep[1:])
-        cells = cells[keep]
-        cells //= width
-        return np.bincount(cells, minlength=n_pairs)
-
-    def ratio(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
-        return np.divide(part, whole, out=np.zeros(n_pairs), where=whole > 0)
-
-    kind, mode = events.kind, events.mode
-    logon, files, emails = (kind == _KIND[k] for k in ("logon", "file-access", "email"))
-    reads = count(files & (mode == _MODE["read"]))
-    n_emails = count(emails)
-    moved = ~np.isnan(events.bytes)
-    total_bytes = np.bincount(bucket[moved], weights=events.bytes[moved], minlength=n_pairs)
-    features = np.column_stack([
-        count(logon),
-        count(logon & ((ts % 86400.0) // 3600.0 < OFF_HOURS_END)),
-        distinct(events.host, np.ones(len(events), dtype=bool)),
-        count(files),
-        ratio(reads, reads + count(files & (mode == _MODE["write"]))),
-        count(kind == _KIND["removable-device"]),
-        count(kind == _KIND["process-exec"]),
-        distinct(events.cmd, kind == _KIND["command"]),
-        n_emails,
-        ratio(count(emails & (events.external == 1)), n_emails),
-        count(kind == _KIND["http"]),
-        # math.log1p per window: numpy's log1p need not round as libm does
-        [math.log1p(b) for b in total_bytes.tolist()],
-    ]).astype(np.float64)
-
-    out = {}
-    edges = np.searchsorted(pair_user, np.arange(len(events.users) + 1))
-    for user, lo_b, hi_b in zip(events.users, edges[:-1], edges[1:]):
-        if lo_b == hi_b:
-            continue  # no events
-        windows = pair_window[lo_b:hi_b]
-        lo, hi = int(windows[0]), int(windows[-1])
-        if last is not None and hi - lo + 1 > last:
-            lo = hi - last + 1
-            lo_b += int(np.searchsorted(windows, lo))
-        if hi - lo + 1 > _MAX_WINDOWS:
-            raise DataError(f"user {user!r}: its events span {hi - lo + 1} windows, more "
-                            f"than an array of their features can hold ({_MAX_WINDOWS})")
-        feats = np.zeros((hi - lo + 1, N_FEATURES))
-        feats[pair_window[lo_b:hi_b] - lo] = features[lo_b:hi_b]
-        out[user] = (feats, t0 + np.arange(lo + 1, hi + 2) * window_duration)
-    return out
+    if start_time is None and len(events):
+        start_time = float(events.timestamp.min())
+    cells = _feed_table(WindowCells(window_duration, start_time), events)
+    if not cells.in_order:
+        cells.windows(events.users)  # a window beyond int64 is named in table order
+        window = (events.timestamp - cells.origin) // window_duration
+        cells = _feed_table(WindowCells(window_duration, start_time), events,
+                            np.lexsort((window, events.user)))
+    return cells.close(events.users, last)
 
 
 def extract_features(records: EventTable, window_duration: float,
@@ -902,25 +1042,63 @@ def load_raw_log(path: Path | str) -> EventTable:
     chunk of text.  Checks run as if row by row: the first bad row in the
     file is reported, with the first check it fails in the order above;
     only a file without one reports the first record out of order.
+    detect does not build this table: raw_log_series folds the same
+    chunks straight into window cells.
     """
-    parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
     names: tuple[dict, dict, dict] = ({}, {}, {})  # user, host, cmd: name -> code
+    parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]  # each column's chunks
+    for columns in _raw_log_columns(path, names):
+        for part, column in zip(parts, columns):
+            part.append(column)
+    # each column's chunks are joined in turn, and freed as they are
+    return EventTable(*map(list, names), *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
+
+
+def raw_log_series(path: Path | str, window_duration: float,
+                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """window_series(load_raw_log(path), window_duration), with the same
+    DataErrors in the same order, without the table: the parsed chunks are
+    folded into WindowCells _FOLD_ROWS rows at a time, so memory holds
+    one fold's rows and the cells, whatever the number of events.  The
+    file is read once, before its least timestamp is known, so the cells
+    are keyed by ts // window_duration and rebased onto window_series'
+    grid at close.  That gives window_series' windows whenever ts - t0
+    and t0 are exact in float64, as for whole-second window durations and
+    timestamps in [0, 2**53) (see WindowCells)."""
+    names: tuple[dict, dict, dict] = ({}, {}, {})
+    cells, batch, rows = WindowCells(window_duration), [], 0
+    for columns in _raw_log_columns(path, names):
+        batch.append(columns)
+        rows += len(columns[0])
+        if rows >= _FOLD_ROWS:
+            cells.feed(*map(np.concatenate, zip(*batch)))
+            batch, rows = [], 0
+    if batch:
+        cells.feed(*map(np.concatenate, zip(*batch)))
+    return cells.close(list(names[0]))
+
+
+def _raw_log_columns(path, names: tuple[dict, dict, dict]):
+    """The EventTable columns of each chunk of the raw event CSV path, as
+    _raw_log_chunk gives them, names coded by `names`; once the file is
+    read, the DataError of a file with no event rows, else that of its
+    first record out of order."""
     latest = np.zeros(0)  # each user code's last timestamp so far
     back = None  # the first record out of order: (user code, timestamp, previous)
+    rows = 0
     for values, error in csv_chunks(path, RAW_LOG_COLUMNS, like_dict_reader=False):
-        for part, column in zip(parts, _raw_log_chunk(values, error, names)):
-            part.append(column)
+        columns = _raw_log_chunk(values, error, names)
         if back is None:
             latest = np.r_[latest, np.full(len(names[0]) - len(latest), -np.inf)]
-            back = _first_step_back(parts[0][-1], parts[1][-1], latest)
-    if not sum(map(len, parts[0])):
+            back = _first_step_back(columns[0], columns[1], latest)
+        rows += len(columns[0])
+        yield columns
+    if not rows:
         raise DataError(f"{path}: no event rows")
     if back is not None:
         user, ts, previous = back
         raise DataError(f"{path}: out-of-order record for user {list(names[0])[user]!r} at "
                         f"{ts} (previous {previous})")
-    # each column's chunks are joined in turn, and freed as they are
-    return EventTable(*map(list, names), *(np.concatenate(parts.pop(0)) for _ in _COLUMNS))
 
 
 def _first_step_back(user: np.ndarray, ts: np.ndarray,
@@ -1037,16 +1215,20 @@ def csv_chunks(path, columns, like_dict_reader=True, required=True):
     csv.DictReader (the default), a repeated header name reads its last
     column and a short row's missing field None; else its first and "".
     A column the header lacks is a DataError at line 1 if required, else
-    None.  What csv cannot read (bytes that are not text in the file's
-    encoding, a field over csv.field_size_limit()) is a DataError naming
-    the file and line, raised after the chunk of the rows read before it,
-    so that a bad row among them is reported in its place."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    None.  What csv cannot read (a row holding bytes that are not text in
+    the file's encoding, a field over csv.field_size_limit()) is a
+    DataError naming the file and line, raised after the chunk of the
+    rows read before it, so that a bad row among them is reported in its
+    place."""
+    with open(path, newline="", errors="surrogateescape") as fh:
+        escaped: list[int] = []  # the first line holding bytes that do not decode, once read
+        reader = csv.reader(_lines(fh, escaped))
         try:
             header = next(reader, [])
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _unreadable(path, reader, exc) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        if escaped and escaped[0] <= reader.line_num:
+            raise _undecodable(path, fh.encoding)
         position = {name: i for i, name in enumerate(header)}  # a repeat: its last column
         if not like_dict_reader:  # a repeat: its first column
             position = {name: header.index(name) for name in position}
@@ -1060,8 +1242,12 @@ def csv_chunks(path, columns, like_dict_reader=True, required=True):
             first_line, rows, failure = reader.line_num, [], None
             try:
                 rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                failure = _unreadable(path, reader, exc)
+            except csv.Error as exc:
+                failure = DataError(f"{path}, line {reader.line_num}: {exc}")
+            if escaped and escaped[0] <= reader.line_num:  # a row read holds them
+                ends = _row_ends(rows, first_line)
+                rows = rows[:sum(end < escaped[0] for end in ends)]
+                failure = _undecodable(path, fh.encoding)
             full = rows
             if min(map(len, rows), default=need) < need:
                 full = [row + [fill] * (need - len(row)) for row in rows if row]
@@ -1075,36 +1261,57 @@ def csv_chunks(path, columns, like_dict_reader=True, required=True):
                 return
 
 
-def _row_error(path, rows: list[list[str]], line: int, i: int, message: str) -> DataError:
-    """The DataError of row i, blank rows not counted, of the rows csv read
-    after line `line`, naming the row's last line."""
+# a character that stands for a byte the encoding could not decode
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _lines(fh, escaped: list[int]):
+    """The lines of fh, opened with errors="surrogateescape", read a block
+    at a time; once the block is read, escaped gains the number of the
+    first line that holds a byte that did not decode."""
+    def blocks():
+        number = 0
+        while lines := fh.readlines(1 << 14):
+            text = "".join(lines)
+            if not escaped and not text.isascii() and _ESCAPED.search(text):
+                escaped.append(number + next(i for i, line in enumerate(lines, 1)
+                                             if _ESCAPED.search(line)))
+            number += len(lines)
+            yield lines
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def _row_ends(rows: list[list[str]], line: int):
+    """The line each of rows ends on, csv having read `line` lines before them."""
     for row in rows:
         # a row ends one line on, plus the line breaks inside its quoted fields
         line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-        if row and not i:
-            return DataError(f"{path}, line {line}: {message}")
-        i -= bool(row)
+        yield line
 
 
-def _unreadable(path, reader, exc: csv.Error | UnicodeDecodeError) -> DataError:
-    """The DataError of what csv could not read from path.  The text file
-    decodes a block ahead of the reader, whose own line count can fall
-    short of bytes that do not decode, so their line is counted anew."""
-    if not isinstance(exc, UnicodeDecodeError):
-        return DataError(f"{path}, line {reader.line_num}: {exc}")
-    decoder = codecs.getincrementaldecoder(exc.encoding)()
+def _row_error(path, rows: list[list[str]], line: int, i: int, message: str) -> DataError:
+    """The DataError of row i, blank rows not counted, of the rows csv read
+    after line `line`, naming the row's last line."""
+    ends = [end for row, end in zip(rows, _row_ends(rows, line)) if row]
+    return DataError(f"{path}, line {ends[i]}: {message}")
+
+
+def _undecodable(path, encoding: str) -> DataError:
+    """The DataError of the first line of path that does not decode in encoding."""
+    decoder = codecs.getincrementaldecoder(encoding)()
     # latin-1 maps each byte to one character, and newline="" splits lines as
     # csv's source does; an ASCII-compatible encoding never has \r or \n
     # inside a character
     with open(path, encoding="latin-1", newline="") as fh:
         number = 0
-        for number, line in enumerate(fh, 1):
-            try:
+        try:
+            for number, line in enumerate(fh, 1):
                 decoder.decode(line.encode("latin-1"))
-            except UnicodeDecodeError:
-                break
-        # with no break, the file ends inside a character, on its last line
-    return DataError(f"{path}, line {number}: not {exc.encoding} text ({exc.reason})")
+            decoder.decode(b"", final=True)  # the file may end inside a character
+        except UnicodeDecodeError as exc:
+            return DataError(f"{path}, line {number}: not {exc.encoding} text ({exc.reason})")
+    return DataError(f"{path}: not {encoding} text")
 
 
 # -- CERT r6.2 ingestion ------------------------------------------------------

@@ -195,9 +195,12 @@ class DetectionResult:
                 for row in self.alert_rows(np.flatnonzero(self.trigger))]
 
 
-def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable,
+def _user_window_series(checkpoint: Checkpoint, source: Corpus | EventTable | dict,
                         ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Raw per-user window features (history only, no pads) plus end times."""
+    """Raw per-user window features (history only, no pads) plus end times;
+    a source that is already a window series is taken as it is."""
+    if isinstance(source, dict):
+        return source
     d = checkpoint.config.input_dim
     if isinstance(source, Corpus):
         if source.sequences and source.sequences[0].features.shape[1] != d:
@@ -264,9 +267,11 @@ def stream_embeddings(encoder, streams: list[np.ndarray], warm_steps: int) -> np
     return encode_states(encoder, block)[:, warm_steps:]
 
 
-def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
+def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable | dict,
                   config: DetectorConfig) -> DetectionResult:
-    """Run the full detection loop over a corpus or an event table.
+    """Run the full detection loop over a corpus, an event table, or the
+    window series of one ({user: (features, ends)}, as window_series and
+    data.raw_log_series give it, on the checkpoint's window_duration).
 
     Users' standardized windows are encoded by stream_embeddings, one
     block of BLOCK_USERS users at a time in sorted order, and each block's
@@ -274,7 +279,7 @@ def detect_stream(checkpoint: Checkpoint, source: Corpus | EventTable,
     block's windows together.  Returns one row per (user, window).
     """
     series = _user_window_series(checkpoint, source)
-    del source  # the events are freed before encoding, unless the caller holds them
+    del source  # a table's events are freed before encoding, unless the caller holds them
     users = sorted(series)
     # per block, its windows' end, u, d, s, trigger, cluster and p (an empty block first)
     columns = [[np.zeros(0)] * 4 + [np.zeros(0, dtype=np.intp)] * 2
@@ -347,15 +352,31 @@ def read_scores_csv(path: Path | str) -> DetectionResult:
 
 
 def write_alerts_jsonl(result: DetectionResult, path: Path | str) -> None:
-    """One JSON object of Alert fields per alert row, as json.dumps(...,
-    sort_keys=True) writes it: highest s first, ties by higher u, then
-    earlier window_end, then user name."""
-    keys = [f.name for f in fields(Alert)]
+    """One JSON object of Alert fields per alert row, byte for byte as
+    json.dumps(..., sort_keys=True) writes it: highest s first, ties by
+    higher u, then earlier window_end, then user name.  The lines are put
+    together in the sorted key order, a column at a time, from json's own
+    string encoder and float form."""
     rows = np.flatnonzero(result.trigger)
     # names as objects sort as Python sorts them; a numpy 'U' array drops trailing NULs
     names = np.repeat(np.array(result.users, dtype=object), result.windows)[rows]
-    order = rows[np.lexsort((names, result.window_end[rows], -result.u[rows], -result.s[rows]))]
-    encode = json.JSONEncoder(sort_keys=True).encode
+    order = np.lexsort((names, result.window_end[rows], -result.u[rows], -result.s[rows]))
+    rows, names = rows[order], names[order].tolist()
+    probs = result.p[rows]
+    probs = np.array(_json_floats(probs.ravel()), dtype=object).reshape(probs.shape)
+    text = json.encoder.encode_basestring_ascii
     with open(path, "w") as fh:
-        fh.writelines(encode(dict(zip(keys, row))) + "\n"
-                      for row in result.alert_rows(order))
+        fh.writelines(
+            f'{{"d": {d}, "p": [{p}], "s": {s}, "triggered_by": {text(_TRIGGERS[trigger])}, '
+            f'"u": {u}, "user": {text(user)}, "window_end": {end}}}\n'
+            for d, p, s, trigger, u, user, end in zip(
+                _json_floats(result.d[rows]), map(", ".join, probs.tolist()),
+                _json_floats(result.s[rows]), result.trigger[rows].tolist(),
+                _json_floats(result.u[rows]), names, _json_floats(result.window_end[rows])))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """values as json writes floats: each one's repr, or NaN, Infinity or -Infinity."""
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, values.tolist()))
+    return [float.__repr__(x) if math.isfinite(x) else json.dumps(x) for x in values.tolist()]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -360,31 +361,75 @@ u2,180001.0,command,
 """
 
 
-@pytest.mark.parametrize("source,window_duration,start_time", [
+# the sources of the per-event oracle tests: (source, window_duration, start_time)
+ORACLE_SOURCES = pytest.mark.parametrize("source,window_duration,start_time", [
     ("generated-1", 86400.0, None), ("generated-2", 3600.0, None),
     ("generated-3", 86400.0, 1.3e9 + 5417.25), ("cert", 3600.0, None),
     ("raw-log", 86400.0, None), ("raw-log", 3600.0, None),
 ], ids=["generated-daily", "generated-hourly", "generated-offset-start", "cert",
         "raw-log-daily", "raw-log-hourly"])
-def test_window_series_matches_per_event_oracle(tmp_path, source, window_duration,
-                                                start_time):
-    if source.startswith("generated"):
-        seed = int(source[-1])
-        table = generate(32, 0.5, SeededRng(seed), t_len=20, window_duration=window_duration,
-                         start_time=start_time or 0.0).records
-        events = events_of(table)
-    elif source == "cert":
-        write_cert_fixture(tmp_path / "cert", device=True, file_=True, malformed=True)
-        (tmp_path / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="big"))
-        table, _ = ingest_cert(tmp_path / "cert")
-        events = events_of(table)
-    else:
-        log = write_raw_log(tmp_path / "events.csv", RAW_LOG_ROWS)
-        table = load_raw_log(log)
-        events = oracle_raw_log(log)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_source(source, window_duration, start_time):
+    """A source's event table, and the per-event oracle's window series of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if source.startswith("generated"):
+            seed = int(source[-1])
+            table = generate(32, 0.5, SeededRng(seed), t_len=20, window_duration=window_duration,
+                             start_time=start_time or 0.0).records
+            events = events_of(table)
+        elif source == "cert":
+            write_cert_fixture(tmp / "cert", device=True, file_=True, malformed=True)
+            (tmp / "cert" / "email.csv").write_text(EMAIL_ROWS.format(size="big"))
+            table, _ = ingest_cert(tmp / "cert")
+            events = events_of(table)
+        else:
+            log = write_raw_log(tmp / "events.csv", RAW_LOG_ROWS)
+            table = load_raw_log(log)
+            events = oracle_raw_log(log)
     assert len(table) == len(events)
-    assert_series_equal(window_series(table, window_duration, start_time),
-                        oracle_window_series(events, window_duration, start_time))
+    return table, oracle_window_series(events, window_duration, start_time)
+
+
+@ORACLE_SOURCES
+def test_window_series_matches_per_event_oracle(source, window_duration, start_time):
+    table, expected = oracle_source(source, window_duration, start_time)
+    assert_series_equal(window_series(table, window_duration, start_time), expected)
+
+
+@ORACLE_SOURCES
+@settings(max_examples=30, deadline=None)
+@given(cuts=st.lists(st.integers(0, 2**20), max_size=8), anchored=st.booleans())
+def test_window_cells_fed_in_any_chunks_match_the_oracle(source, window_duration, start_time,
+                                                         cuts, anchored):
+    """The table fed to WindowCells split at any rows, on the grid of the
+    start time given (or of the least timestamp), or keyed by ts // wd and
+    rebased at close when no start time is given."""
+    table, expected = oracle_source(source, window_duration, start_time)
+    if start_time is None and anchored:
+        start_time = float(table.timestamp.min())
+    cells = data_mod.WindowCells(window_duration, start_time)
+    bounds = sorted({0, len(table), *(cut % (len(table) + 1) for cut in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        cells.feed(*(getattr(table, name)[lo:hi] for name in data_mod._COLUMNS))
+    assert cells.in_order
+    assert_series_equal(cells.close(table.users), expected)
+
+
+def test_window_cells_add_bytes_in_feed_order_across_chunks():
+    """A window's bytes are added event by event in feed order, as the
+    per-event oracle adds them, wherever the chunks split: 0.1 + 0.2 +
+    1e-05 is not 0.1 + (0.2 + 1e-05) in float64, nor after log1p."""
+    events = [Event("u", 10.0 * i, "http", {"bytes": b}) for i, b in
+              enumerate(["0.1", "0.2", "1e-05"])]
+    table, expected = make_table(events), oracle_window_series(events, 86400.0)
+    for cut in range(len(events) + 1):
+        cells = data_mod.WindowCells(86400.0)
+        for rows in (slice(0, cut), slice(cut, None)):
+            cells.feed(*(getattr(table, name)[rows] for name in data_mod._COLUMNS))
+        assert_series_equal(cells.close(table.users), expected)
 
 
 # -- standardization -------------------------------------------------------------
@@ -901,8 +946,8 @@ def oracle_load_raw_log(path):
     if not columns[0]:
         raise DataError(f"{path}: no event rows")
     user, ts, kind, host, cmd, *rest = columns
-    every = np.arange(len(user))
-    events = EventTable(user, host, cmd, every, ts, kind, every, every, *rest)
+    every = np.arange(len(user))  # each code column its own copy: the table recodes it in place
+    events = EventTable(user, host, cmd, every, ts, kind, every.copy(), every.copy(), *rest)
     order = np.argsort(events.user, kind="stable")
     user, ts = events.user[order], events.timestamp[order]
     back = np.flatnonzero((user[1:] == user[:-1]) & (ts[1:] < ts[:-1]))
@@ -1016,6 +1061,46 @@ def test_load_raw_log_matches_row_by_row_oracle(text, chunk_rows):
         path.write_bytes(text.encode())
         assert_same_outcome(table_or_error(load_raw_log, path),
                             table_or_error(oracle_load_raw_log, path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_logs(), st.integers(1, 4), st.integers(1, 9), st.sampled_from([0.5, 1.0, 3600.0]))
+def test_raw_log_series_matches_the_table_path(text, chunk_rows, fold_rows, window_duration):
+    """raw_log_series folds each chunk as it is read, and gives what
+    window_series gives on load_raw_log's table: the same series, or the
+    same first DataError."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(data_mod, "_FOLD_ROWS", fold_rows):
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(text.encode())
+        got = table_or_error(lambda p: data_mod.raw_log_series(p, window_duration), path)
+        expected = table_or_error(lambda p: window_series(load_raw_log(p), window_duration),
+                                  path)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+    else:
+        assert list(got) == list(expected)
+        assert_series_equal(got, expected)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+def test_bad_row_ahead_of_bytes_that_do_not_decode_is_reported(tmp_path, chunk_rows):
+    """A row ahead of one that does not decode is checked first, whatever
+    the chunk; with no bad row before it, the row that holds the bytes is
+    reported, at its last line."""
+    path = tmp_path / "events.csv"
+    header = b"user,timestamp,kind,attributes\nu1,1.0,logon,\n"
+    with mock.patch.object(data_mod, "_CHUNK_ROWS", chunk_rows):
+        path.write_bytes(header + b"u1,x,logon,\nu1,\xff\xfe,x\n")
+        assert table_or_error(load_raw_log, path) == \
+            f"{path}, line 3: could not convert string to float: 'x'"
+        path.write_bytes(header + b"u1,2.0,logon,\nu1,\xff\xfe,x\n")
+        assert table_or_error(load_raw_log, path) == \
+            f"{path}, line 4: not utf-8 text (invalid start byte)"
+        path.write_bytes(header + b'u1,2.0,logon,"host=a\n\xe2\x82"\nu1,x,logon,\n')
+        assert table_or_error(load_raw_log, path) == \
+            f"{path}, line 4: not utf-8 text (invalid continuation byte)"
 
 
 def test_bad_row_in_a_later_chunk_reports_its_line(tmp_path):
@@ -1242,8 +1327,8 @@ def oracle_ingest_cert(directory):
                 for column, value in zip(columns, values):
                     column.append(value)
     user, ts, kind, host, cmd, *rest = columns
-    every = np.arange(len(user))
-    events = EventTable(user, host, cmd, every, ts, kind, every, every, *rest)
+    every = np.arange(len(user))  # each code column its own copy: the table recodes it in place
+    events = EventTable(user, host, cmd, every, ts, kind, every.copy(), every.copy(), *rest)
     order = np.lexsort((events.user, events.timestamp))
     return replace(events, **{name: getattr(events, name)[order]
                               for name in data_mod._COLUMNS}), malformed

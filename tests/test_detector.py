@@ -220,6 +220,38 @@ def test_write_alerts_jsonl_empty(tmp_path):
     assert (tmp_path / "alerts.jsonl").read_bytes() == b""
 
 
+# floats whose repr json writes in another form (NaN, Infinity), or that take
+# many digits, an exponent or a subnormal
+ODD_FLOATS = st.one_of(st.sampled_from([1e-7, 1e16, 5e-324, -0.0, 0.1, 1 / 3, 2.0**53 + 2,
+                                        math.nan, math.inf, -math.inf]), st.floats())
+FINITE = st.one_of(st.sampled_from([1e-7, 1e16, 5e-324, -0.0, 0.1, 1 / 3]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# names with quotes, backslashes, control and non-ASCII characters, and a lone surrogate
+ALERT_NAMES = st.text(max_size=4, alphabet=st.sampled_from(
+    list('u0 "\\/\x00\x01\x1f\x7f\x80é€\U0001f600\ud800')))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ALERT_NAMES, FINITE, FINITE, FINITE, ODD_FLOATS,
+                          st.sampled_from([1, 2, 3]), st.lists(ODD_FLOATS, min_size=3, max_size=3)),
+                max_size=6))
+def test_alerts_jsonl_lines_are_json_dumps_with_sorted_keys(rows):
+    """Every line as json.dumps(..., sort_keys=True) writes the Alert's
+    fields, in the documented order."""
+    users = [row[0] for row in rows]
+    end, s, u, d = (np.array([row[i] for row in rows], dtype=np.float64) for i in (1, 2, 3, 4))
+    trigger = np.array([row[5] for row in rows], dtype=np.intp)
+    p = np.array([row[6] for row in rows], dtype=np.float64).reshape(len(rows), 3)
+    result = DetectionResult(users, np.ones(len(rows), dtype=np.intp), end, u, d, s, trigger,
+                             np.zeros(len(rows), dtype=np.intp), p)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_alerts_jsonl(result, Path(tmp) / "alerts.jsonl")
+        got = (Path(tmp) / "alerts.jsonl").read_bytes()
+    alerts = sorted(result.alerts, key=lambda a: (-a.s, -a.u, a.window_end, a.user))
+    assert got == "".join(json.dumps({**vars(a), "p": list(a.p)}, sort_keys=True) + "\n"
+                          for a in alerts).encode()
+
+
 # -- full stream --------------------------------------------------------------------
 
 
